@@ -45,4 +45,21 @@ inline double median(std::vector<double> v) {
   return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2.0;
 }
 
+/// Sum over positions of the smallest value any run has at that position:
+/// the time of a composite run that takes every slice at its fastest. All
+/// runs must have the same length; 0 when there are none or they differ.
+inline double sum_of_minima(const std::vector<std::vector<double>>& runs) {
+  if (runs.empty()) return 0.0;
+  for (const auto& r : runs) {
+    if (r.size() != runs.front().size()) return 0.0;
+  }
+  double sum = 0.0;
+  for (std::size_t i = 0; i < runs.front().size(); ++i) {
+    double lo = runs.front()[i];
+    for (const auto& r : runs) lo = std::min(lo, r[i]);
+    sum += lo;
+  }
+  return sum;
+}
+
 }  // namespace perfbench

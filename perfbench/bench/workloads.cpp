@@ -536,16 +536,20 @@ void sample_peaks(Rig& rig, Peaks& pk) {
 }
 
 /// Advance the simulation to `until` in slices of the spec's length, one
-/// benchmark span per slice, sampling peaks after each when asked.
+/// benchmark span per slice, sampling peaks after each and recording each
+/// slice's wall seconds when asked.
 void run_slices(Rig& rig, std::int64_t until, SpanLog* spans,
-                std::uint32_t parent, Peaks* pk) {
+                std::uint32_t parent, Peaks* pk,
+                std::vector<double>* slice_s = nullptr) {
   while (sim_now(*rig.psim) < until) {
     const std::int64_t next =
         std::min(until, sim_now(*rig.psim) + rig.spec.slice_ns);
+    const auto t = Clock::now();
     {
       ScopedSpan s(spans, "run_until", parent);
       rig.psim->run_until(next);
     }
+    if (slice_s != nullptr) slice_s->push_back(secs(t, Clock::now()));
     if (pk != nullptr) sample_peaks(rig, *pk);
   }
 }
@@ -659,7 +663,7 @@ RepResult run_rep(const Options& opts, SpanLog* spans) {
   const auto w0 = Clock::now();
   {
     ScopedSpan s(spans, "window", rep_id);
-    run_slices(rig, t1, spans, s.id(), &peaks);
+    run_slices(rig, t1, spans, s.id(), &peaks, &r.window_slice_s);
   }
   const auto w1 = Clock::now();
   const Snapshot s1 = snapshot(*rig.cluster, psim);
@@ -707,6 +711,8 @@ RepResult run_rep(const Options& opts, SpanLog* spans) {
   const std::uint64_t reqs = finished;
   const double window_ns = static_cast<double>(sp.window_ns);
   const std::uint64_t events = s1.events - s0.events;
+  r.window_requests = reqs;
+  r.window_events = events;
   auto& k = r.counts;
   k["sim.events_per_req"] = per_req(s1.events, s0.events, reqs);
   k["sim.events_per_sim_s"] = static_cast<double>(events) / window_s;

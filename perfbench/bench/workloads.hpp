@@ -42,6 +42,12 @@ struct RepResult {
   std::map<std::string, double> wall;
   /// Critical-path breakdown (traced runs only).
   std::map<std::string, double> crit;
+  /// Wall seconds of each run_until slice of the measured window, in order.
+  /// The slices cover the same simulated intervals in every repetition.
+  std::vector<double> window_slice_s;
+  /// Requests finished and events dispatched in the measured window.
+  std::uint64_t window_requests = 0;
+  std::uint64_t window_events = 0;
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
   std::vector<std::string> violations;

@@ -128,6 +128,14 @@ TEST(Stats, RatioPerReqAndMedian) {
   EXPECT_DOUBLE_EQ(median({}), 0.0);
 }
 
+TEST(Stats, SumOfMinimaTakesEachSliceAtItsFastest) {
+  // A stall in slice 1 of the first run and slice 0 of the second costs nothing.
+  EXPECT_DOUBLE_EQ(sum_of_minima({{1.0, 5.0, 2.0}, {4.0, 1.5, 2.5}}), 4.5);
+  EXPECT_DOUBLE_EQ(sum_of_minima({{1.0, 2.0}}), 3.0);
+  EXPECT_DOUBLE_EQ(sum_of_minima({}), 0.0);
+  EXPECT_DOUBLE_EQ(sum_of_minima({{1.0, 2.0}, {1.0}}), 0.0);
+}
+
 TEST(Spans, NestAndClose) {
   SpanLog log;
   {
