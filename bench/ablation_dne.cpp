@@ -28,14 +28,15 @@ struct Result {
 };
 
 Result run_echo(core::EngineConfig engine_cfg, int tenants, int clients) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.engine = engine_cfg;
   cfg.pool_buffers = 2048;
   cfg.buffer_bytes = 4096;
   cfg.cpu_cores_per_node = 32;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
 
@@ -54,9 +55,9 @@ Result run_echo(core::EngineConfig engine_cfg, int tenants, int clients) {
   }
   cluster->finish_setup();
   for (auto& d : drivers) d->start(clients);
-  sched.run_until(sched.now() + kRun);
+  psim.run_until(sched.now() + kRun);
   for (auto& d : drivers) d->stop();
-  sched.run();
+  psim.run();
 
   Result r;
   std::uint64_t total = 0;

@@ -31,21 +31,17 @@ struct Result {
 Result run(runtime::SystemKind system, std::uint32_t payload, int clients,
            obs::Hub* hub = nullptr) {
   // Metrics-only observation: the always-on registry histograms (notably
-  // dne.soc_dma_ns) record every event, but per-request span collection is
-  // disabled — a 3 s closed-loop run would accumulate millions of spans.
-  std::unique_ptr<obs::Session> session;
-  if (hub != nullptr) {
-    hub->tracer.set_sample_every(0);
-    session = std::make_unique<obs::Session>(*hub);
-  }
-
-  sim::Scheduler sched;
+  // dne.soc_dma_ns) record every event into the shard hub, but per-request
+  // span collection stays off — a 3 s closed-loop run would accumulate
+  // millions of spans.
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = system;
   cfg.cpu_cores_per_node = 8;
   cfg.pool_buffers = 1024;
   cfg.buffer_bytes = 32 * 1024;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -57,11 +53,14 @@ Result run(runtime::SystemKind system, std::uint32_t payload, int clients,
 
   driver.start(clients);
   const auto start = sched.now();
-  sched.run_until(start + kRun);
+  psim.run_until(start + kRun);
   driver.stop();
-  sched.run();
+  psim.run();
 
-  if (hub != nullptr) runtime::export_metrics(*cluster, hub->registry);
+  if (hub != nullptr) {
+    cluster->merge_observability(*hub);
+    runtime::export_metrics(*cluster, hub->registry);
+  }
 
   return {static_cast<double>(driver.completed()) / sim::to_sec(kRun),
           driver.latencies().mean_ns() / 1e3};

@@ -29,12 +29,13 @@ struct Result {
 enum class Design { kPalladium, kFIngress, kKIngress };
 
 Result run(Design design, int clients) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = design == Design::kPalladium ? runtime::SystemKind::kPalladiumDne
                                             : runtime::SystemKind::kSpright;
   cfg.cpu_cores_per_node = 8;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -69,9 +70,9 @@ Result run(Design design, int clients) {
   workload::HttpLoadGen wrk(sched, *ing, wcfg);
   wrk.add_clients(clients);
   const auto start = sched.now();
-  sched.run_until(start + kRun);
+  psim.run_until(start + kRun);
   wrk.stop();
-  sched.run();
+  psim.run();
 
   return {static_cast<double>(wrk.completed()) / sim::to_sec(kRun),
           wrk.latencies().mean_ns() / 1e6};

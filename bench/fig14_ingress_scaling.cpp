@@ -36,13 +36,14 @@ struct Series {
 enum class Design { kPalladium, kFIngress, kKIngress };
 
 Series run(Design design) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = design == Design::kPalladium ? runtime::SystemKind::kPalladiumDne
                                             : runtime::SystemKind::kSpright;
   cfg.cpu_cores_per_node = 8;
   cfg.pool_buffers = 2048;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -90,9 +91,9 @@ Series run(Design design) {
     sched.schedule_at(t0 + static_cast<sim::TimePoint>(c) * 5 * kSecond,
                       [&wrk] { wrk.add_clients(1); });
   }
-  sched.run_until(t0 + kExperiment);
+  psim.run_until(t0 + kExperiment);
   wrk.stop();
-  sched.run();
+  psim.run();
 
   Series out;
   auto& rps_series = design == Design::kPalladium ? pal->response_series()

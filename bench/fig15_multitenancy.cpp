@@ -30,7 +30,7 @@ struct TenantSeries {
 };
 
 std::vector<TenantSeries> run(bool use_dwrr) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 16;
@@ -43,7 +43,7 @@ std::vector<TenantSeries> run(bool use_dwrr) {
   cfg.engine.extra_per_msg_ns = 300;
   cfg.engine.srq_fill = 512;
 
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
 
@@ -82,7 +82,7 @@ std::vector<TenantSeries> run(bool use_dwrr) {
   }
   cluster->finish_setup();
   for (auto& l : loads) l->start();
-  sched.run_until(kExperiment + kSecond);
+  psim.run_until(kExperiment + kSecond);
 
   std::vector<TenantSeries> out;
   for (auto& l : loads) {

@@ -69,7 +69,8 @@ struct Result {
 };
 
 Result run(System system, std::uint32_t chain, int clients) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 16;
   cfg.pool_buffers = 2048;
@@ -82,7 +83,7 @@ Result run(System system, std::uint32_t chain, int clients) {
     case System::kNightcore: cfg.system = runtime::SystemKind::kNightcore; break;
   }
 
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   const bool single_node = system == System::kNightcore;
   if (!single_node) cluster->add_worker(kNode2);
@@ -136,16 +137,16 @@ Result run(System system, std::uint32_t chain, int clients) {
   wrk.add_clients(clients);
 
   // Warm up 1 s, then measure.
-  sched.run_until(sched.now() + 1'000'000'000);
+  psim.run_until(sched.now() + 1'000'000'000);
   const auto cpu0 = snapshot();
   const auto fn0 = fn_compute();
   const auto start = sched.now();
-  sched.run_until(start + kRun);
+  psim.run_until(start + kRun);
   const auto cpu1 = snapshot();
   const auto fn1 = fn_compute();
   const auto measured_rps = wrk.rps(start, start + kRun);
   wrk.stop();
-  sched.run();
+  psim.run();
 
   Result r;
   r.rps = measured_rps;

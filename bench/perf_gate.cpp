@@ -44,7 +44,6 @@
 #include <tuple>
 #include <vector>
 
-#include "fabric/fabric.hpp"
 #include "ingress/palladium_ingress.hpp"
 #include "obs/hub.hpp"
 #include "runtime/boutique.hpp"
@@ -63,7 +62,7 @@ struct LoadSpec {
   int clients = 8;
   sim::Duration warm_ns = 0;
   sim::Duration run_ns = 0;
-  int threads = 0;  ///< 0 = legacy single-scheduler run
+  int threads = 0;  ///< 0 = one shard (the serial simulation)
   int nodes = 2;
   int cells = 1;
   std::size_t nodes_per_switch = 0;  ///< 0 = flat single-switch fabric
@@ -71,11 +70,6 @@ struct LoadSpec {
   /// intra-leaf chain traffic goes shard-local and every cross-shard link
   /// is a multi-us spine crossing — the epoch-rate collapse at scale.
   bool leaf_shards = false;
-  /// Reproduce the PR 4 protocol — uniform flat lookahead (701 ns
-  /// everywhere) plus the old horizon formula — as the A/B baseline for the
-  /// pdes_epochs reduction claim. Simulated latencies agree with the
-  /// adaptive protocol; only protocol cost differs.
-  bool legacy_horizon = false;
 };
 
 struct LoadResult {
@@ -115,40 +109,31 @@ struct LoadResult {
   }
 };
 
-/// `spec.threads` == 0 runs the legacy single-scheduler simulation; > 0
-/// shards the cluster (one shard per node plus the edge shard) across that
-/// many OS threads via the epoch-barrier parallel loop. Simulated results
-/// are identical for every threads > 0 value; only wall-clock changes.
+/// `spec.threads` == 0 runs the whole cluster on one shard (the serial
+/// simulation); > 0 shards it (one shard per node or leaf, plus the edge
+/// shard) across that many OS threads via the epoch-barrier parallel loop.
+/// Simulated results are identical for every threads > 0 value; only wall
+/// clock changes.
 LoadResult run_load(const LoadSpec& spec) {
-  std::unique_ptr<sim::ParallelSim> psim;
-  std::unique_ptr<sim::Scheduler> solo;
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 16;
   cfg.pool_buffers = 2048;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.topology.nodes_per_switch = spec.nodes_per_switch;
-  std::unique_ptr<runtime::Cluster> cluster;
-  sim::Scheduler* sched = nullptr;
+  std::size_t shards = 1;
   if (spec.threads > 0) {
-    std::size_t shards = 1 + static_cast<std::size_t>(spec.nodes);
+    shards = 1 + static_cast<std::size_t>(spec.nodes);
     if (spec.leaf_shards) {
       cfg.shard_mapping = runtime::ShardMapping::kLeafPerShard;
       shards = 1 + (static_cast<std::size_t>(spec.nodes) +
                     spec.nodes_per_switch - 1) /
                        spec.nodes_per_switch;
     }
-    psim = std::make_unique<sim::ParallelSim>(
-        shards, /*os_threads=*/static_cast<unsigned>(spec.threads));
-    if (spec.legacy_horizon) {
-      psim->set_horizon_policy(sim::HorizonPolicy::kLegacy);
-    }
-    cluster = std::make_unique<runtime::Cluster>(*psim, cfg);
-    sched = &psim->shard(0);
-  } else {
-    solo = std::make_unique<sim::Scheduler>();
-    sched = solo.get();
-    cluster = std::make_unique<runtime::Cluster>(*sched, cfg);
   }
+  sim::ParallelSim psim(shards,
+                        /*os_threads=*/static_cast<unsigned>(spec.threads));
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
+  sim::Scheduler& sched = psim.shard(0);
   std::vector<NodeId> nodes;
   nodes.reserve(static_cast<std::size_t>(spec.nodes));
   for (int i = 0; i < spec.nodes; ++i) {
@@ -183,19 +168,10 @@ LoadResult run_load(const LoadSpec& spec) {
   }
   ing.finish_setup();
   cluster->finish_setup();
-  if (psim && spec.legacy_horizon) {
-    // PR 4 baseline: overwrite the adaptive per-pair matrix with the old
-    // uniform flat-fabric lookahead (the kLegacy formula set above already
-    // reproduces the old horizon arithmetic).
-    psim->set_lookahead(fabric::cross_node_lookahead());
-  }
 
   // Flight recorder: sample queue depth / pool occupancy in simulated
-  // time. Legacy mode records into the installed hub; parallel mode into
-  // the per-shard hubs, merged below. The sampler is a handful of pure
-  // reads per simulated millisecond — noise next to the event loop.
-  obs::Hub hub;
-  obs::Session session(hub);
+  // time into the per-shard hubs, merged below. The sampler is a handful
+  // of pure reads per simulated millisecond — noise next to the event loop.
   cluster->start_flight_recorder({});
   ing.start_flight_probes();
 
@@ -211,60 +187,47 @@ LoadResult run_load(const LoadSpec& spec) {
     wcfg.target = route(cell.index);
     wcfg.body = std::string(128, 'x');
     wcfg.client_cores = n;
-    auto gen = std::make_unique<workload::HttpLoadGen>(*sched, ing, wcfg);
+    auto gen = std::make_unique<workload::HttpLoadGen>(sched, ing, wcfg);
     gen->add_clients(n);
     gens.push_back(std::move(gen));
   }
 
-  const auto run_until = [&](sim::TimePoint t) {
-    if (psim) {
-      psim->run_until(t);
-    } else {
-      sched->run_until(t);
-    }
-  };
-  const auto events_done = [&] {
-    return psim ? psim->events_processed() : sched->events_processed();
-  };
   const auto requests_done = [&] {
     std::uint64_t total = 0;
     for (const auto& g : gens) total += g->latencies().count();
     return total;
   };
 
-  run_until(sched->now() + spec.warm_ns);
-  const auto start = sched->now();
-  const auto events0 = events_done();
+  psim.run_until(sched.now() + spec.warm_ns);
+  const auto start = sched.now();
+  const auto events0 = psim.events_processed();
   const auto requests0 = requests_done();
-  const std::uint64_t epochs0 = psim ? psim->epochs() : 0;
-  const std::uint64_t skip0 = psim ? psim->skip_ahead_epochs() : 0;
-  const std::uint64_t msgs0 = psim ? psim->mailbox_msgs() : 0;
-  const std::uint64_t barrier0 = psim ? psim->barrier_wait_ns() : 0;
+  const std::uint64_t epochs0 = psim.epochs();
+  const std::uint64_t skip0 = psim.skip_ahead_epochs();
+  const std::uint64_t msgs0 = psim.mailbox_msgs();
+  const std::uint64_t barrier0 = psim.barrier_wait_ns();
   const auto wall0 = std::chrono::steady_clock::now();
-  run_until(start + spec.run_ns);
+  psim.run_until(start + spec.run_ns);
   const auto wall1 = std::chrono::steady_clock::now();
 
   LoadResult r;
   r.spec = spec;
   r.wall_sec = std::chrono::duration<double>(wall1 - wall0).count();
-  r.events = events_done() - events0;
+  r.events = psim.events_processed() - events0;
   r.requests = requests_done() - requests0;
   sim::LatencyHistogram merged;
   for (const auto& g : gens) merged.merge(g->latencies());
   r.sim_p50_ms = static_cast<double>(merged.quantile(0.5)) / 1e6;
   r.sim_p99_ms = static_cast<double>(merged.quantile(0.99)) / 1e6;
-  if (psim) {
-    r.pdes_epochs = psim->epochs() - epochs0;
-    r.pdes_skip_ahead_epochs = psim->skip_ahead_epochs() - skip0;
-    r.pdes_mailbox_msgs = psim->mailbox_msgs() - msgs0;
-    r.pdes_barrier_wait_ms =
-        static_cast<double>(psim->barrier_wait_ns() - barrier0) / 1e6;
-  }
+  r.pdes_epochs = psim.epochs() - epochs0;
+  r.pdes_skip_ahead_epochs = psim.skip_ahead_epochs() - skip0;
+  r.pdes_mailbox_msgs = psim.mailbox_msgs() - msgs0;
+  r.pdes_barrier_wait_ms =
+      static_cast<double>(psim.barrier_wait_ns() - barrier0) / 1e6;
   for (auto& g : gens) g->stop();
-  if (psim) {
-    psim->run();
-    cluster->merge_observability(hub);
-  }
+  psim.run();
+  obs::Hub hub;
+  cluster->merge_observability(hub);
   r.peak_tx_backlog = hub.timeseries.peak_over("engine.tx_backlog");
   r.peak_pool_in_use = hub.timeseries.peak_over("pool.in_use");
   return r;
@@ -444,7 +407,6 @@ int main(int argc, char** argv) {
   int cells = 0;
   int clients = 0;
   long per_switch = -1;
-  bool legacy_horizon = false;
   bool node_shards = false;
   std::string json_path;
   std::string check_path;
@@ -474,8 +436,6 @@ int main(int argc, char** argv) {
       clients = int_arg(i);
     } else if (std::strcmp(argv[i], "--switch") == 0 && i + 1 < argc) {
       per_switch = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--legacy-horizon") == 0) {
-      legacy_horizon = true;
     } else if (std::strcmp(argv[i], "--node-shards") == 0) {
       node_shards = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -485,7 +445,7 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: perf_gate [--smoke | --scale] [--threads N] "
                    "[--repeat N] [--nodes N] [--cells N] [--clients N] "
-                   "[--switch N] [--legacy-horizon] [--node-shards] "
+                   "[--switch N] [--node-shards] "
                    "[--json FILE] [--check FILE]\n";
       return 2;
     }
@@ -493,12 +453,6 @@ int main(int argc, char** argv) {
 
   LoadSpec spec;
   spec.threads = threads;
-  spec.legacy_horizon = legacy_horizon;
-  if (legacy_horizon && threads == 0 && !scale) {
-    std::cerr << "perf_gate: --legacy-horizon needs --threads (it selects "
-                 "the sharded horizon formula)\n";
-    return 2;
-  }
   if (scale) {
     // The ISSUE 9 scale point: 32 workers on 4 leaves, 16 boutique cells,
     // leaf-affine placement, one shard per leaf. Sharded by construction —
@@ -518,11 +472,6 @@ int main(int argc, char** argv) {
   spec.leaf_shards = spec.nodes_per_switch > 0 && !node_shards;
   if (spec.nodes < 2 || spec.cells < 1) {
     std::cerr << "perf_gate: need >= 2 nodes and >= 1 cell\n";
-    return 2;
-  }
-  if (spec.threads == 0 && (spec.nodes != 2 || spec.cells != 1)) {
-    std::cerr << "perf_gate: scale points (custom --nodes/--cells) need "
-                 "--threads (the legacy path is the 2-node baseline)\n";
     return 2;
   }
 

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   bool strict = false;
   bool ledger = false;
   std::uint64_t chaos_seed = 0;
-  std::size_t threads = 0;  // 0 = legacy single-scheduler simulation
+  std::size_t threads = 0;  // 0 = one shard (the serial simulation)
   std::int64_t seconds = 5;
   std::string prefix = "boutique";
   std::string overload;
@@ -118,37 +118,20 @@ int main(int argc, char** argv) {
   // With tracing on, sample every 500th request end-to-end (a 5 s run
   // serves ~100K requests; sampling keeps the trace Perfetto-sized) and
   // dump a full metrics snapshot alongside.
-  obs::Hub hub;
-  std::unique_ptr<obs::Session> session;
-  std::unique_ptr<obs::ProfileSession> profiling;
-  if (observing) {
-    // In parallel mode the per-shard hubs do the recording (merged into
-    // `hub` after the run); the globally installed hub must not sample.
-    hub.tracer.set_sample_every(threads == 0 && tracing ? 500 : 0);
-    session = std::make_unique<obs::Session>(hub);
-  }
-  if (flame) profiling = std::make_unique<obs::ProfileSession>(hub.profiler);
-
-  // Legacy mode runs everything on one scheduler; --threads N shards the
+  // Without --threads everything runs on one shard; --threads N shards the
   // cluster (edge + one shard per worker) across N OS threads with
   // bit-identical simulated results for every N.
-  sim::Scheduler serial_sched;
-  std::unique_ptr<sim::ParallelSim> psim;
-  if (threads > 0) psim = std::make_unique<sim::ParallelSim>(3, threads);
+  sim::ParallelSim psim(threads > 0 ? 3 : 1, static_cast<unsigned>(threads));
 
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 16;
-  auto cluster = psim != nullptr
-                     ? std::make_unique<runtime::Cluster>(*psim, cfg)
-                     : std::make_unique<runtime::Cluster>(serial_sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   sim::Scheduler& sched = cluster->scheduler();
   cluster->add_worker(NodeId{1});
   cluster->add_worker(NodeId{2});
-  if (psim != nullptr) {
-    if (tracing) cluster->enable_shard_tracing(500);
-    if (flame) cluster->enable_shard_profiling();
-  }
+  if (tracing) cluster->enable_shard_tracing(500);
+  if (flame) cluster->enable_shard_profiling();
 
   // Hot functions (frontend/checkout/recommendation) on node 1, the other
   // seven on node 2 — the paper's placement.
@@ -165,13 +148,9 @@ int main(int argc, char** argv) {
   gateway.expose_chain("/checkout", runtime::OnlineBoutique::kCheckoutChain);
   gateway.finish_setup();
   cluster->finish_setup();
-  std::unique_ptr<obs::LedgerSession> ledger_session;
   if (ledger) {
     cluster->enable_ledger();
     gateway.attach_pool_clock();
-    if (psim == nullptr) {
-      ledger_session = std::make_unique<obs::LedgerSession>(hub.ledger);
-    }
   }
   if (timeline) {
     // 1 ms sampling over the whole topology: engines, RNICs, buffer pools,
@@ -232,26 +211,16 @@ int main(int argc, char** argv) {
     gens.back()->add_clients(page.clients);
   }
 
-  if (psim != nullptr) {
-    psim->run_until(horizon);
-    for (auto& g : gens) g->stop();
-    psim->run();
-  } else {
-    sched.run_until(horizon);
-    for (auto& g : gens) g->stop();
-    sched.run();
-  }
+  psim.run_until(horizon);
+  for (auto& g : gens) g->stop();
+  psim.run();
   if (ledger) {
     cluster->collect_pool_slot_ns();
-    if (obs::Hub* eh = cluster->edge_hub()) {
-      gateway.collect_pool_slot_ns(eh->ledger);
-    }
+    gateway.collect_pool_slot_ns(cluster->edge_hub().ledger);
   }
-  if (psim != nullptr) {
-    cluster->merge_observability(hub);
-  } else if (observing) {
-    hub.slo.finish(sched.now());
-  }
+  // The per-shard hubs did the recording; fold them into one.
+  obs::Hub hub;
+  cluster->merge_observability(hub);
 
   const double secs = static_cast<double>(seconds);
   std::printf("Online Boutique over Palladium (DNE), %lld s, 32 HTTP clients",
@@ -409,6 +378,7 @@ int main(int argc, char** argv) {
     hub.ledger.export_metrics(hub.registry);
   }
   if (observing) {
+    if (flame) hub.profiler.export_folded(hub.registry);
     runtime::export_metrics(*cluster, hub.registry);
     hub.registry.write_json(prefix + "_metrics.json");
     std::printf("metrics snapshot -> %s_metrics.json\n", prefix.c_str());

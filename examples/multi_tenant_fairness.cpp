@@ -15,14 +15,14 @@ using namespace pd;
 constexpr bool kUseDwrr = true;
 
 int main() {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.engine.use_dwrr = kUseDwrr;
   cfg.engine.extra_per_msg_ns = 500;  // pin DNE capacity to make contention visible
   cfg.pool_buffers = 4096;
   cfg.buffer_bytes = 4096;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(NodeId{1});
   cluster.add_worker(NodeId{2});
 
@@ -56,7 +56,7 @@ int main() {
   }
   cluster.finish_setup();
   for (auto& l : loads) l->start();
-  sched.run_until(11'000'000'000);
+  psim.run_until(11'000'000'000);
 
   std::printf("DNE scheduling: %s — 10 s of three-way contention\n",
               kUseDwrr ? "DWRR (weights 4:2:1)" : "FCFS (no isolation)");

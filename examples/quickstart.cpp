@@ -14,14 +14,15 @@ using namespace pd;
 
 int main() {
   // 1. A deterministic simulated cluster: every node, NIC and DPU share
-  //    one virtual clock.
-  sim::Scheduler sched;
+  //    one virtual clock (a one-shard parallel simulation; more shards
+  //    spread the nodes across OS threads with identical results).
+  sim::ParallelSim psim(/*shards=*/1);
 
   // 2. Two worker nodes running Palladium's DPU network engine (DNE).
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 8;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(NodeId{1});
   cluster.add_worker(NodeId{2});
 
@@ -46,9 +47,9 @@ int main() {
   cluster.finish_setup();  // RC connection pools, routing sync
 
   driver.start(8);
-  sched.run_until(2'000'000'000);  // 2 s of virtual time
+  psim.run_until(2'000'000'000);  // 2 s of virtual time
   driver.stop();
-  sched.run();
+  psim.run();
 
   // 6. Results.
   std::printf("thumbnail chain, 8 closed-loop clients, 2 s:\n");

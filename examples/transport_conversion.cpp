@@ -21,11 +21,12 @@ struct Outcome {
 };
 
 Outcome serve(bool early_conversion) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = early_conversion ? runtime::SystemKind::kPalladiumDne
                                 : runtime::SystemKind::kSpright;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(NodeId{1});
   cluster.add_worker(NodeId{2});
   cluster.add_tenant(TenantId{1}, 1);
@@ -57,9 +58,9 @@ Outcome serve(bool early_conversion) {
   wcfg.client_cores = 16;
   workload::HttpLoadGen wrk(sched, *ing, wcfg);
   wrk.add_clients(32);
-  sched.run_until(4'000'000'000);
+  psim.run_until(4'000'000'000);
   wrk.stop();
-  sched.run();
+  psim.run();
   return {static_cast<double>(wrk.completed()) / 4.0,
           wrk.latencies().mean_ns() / 1e6};
 }

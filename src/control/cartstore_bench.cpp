@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "ingress/palladium_ingress.hpp"
-#include "obs/hub.hpp"
 #include "rdma/rnic.hpp"
 #include "runtime/boutique.hpp"
 #include "runtime/function.hpp"
@@ -49,21 +48,14 @@ CartAblationResult::ModeRow run_mode(bool use_store,
                                      const CartAblationOptions& opts) {
   const sim::Duration horizon = opts.seconds * 1'000'000'000;
 
-  obs::Hub hub;
-  obs::Session session(hub);
-
-  sim::Scheduler serial_sched;
-  std::unique_ptr<sim::ParallelSim> psim;
-  if (opts.threads > 0) {
-    psim = std::make_unique<sim::ParallelSim>(3, opts.threads);
-  }
+  // One shard without --threads; edge + two workers across N threads with.
+  sim::ParallelSim psim(opts.threads > 0 ? 3 : 1,
+                        static_cast<unsigned>(opts.threads));
 
   ClusterConfig cfg;
   cfg.system = SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 16;
-  auto cluster = psim != nullptr
-                     ? std::make_unique<Cluster>(*psim, cfg)
-                     : std::make_unique<Cluster>(serial_sched, cfg);
+  auto cluster = std::make_unique<Cluster>(psim, cfg);
   sim::Scheduler& sched = cluster->scheduler();
   cluster->add_worker(kHotNode);
   cluster->add_worker(kColdNode);
@@ -91,15 +83,9 @@ CartAblationResult::ModeRow run_mode(bool use_store,
     gens.back()->add_clients(p.clients);
   }
 
-  if (psim != nullptr) {
-    psim->run_until(horizon);
-    for (auto& g : gens) g->stop();
-    psim->run();
-  } else {
-    sched.run_until(horizon);
-    for (auto& g : gens) g->stop();
-    sched.run();
-  }
+  psim.run_until(horizon);
+  for (auto& g : gens) g->stop();
+  psim.run();
 
   CartAblationResult::ModeRow row;
   row.mode = use_store ? "store" : "rpc";

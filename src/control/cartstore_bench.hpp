@@ -20,8 +20,8 @@
 namespace pd::control {
 
 struct CartAblationOptions {
-  /// 0 = legacy single-scheduler run; N > 0 = sharded ParallelSim over N
-  /// OS threads (bit-identical results for every N).
+  /// 0 = one-shard ParallelSim (the serial simulation); N > 0 = edge + one
+  /// shard per worker over N OS threads (bit-identical for every N).
   std::size_t threads = 0;
   std::int64_t seconds = 2;
 };

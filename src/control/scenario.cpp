@@ -82,17 +82,9 @@ OverloadResult run_overload(const OverloadOptions& opts) {
   const bool noisy = opts.scenario == OverloadScenario::kNoisyNeighbor;
   const bool chaos = opts.scenario == OverloadScenario::kChaos2x;
 
-  // The SLO watchdog (and everything else observable) lives on the shard
-  // hubs in parallel mode and on this installed hub in serial mode; either
-  // way `hub` holds the merged end state after the drain.
-  obs::Hub hub;
-  obs::Session session(hub);
-
-  sim::Scheduler serial_sched;
-  std::unique_ptr<sim::ParallelSim> psim;
-  if (opts.threads > 0) {
-    psim = std::make_unique<sim::ParallelSim>(3, opts.threads);
-  }
+  // One shard without --threads; edge + two workers across N threads with.
+  sim::ParallelSim psim(opts.threads > 0 ? 3 : 1,
+                        static_cast<unsigned>(opts.threads));
 
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
@@ -109,9 +101,7 @@ OverloadResult run_overload(const OverloadOptions& opts) {
     cfg.engine.extra_per_msg_ns = 1'000;
     cfg.engine.max_unacked = 128;
   }
-  auto cluster = psim != nullptr
-                     ? std::make_unique<runtime::Cluster>(*psim, cfg)
-                     : std::make_unique<runtime::Cluster>(serial_sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   sim::Scheduler& sched = cluster->scheduler();
   cluster->add_worker(NodeId{1});
   cluster->add_worker(NodeId{2});
@@ -154,14 +144,9 @@ OverloadResult run_overload(const OverloadOptions& opts) {
   // The resource ledger is always on for overload runs: the blame matrix
   // is part of the scenario artifact (before/after interference view), and
   // with the kBlame policy it is also the controller's targeting signal.
-  // Parallel mode records into the shard hubs (merged after the drain);
-  // serial mode installs the global hub's ledger for the run's duration.
+  // It records into the shard hubs, merged after the drain.
   cluster->enable_ledger();
   gateway.attach_pool_clock();
-  std::unique_ptr<obs::LedgerSession> ledger_session;
-  if (psim == nullptr) {
-    ledger_session = std::make_unique<obs::LedgerSession>(hub.ledger);
-  }
 
   cluster->add_slo({.name = "shop-home",
                     .tenant = OnlineBoutique::kTenant,
@@ -275,22 +260,17 @@ OverloadResult run_overload(const OverloadOptions& opts) {
     }
   }
 
-  if (psim != nullptr) {
-    psim->run_until(horizon);
-    for (auto& g : gens) g->stop();
-    psim->run();
-  } else {
-    sched.run_until(horizon);
-    for (auto& g : gens) g->stop();
-    sched.run();
-  }
+  psim.run_until(horizon);
+  for (auto& g : gens) g->stop();
+  psim.run();
   // Fold the pools' slot-ns integrals before merging: the gateway pools
   // charge the edge hub's ledger, worker pools their owning shard's.
   cluster->collect_pool_slot_ns();
-  if (obs::Hub* eh = cluster->edge_hub()) {
-    gateway.collect_pool_slot_ns(eh->ledger);
-  }
-  if (psim != nullptr) cluster->merge_observability(hub);
+  gateway.collect_pool_slot_ns(cluster->edge_hub().ledger);
+  // The SLO watchdog (and everything else observable) lives on the shard
+  // hubs; `hub` holds the merged end state.
+  obs::Hub hub;
+  cluster->merge_observability(hub);
   hub.slo.finish(sched.now());
 
   OverloadResult r;

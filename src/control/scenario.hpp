@@ -43,8 +43,8 @@ const std::vector<OverloadScenario>& all_scenarios();
 
 struct OverloadOptions {
   OverloadScenario scenario = OverloadScenario::kFlashCrowd;
-  /// 0 = legacy single-scheduler run; N > 0 = sharded ParallelSim over N
-  /// OS threads (bit-identical results for every N).
+  /// 0 = one-shard ParallelSim (the serial simulation); N > 0 = edge + one
+  /// shard per worker over N OS threads (bit-identical for every N).
   std::size_t threads = 0;
   /// false = open loop: no autoscalers, no admission gate (the "before"
   /// column); true = the full ISSUE 7 control loop (the "after" column).

@@ -62,12 +62,11 @@ sim::Rng Switch::port_fault_stream(NodeId node) const {
 
 void Switch::set_fault_seed(std::uint64_t seed) {
   fault_seed_ = seed;
-  fault_rng_ = sim::Rng(seed);
   for (auto& [node, p] : ports_) p.rng = port_fault_stream(node);
 }
 
 std::uint64_t Switch::frames() const {
-  std::uint64_t total = frames_;
+  std::uint64_t total = 0;
   for (const auto& [node, p] : ports_) total += p.frames;
   return total;
 }
@@ -93,10 +92,8 @@ bool Switch::node_down(NodeId node) { return port(node).tx->down(); }
 void Switch::set_node_loss(NodeId node, double p) {
   PD_CHECK(p >= 0.0 && p <= 1.0, "loss probability out of range: " << p);
   Port& port_ref = port(node);
-  // Sharded mode draws from the port's own stream (owner-shard-local);
-  // legacy mode keeps the switch-wide stream so replays stay bit-identical
-  // with the pre-sharding tree.
-  sim::Rng* rng = p > 0.0 ? (sharded() ? &port_ref.rng : &fault_rng_) : nullptr;
+  // The port's own stream keeps draws owner-shard-local.
+  sim::Rng* rng = p > 0.0 ? &port_ref.rng : nullptr;
   port_ref.tx->set_loss(p, rng);
   port_ref.rx->set_loss(p, rng);
 }
@@ -170,8 +167,8 @@ void Switch::send(NodeId from, NodeId to, Bytes bytes,
            ? topo_->extra_latency(from, to, wire_bytes, port_bandwidth_)
            : 0);
 
-  if (sharded() && src.sched != dst.sched) {
-    // Sharded cross-node path: the drop decision and the egress
+  if (src.sched != dst.sched) {
+    // Cross-shard path: the drop decision and the egress
     // serialization queue are sender-owned state, so the frame's arrival
     // time at the receiver's port is already known here at send time.
     // Post it across NOW, while the whole egress serialization +
@@ -196,7 +193,7 @@ void Switch::send(NodeId from, NodeId to, Bytes bytes,
   }
 
   sim::Scheduler& sched = *src.sched;
-  if (sharded()) ++src.frames; else ++frames_;
+  ++src.frames;
   // Egress serialization -> switch hop -> ingress serialization. The final
   // callback rides src.in_flight (FIFO, see Port) so the two relay events
   // stay small enough for EventFn's inline buffer.

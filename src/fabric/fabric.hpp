@@ -94,18 +94,17 @@ class Switch {
   void attach(NodeId node);
   /// Shard-aware attach: the port's links (and their events) belong to
   /// `sched` — the scheduler shard owning the node. With the default
-  /// overload every port shares the switch's scheduler (legacy mode).
+  /// overload every port shares the switch's scheduler.
   void attach(NodeId node, sim::Scheduler& sched);
   [[nodiscard]] bool attached(NodeId node) const;
 
   /// Cross-shard delivery hook for the parallel simulation: posts `fn` to
-  /// the shard owning `dst` at absolute time `t`. Installing it switches
-  /// send() to the sharded path whenever the two ports live on different
-  /// schedulers; port state stays owner-shard-local throughout.
+  /// the shard owning `dst` at absolute time `t`. send() uses it whenever
+  /// the two ports live on different schedulers (which requires it to be
+  /// installed); port state stays owner-shard-local throughout.
   using RemotePost =
       std::function<void(NodeId dst, sim::TimePoint t, sim::EventFn fn)>;
   void set_remote_post(RemotePost post) { remote_post_ = std::move(post); }
-  [[nodiscard]] bool sharded() const { return remote_post_ != nullptr; }
 
   /// Multi-switch topology (ISSUE 9). Not owned; must outlive the switch.
   /// Null (the default) keeps the flat single-switch fabric byte-identical
@@ -137,13 +136,13 @@ class Switch {
   [[nodiscard]] bool node_down(NodeId node);
 
   /// Per-frame loss probability on a node's port (both directions).
-  /// Draws come from the switch's seeded fault stream; reseed with
+  /// Draws come from the port's own seeded fault stream; reseed with
   /// `set_fault_seed` before arming loss for reproducible plans.
   void set_node_loss(NodeId node, double p);
 
-  /// Reseed the fault stream used for loss draws. In sharded mode every
-  /// port also gets a fresh per-port stream derived from (seed, node), so
-  /// draws stay owner-shard-local yet replay identically for a given seed.
+  /// Reseed the loss draws: every port gets a fresh stream derived from
+  /// (seed, node), so draws stay owner-shard-local yet replay identically
+  /// for a given seed.
   void set_fault_seed(std::uint64_t seed);
 
   [[nodiscard]] std::uint64_t frames() const;
@@ -163,10 +162,9 @@ class Switch {
     /// the relay events need only capture `this` + port pointers (staying
     /// inside EventFn's inline buffer) and pop their callback here.
     sim::FifoRing<sim::EventFn> in_flight;
-    /// Per-port loss-draw stream (sharded mode only; legacy mode draws
-    /// from the switch-wide fault_rng_ in global event order).
+    /// Per-port loss-draw stream.
     sim::Rng rng{0};
-    std::uint64_t frames = 0;  ///< egress frames (sharded mode)
+    std::uint64_t frames = 0;  ///< egress frames
     /// Resource-ledger names, e.g. "fabric/node1/tx" (cached: the ledger
     /// charge sites run per frame).
     std::string tx_res;
@@ -189,9 +187,7 @@ class Switch {
   sim::Scheduler& sched_;
   BitsPerSec port_bandwidth_;
   std::unordered_map<NodeId, Port> ports_;
-  std::uint64_t frames_ = 0;
   std::uint64_t fault_seed_ = 0xFA17ED5EEDULL;
-  sim::Rng fault_rng_{0xFA17ED5EEDULL};
   RemotePost remote_post_;
   const Topology* topo_ = nullptr;
 };

@@ -104,20 +104,6 @@ ChaosController::ChaosController(runtime::Cluster& cluster, FaultPlan plan)
   }
 }
 
-void ChaosController::arm() {
-  PD_CHECK(!armed_, "chaos plan armed twice");
-  armed_ = true;
-  if (cluster_.sharded()) {
-    arm_sharded();
-    return;
-  }
-  sim::Scheduler& sched = cluster_.scheduler();
-  for (const FaultEvent& e : plan_.events) {
-    sched.schedule_background_at(e.at, [this, e] { apply(e); });
-    arm_state_series(e, sched);
-  }
-}
-
 void ChaosController::record_state(const FaultEvent& e, double v,
                                    sim::TimePoint t) {
   if (auto* rec = cluster_.flight_recorder(e.node)) {
@@ -152,10 +138,11 @@ void ChaosController::count(const FaultEvent& e) {
   }
 }
 
-void ChaosController::arm_sharded() {
-  // Parallel mode: every fault is pre-split at arm time (before the run
-  // starts) into per-shard events that fire at the exact legacy times.
-  // Each piece executes on the scheduler that owns the state it mutates —
+void ChaosController::arm() {
+  PD_CHECK(!armed_, "chaos plan armed twice");
+  armed_ = true;
+  // Every fault is pre-split at arm time (before the run starts) into
+  // per-shard events that fire at the plan's times. Each piece executes on the scheduler that owns the state it mutates —
   // a node's fabric port, RNIC, and engine core all live on the node's
   // shard — so chaos never writes across shards, and because the whole
   // timeline is scheduled up front its per-shard event order is fixed by
@@ -237,75 +224,6 @@ void ChaosController::arm_sharded() {
         break;
       }
     }
-  }
-}
-
-void ChaosController::apply(const FaultEvent& e) {
-  ++injected_;
-  if (auto* hub = obs::hub()) {
-    hub->registry
-        .counter("chaos.faults_injected",
-                 std::string("kind=") + to_string(e.kind))
-        .inc();
-  }
-  auto* net = cluster_.rdma_net();
-  sim::Scheduler& sched = cluster_.scheduler();
-
-  switch (e.kind) {
-    case FaultKind::kLinkDown:
-      PD_CHECK(net != nullptr, "link fault on a non-RDMA cluster");
-      net->fabric().set_node_down(e.node, true);
-      sched.schedule_background_at(e.at + e.duration,
-                                   [this, e] { recover(e); });
-      break;
-    case FaultKind::kLinkLoss:
-      PD_CHECK(net != nullptr, "link fault on a non-RDMA cluster");
-      net->fabric().set_node_loss(e.node, e.loss);
-      sched.schedule_background_at(e.at + e.duration,
-                                   [this, e] { recover(e); });
-      break;
-    case FaultKind::kQpFail:
-      PD_CHECK(net != nullptr, "qp fault on a non-RDMA cluster");
-      if (net->has_rnic(e.node)) net->rnic(e.node).fail_qps(e.peer);
-      if (e.peer.valid() && net->has_rnic(e.peer)) {
-        net->rnic(e.peer).fail_qps(e.node);
-      }
-      break;
-    case FaultKind::kSrqDrain:
-      PD_CHECK(net != nullptr, "srq fault on a non-RDMA cluster");
-      if (net->has_rnic(e.node)) net->rnic(e.node).drain_all_srqs();
-      break;
-    case FaultKind::kEngineStall: {
-      // One opaque wedge on the engine core: everything behind it in the
-      // run-to-completion loop waits it out.
-      sim::ProfileScope scope{"fault", "engine_stall"};
-      cluster_.worker(e.node).engine_core().submit(e.duration);
-      break;
-    }
-    case FaultKind::kNodeCrash:
-      cluster_.crash_node(e.node);
-      sched.schedule_background_at(e.at + e.duration,
-                                   [this, e] { recover(e); });
-      break;
-  }
-}
-
-void ChaosController::recover(const FaultEvent& e) {
-  auto* net = cluster_.rdma_net();
-  switch (e.kind) {
-    case FaultKind::kLinkDown:
-      net->fabric().set_node_down(e.node, false);
-      break;
-    case FaultKind::kLinkLoss:
-      net->fabric().set_node_loss(e.node, 0.0);
-      break;
-    case FaultKind::kNodeCrash:
-      cluster_.restart_node(e.node);
-      break;
-    case FaultKind::kQpFail:
-    case FaultKind::kSrqDrain:
-    case FaultKind::kEngineStall:
-      break;  // instantaneous / self-recovering
   }
 }
 

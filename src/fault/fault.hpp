@@ -79,9 +79,9 @@ class ChaosController {
   /// loss is part of the same deterministic replay.
   ChaosController(runtime::Cluster& cluster, FaultPlan plan);
 
-  /// Schedule every episode (and its recovery). Call before run(). On a
-  /// sharded (parallel) cluster the timeline is pre-split onto the shards
-  /// owning each piece of mutated state, at the exact same virtual times.
+  /// Schedule every episode (and its recovery). Call before run(). The
+  /// timeline is pre-split onto the shards owning each piece of mutated
+  /// state, at the plan's virtual times.
   void arm();
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
@@ -91,9 +91,6 @@ class ChaosController {
   }
 
  private:
-  void apply(const FaultEvent& e);
-  void recover(const FaultEvent& e);
-  void arm_sharded();
   void count(const FaultEvent& e);
   /// Record the fault-state flight series for `e`'s node (1 while the
   /// episode holds, a 1->0 pulse for instantaneous kinds). Runs on the

@@ -3,17 +3,10 @@
 namespace pd::obs {
 
 namespace {
-Hub* g_hub = nullptr;
 thread_local Hub* tl_hub = nullptr;
 }  // namespace
 
-Hub* hub() { return tl_hub != nullptr ? tl_hub : g_hub; }
-
-Hub* install_hub(Hub* h) {
-  Hub* prev = g_hub;
-  g_hub = h;
-  return prev;
-}
+Hub* hub() { return tl_hub; }
 
 Hub* install_thread_hub(Hub* h) {
   Hub* prev = tl_hub;

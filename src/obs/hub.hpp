@@ -1,15 +1,18 @@
-// Process-global observability hub.
+// Per-thread observability hub.
 //
 // Instrumentation sites deep in the data plane (engine, RNIC, function
 // runtime) reach the tracer and metrics registry through obs::hub() rather
-// than through constructor plumbing: the simulation is single-threaded, so a
-// plain global is safe, and a null hub makes every instrumentation site a
-// single-branch no-op -- benches that do not attach an exporter pay nothing.
+// than through constructor plumbing. A runtime::Cluster owns one hub per
+// simulator shard and installs it on the thread executing that shard, so
+// recording never crosses threads; a null hub (outside any run) makes every
+// instrumentation site a single-branch no-op.
 //
 // Usage:
-//   obs::Hub hub;                       // owns Registry + Tracer
-//   obs::Session session(hub);          // installs; uninstalls on scope exit
+//   runtime::Cluster cluster(psim, cfg);
+//   cluster.enable_shard_tracing(1);    // instruments: Cluster::enable_*
 //   ... run simulation ...
+//   obs::Hub hub;
+//   cluster.merge_observability(hub);   // fold the shard hubs
 //   hub.tracer.write_chrome_json("trace.json");
 #pragma once
 
@@ -31,31 +34,13 @@ struct Hub {
   Ledger ledger;
 };
 
-/// Currently installed hub, or nullptr when observability is off. A
-/// thread-local hub (sharded simulation workers) shadows the global one.
+/// This thread's installed hub, or nullptr when observability is off.
 [[nodiscard]] Hub* hub();
 
-/// Install `h` as the global hub (nullptr uninstalls). Returns the previous
-/// hub so callers can restore it.
-Hub* install_hub(Hub* h);
-
-/// Install `h` as THIS thread's hub (nullptr uninstalls the thread-local
-/// override, falling back to the global hub). The parallel simulation's
-/// shard enter/leave hooks use this so each shard records into its own
-/// registry with no cross-thread sharing; the shards' hubs are merged
-/// deterministically after the run.
+/// Install `h` as THIS thread's hub (nullptr uninstalls). The parallel
+/// simulation's shard enter/leave hooks use this so each shard records
+/// into its own registry with no cross-thread sharing; the shards' hubs are
+/// merged deterministically after the run.
 Hub* install_thread_hub(Hub* h);
-
-/// RAII installer; restores the previously installed hub on destruction.
-class Session {
- public:
-  explicit Session(Hub& h) : prev_(install_hub(&h)) {}
-  ~Session() { install_hub(prev_); }
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
- private:
-  Hub* prev_;
-};
 
 }  // namespace pd::obs

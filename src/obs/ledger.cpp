@@ -456,16 +456,4 @@ void Ledger::reset() {
   live_.clear();
 }
 
-LedgerSession::LedgerSession(Ledger& ledger)
-    : ledger_(ledger), prev_(sim::install_busy_observer(&ledger)) {
-  ledger_.set_next(prev_);
-  ledger_.set_enabled(true);
-}
-
-LedgerSession::~LedgerSession() {
-  sim::install_busy_observer(prev_);
-  ledger_.set_next(nullptr);
-  ledger_.set_enabled(false);
-}
-
 }  // namespace pd::obs

@@ -236,21 +236,4 @@ class Ledger final : public sim::BusyObserver {
   std::map<std::pair<std::uint8_t, std::string>, Live> live_;
 };
 
-/// RAII enable + install for serial (non-sharded) runs: enables the
-/// ledger, chains it in front of the previously installed busy observer
-/// (usually the profiler), and restores everything on destruction.
-/// Parallel runs use Cluster::enable_ledger(), which installs each
-/// shard's ledger through the shard enter/leave hooks instead.
-class LedgerSession {
- public:
-  explicit LedgerSession(Ledger& ledger);
-  ~LedgerSession();
-  LedgerSession(const LedgerSession&) = delete;
-  LedgerSession& operator=(const LedgerSession&) = delete;
-
- private:
-  Ledger& ledger_;
-  sim::BusyObserver* prev_;
-};
-
 }  // namespace pd::obs

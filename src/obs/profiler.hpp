@@ -61,19 +61,4 @@ class Profiler : public sim::BusyObserver {
   std::uint64_t total_ns_ = 0;
 };
 
-/// RAII installer for single-scheduler runs; restores the previous global
-/// observer on destruction. Parallel clusters install per-shard profilers
-/// through Cluster::enable_shard_profiling instead.
-class ProfileSession {
- public:
-  explicit ProfileSession(Profiler& p)
-      : prev_(sim::install_busy_observer(&p)) {}
-  ~ProfileSession() { sim::install_busy_observer(prev_); }
-  ProfileSession(const ProfileSession&) = delete;
-  ProfileSession& operator=(const ProfileSession&) = delete;
-
- private:
-  sim::BusyObserver* prev_;
-};
-
 }  // namespace pd::obs

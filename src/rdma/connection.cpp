@@ -27,62 +27,46 @@ void ConnectionManager::establish(NodeId remote, TenantId tenant, int count,
   auto remaining = std::make_shared<int>(count);
   auto done = std::make_shared<std::function<void()>>(std::move(ready));
 
-  if (net_.sharded()) {
-    // Sharded handshake: the peer's QP must be created and finalized on the
-    // peer's own shard, so the request and the answering QP id travel
-    // through the cross-shard mailboxes (one lookahead hop each way). Both
-    // ends still finalize at t0 + kRcConnectNs — the two sub-microsecond
-    // mailbox hops vanish under the tens-of-ms handshake cost, keeping
-    // completion times identical to the legacy synchronous path.
-    const sim::TimePoint t0 = local_.scheduler().now();
-    // Per-pair: a cross-leaf peer is a longer hop, and the PDES lookahead
-    // matrix rejects posts faster than the pair's minimum path latency.
-    const sim::Duration hop =
-        net_.min_path_latency(local_.node(), remote);
-    Rnic* origin = &local_;
-    Rnic* peer = &net_.rnic(remote);
-    for (int i = 0; i < count; ++i) {
-      QueuePair& a = local_.create_qp(tenant);
-      a.remote_node_ = remote;
-      a.state_ = QpState::kConnecting;
-      pools_[PoolKey{remote, tenant}].push_back(&a);
-      ++stats_.establishments;
-      net_.post_to_node(remote, t0 + hop, [this, origin, peer, tenant, t0,
-                                           hop, a_id = a.id(), remaining,
-                                           done] {
-        QueuePair& b = peer->create_qp(tenant);
-        b.remote_node_ = origin->node();
-        b.remote_qp_ = a_id;
-        b.state_ = QpState::kConnecting;
-        peer->scheduler().schedule_at(t0 + cost::kRcConnectNs, [&b] {
-          if (b.state_ == QpState::kConnecting) b.state_ = QpState::kInactive;
-        });
-        net_.post_to_node(
-            origin->node(), t0 + 2 * hop,
-            [origin, a_id, b_id = b.id(), t0, remaining, done] {
-              QueuePair& a = origin->qp(a_id);
-              a.remote_qp_ = b_id;
-              origin->scheduler().schedule_at(
-                  t0 + cost::kRcConnectNs, [&a, remaining, done] {
-                    if (a.state_ == QpState::kConnecting) {
-                      a.state_ = QpState::kInactive;
-                    }
-                    if (--*remaining == 0 && *done) (*done)();
-                  });
-            });
-      });
-    }
-    return;
-  }
-
-  Rnic& peer = net_.rnic(remote);
+  // Split handshake: the peer's QP must be created and finalized on the
+  // peer's own shard, so the request and the answering QP id travel
+  // through post_to_node (one lookahead hop each way; a plain local
+  // schedule when both nodes share a shard). Both ends finalize at
+  // t0 + kRcConnectNs — the two sub-microsecond hops vanish under the
+  // tens-of-ms handshake cost.
+  const sim::TimePoint t0 = local_.scheduler().now();
+  // Per-pair: a cross-leaf peer is a longer hop, and the PDES lookahead
+  // matrix rejects posts faster than the pair's minimum path latency.
+  const sim::Duration hop = net_.min_path_latency(local_.node(), remote);
+  Rnic* origin = &local_;
+  Rnic* peer = &net_.rnic(remote);
   for (int i = 0; i < count; ++i) {
     QueuePair& a = local_.create_qp(tenant);
-    QueuePair& b = peer.create_qp(tenant);
+    a.remote_node_ = remote;
+    a.state_ = QpState::kConnecting;
     pools_[PoolKey{remote, tenant}].push_back(&a);
     ++stats_.establishments;
-    connect_qps(a, b, [remaining, done] {
-      if (--*remaining == 0 && *done) (*done)();
+    net_.post_to_node(remote, t0 + hop, [this, origin, peer, tenant, t0, hop,
+                                         a_id = a.id(), remaining, done] {
+      QueuePair& b = peer->create_qp(tenant);
+      b.remote_node_ = origin->node();
+      b.remote_qp_ = a_id;
+      b.state_ = QpState::kConnecting;
+      peer->scheduler().schedule_at(t0 + cost::kRcConnectNs, [&b] {
+        if (b.state_ == QpState::kConnecting) b.state_ = QpState::kInactive;
+      });
+      net_.post_to_node(
+          origin->node(), t0 + 2 * hop,
+          [origin, a_id, b_id = b.id(), t0, remaining, done] {
+            QueuePair& a = origin->qp(a_id);
+            a.remote_qp_ = b_id;
+            origin->scheduler().schedule_at(
+                t0 + cost::kRcConnectNs, [&a, remaining, done] {
+                  if (a.state_ == QpState::kConnecting) {
+                    a.state_ = QpState::kInactive;
+                  }
+                  if (--*remaining == 0 && *done) (*done)();
+                });
+          });
     });
   }
 }

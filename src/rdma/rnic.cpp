@@ -137,11 +137,7 @@ void RdmaNetwork::set_remote_post(fabric::Switch::RemotePost post) {
 }
 
 void RdmaNetwork::post_to_node(NodeId node, sim::TimePoint t, sim::EventFn fn) {
-  if (remote_post_) {
-    remote_post_(node, t, std::move(fn));
-  } else {
-    scheduler_for(node).schedule_at(t, std::move(fn));
-  }
+  remote_post_(node, t, std::move(fn));
 }
 
 std::vector<NodeId> RdmaNetwork::rnic_nodes() const {

@@ -42,7 +42,16 @@ inline constexpr Bytes kDatagramBytes = 16;
 /// cluster; owning it per-experiment keeps tests isolated.
 class RdmaNetwork {
  public:
-  explicit RdmaNetwork(sim::Scheduler& sched) : sched_(sched), switch_(sched) {}
+  /// Until set_remote_post() installs the parallel simulator's hook,
+  /// post_to_node() schedules directly on the node's scheduler.
+  explicit RdmaNetwork(sim::Scheduler& sched)
+      : sched_(sched),
+        switch_(sched),
+        remote_post_([this](NodeId node, sim::TimePoint t, sim::EventFn fn) {
+          scheduler_for(node).schedule_at(t, std::move(fn));
+        }) {}
+  RdmaNetwork(const RdmaNetwork&) = delete;
+  RdmaNetwork& operator=(const RdmaNetwork&) = delete;
 
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] fabric::Switch& fabric() { return switch_; }
@@ -54,20 +63,17 @@ class RdmaNetwork {
     return switch_.min_path_latency(from, to);
   }
 
-  /// Sharded mode: pin `node` (its RNIC, fabric port, and every event they
-  /// schedule) to a specific scheduler shard. Must run before the node's
+  /// Pin `node` (its RNIC, fabric port, and every event they schedule) to
+  /// a specific scheduler shard. Must run before the node's
   /// Rnic is constructed; unpinned nodes stay on the shared scheduler.
   void set_node_scheduler(NodeId node, sim::Scheduler& sched);
   /// Scheduler owning `node` (the shared scheduler unless pinned).
   [[nodiscard]] sim::Scheduler& scheduler_for(NodeId node);
 
   /// Install the cross-shard delivery hook (forwarded to the fabric switch;
-  /// see fabric::Switch::set_remote_post). Installing it marks the network
-  /// sharded.
+  /// see fabric::Switch::set_remote_post).
   void set_remote_post(fabric::Switch::RemotePost post);
-  [[nodiscard]] bool sharded() const { return remote_post_ != nullptr; }
-  /// Run `fn` at absolute simulated time `t` on the shard owning `node`
-  /// (plain local schedule when not sharded).
+  /// Run `fn` at absolute simulated time `t` on the shard owning `node`.
   void post_to_node(NodeId node, sim::TimePoint t, sim::EventFn fn);
 
   /// Nodes with a registered RNIC, sorted by id — a deterministic

@@ -49,7 +49,10 @@ WorkerNode::WorkerNode(Cluster& cluster, NodeId id)
       mem_(id),
       cpu_(sched_, "node" + std::to_string(id.value()) + "/cpu",
            cluster.config().cpu_cores_per_node, cost::kHostCoreSpeed),
-      local_ipc_(sched_) {
+      local_ipc_(sched_),
+      jitter_(cluster.config().seed ^
+              (0xC0FFEE5EEDULL *
+               (static_cast<std::uint64_t>(id.value()) + 1))) {
   const ClusterConfig& cfg = cluster.config();
   const SystemKind sys = cfg.system;
 
@@ -112,35 +115,35 @@ sim::Core& WorkerNode::assign_core() {
   return core;
 }
 
+sim::Duration WorkerNode::jittered(sim::Duration nominal) {
+  const double jitter = cluster_.config().compute_jitter;
+  if (jitter <= 0.0 || nominal == 0) return nominal;
+  const double factor = 1.0 + jitter * (2.0 * jitter_.next_double() - 1.0);
+  return static_cast<sim::Duration>(static_cast<double>(nominal) * factor);
+}
+
 // ---------------------------------------------------------------------------
 // Cluster
 // ---------------------------------------------------------------------------
 
-Cluster::Cluster(sim::Scheduler& sched, ClusterConfig config)
-    : sched_(sched), config_(config), eth_(sched), rng_(config.seed) {
-  // With the default flat TopologyConfig every extra-latency query returns
-  // zero, so legacy replays stay byte-identical.
+Cluster::Cluster(sim::ParallelSim& psim, ClusterConfig config)
+    : psim_(psim), sched_(psim.shard(0)), config_(config), eth_(sched_) {
+  PD_CHECK(is_palladium(config_.system) || psim.shard_count() == 1,
+           "baseline data planes need a single shard (they assume one "
+           "scheduler)");
   topo_.configure(config_.topology);
   eth_.set_topology(&topo_);
   if (uses_rdma(config_.system)) {
     rdma_net_ = std::make_unique<rdma::RdmaNetwork>(sched_);
     rdma_net_->fabric().set_topology(&topo_);
+    rdma_net_->set_remote_post(
+        [this](NodeId dst, sim::TimePoint t, sim::EventFn fn) {
+          psim_.post(shard_of(dst), t, std::move(fn));
+        });
   }
   tcp_directory_ = std::make_shared<baselines::TcpRelayDirectory>();
   fuyao_directory_ = std::make_shared<baselines::FuyaoDirectory>();
-}
-
-Cluster::Cluster(sim::ParallelSim& psim, ClusterConfig config)
-    : Cluster(psim.shard(0), config) {
-  PD_CHECK(is_palladium(config_.system),
-           "parallel simulation supports Palladium systems only "
-           "(baseline data planes assume a single scheduler)");
-  psim_ = &psim;
   refresh_lookahead_matrix();
-  rdma_net_->set_remote_post(
-      [this](NodeId dst, sim::TimePoint t, sim::EventFn fn) {
-        psim_->post(shard_of(dst), t, std::move(fn));
-      });
   // Each shard records into its own observability hub (installed
   // thread-locally around its execute phase): no cross-thread sharing on
   // the hot path, deterministic merge afterwards. Tracing starts disabled.
@@ -168,17 +171,22 @@ Cluster::Cluster(sim::ParallelSim& psim, ClusterConfig config)
       [this](std::size_t) {
         obs::install_thread_hub(nullptr);
         if (ledger_enabled_ || shard_profiling_) {
-          sim::install_thread_busy_observer(nullptr);
+          sim::install_thread_busy_observer(outside_run_observer());
         }
       });
 }
 
-Cluster::~Cluster() = default;
+Cluster::~Cluster() {
+  if (shard_profiling_) sim::install_thread_busy_observer(nullptr);
+}
+
+sim::BusyObserver* Cluster::outside_run_observer() {
+  return shard_profiling_ ? &shard_hubs_[0]->profiler : nullptr;
+}
 
 sim::Scheduler& Cluster::scheduler_for(NodeId node) {
-  if (psim_ == nullptr) return sched_;
   auto it = node_shard_.find(node);
-  return it == node_shard_.end() ? sched_ : psim_->shard(it->second);
+  return it == node_shard_.end() ? sched_ : psim_.shard(it->second);
 }
 
 std::size_t Cluster::shard_of(NodeId node) const {
@@ -187,13 +195,12 @@ std::size_t Cluster::shard_of(NodeId node) const {
 }
 
 void Cluster::enable_shard_tracing(std::uint64_t n) {
-  PD_CHECK(sharded(), "shard tracing is a parallel-mode feature");
   for (auto& hub : shard_hubs_) hub->tracer.set_sample_every(n);
 }
 
 void Cluster::enable_shard_profiling() {
-  PD_CHECK(sharded(), "shard profiling is a parallel-mode feature");
   shard_profiling_ = true;
+  sim::install_thread_busy_observer(outside_run_observer());
 }
 
 void Cluster::enable_ledger() {
@@ -204,25 +211,17 @@ void Cluster::enable_ledger() {
     sim::Scheduler* s = &node->scheduler();
     node->memory().set_clock([s] { return s->now(); });
   }
-  if (sharded()) {
-    for (auto& hub : shard_hubs_) hub->ledger.set_enabled(true);
-  }
+  for (auto& hub : shard_hubs_) hub->ledger.set_enabled(true);
 }
 
 void Cluster::collect_pool_slot_ns() {
   if (!ledger_enabled_) return;
   for (auto& node : nodes_) {
-    obs::Ledger* led = nullptr;
-    if (sharded()) {
-      led = &shard_hubs_[shard_of(node->id())]->ledger;
-    } else if (obs::Hub* hub = obs::hub()) {
-      led = &hub->ledger;
-    }
-    if (led == nullptr || !led->enabled()) continue;
+    obs::Ledger& led = shard_hubs_[shard_of(node->id())]->ledger;
     const sim::TimePoint now = node->scheduler().now();
     for (const auto& tm : node->memory().pools()) {
       const mem::BufferPool& pool = tm->pool();
-      led->add_slot_ns(
+      led.add_slot_ns(
           "node" + std::to_string(node->id().value()) + "/pool/" +
               tm->file_prefix(),
           pool.tenant().value(), pool.slot_ns(now), pool.footprint());
@@ -230,30 +229,19 @@ void Cluster::collect_pool_slot_ns() {
   }
 }
 
-obs::Hub* Cluster::edge_hub() {
-  return sharded() ? shard_hubs_[0].get() : obs::hub();
-}
-
 void Cluster::add_slo(obs::SloSpec spec) {
-  // Requests are admitted and completed on the edge (shard 0 in parallel
-  // mode), so that hub's watchdog sees every sample in one deterministic
-  // stream regardless of worker-thread count.
-  if (sharded()) {
-    shard_hubs_[0]->slo.add(std::move(spec));
-  } else {
-    obs::Hub* hub = obs::hub();
-    PD_CHECK(hub != nullptr, "add_slo needs an installed obs::Hub");
-    hub->slo.add(std::move(spec));
-  }
+  // Requests are admitted and completed on the edge (shard 0), so that
+  // hub's watchdog sees every sample in one deterministic stream
+  // regardless of worker-thread count.
+  shard_hubs_[0]->slo.add(std::move(spec));
 }
 
 void Cluster::merge_observability(obs::Hub& into) {
-  PD_CHECK(sharded(), "merge_observability is a parallel-mode feature");
   for (std::size_t k = 0; k < shard_hubs_.size(); ++k) {
     obs::Hub& hub = *shard_hubs_[k];
     // Close the trailing SLO window at the shard's final simulated time
     // before folding, so partial-window alerts are not lost.
-    hub.slo.finish(psim_->shard(k).now());
+    hub.slo.finish(psim_.shard(k).now());
     into.registry.merge_from(hub.registry);
     into.tracer.absorb(hub.tracer);
     into.profiler.absorb(hub.profiler);
@@ -270,32 +258,19 @@ void Cluster::merge_observability(obs::Hub& into) {
 
 obs::FlightRecorder* Cluster::flight_recorder(NodeId node) {
   if (!flight_started_) return nullptr;
-  if (sharded()) return &shard_hubs_[shard_of(node)]->timeseries;
-  obs::Hub* hub = obs::hub();
-  return hub == nullptr ? nullptr : &hub->timeseries;
+  return &shard_hubs_[shard_of(node)]->timeseries;
 }
 
 void Cluster::start_flight_recorder(obs::FlightConfig cfg) {
   PD_CHECK(!flight_started_, "flight recorder already started");
-  if (sharded()) {
-    for (auto& hub : shard_hubs_) hub->timeseries.configure(cfg);
-  } else {
-    obs::Hub* hub = obs::hub();
-    PD_CHECK(hub != nullptr,
-             "start_flight_recorder needs an installed obs::Hub");
-    hub->timeseries.configure(cfg);
-  }
+  for (auto& hub : shard_hubs_) hub->timeseries.configure(cfg);
   flight_started_ = true;
   for (auto& node : nodes_) register_flight_probes(*node, cfg);
   // Sampling runs on every shard (the edge shard included: the ingress
   // registers its own probes there), each on its own clock — background
   // events, so the recorder never keeps a drain-to-idle run() alive.
-  if (sharded()) {
-    for (std::size_t k = 0; k < shard_hubs_.size(); ++k) {
-      shard_hubs_[k]->timeseries.start(psim_->shard(k));
-    }
-  } else {
-    obs::hub()->timeseries.start(sched_);
+  for (std::size_t k = 0; k < shard_hubs_.size(); ++k) {
+    shard_hubs_[k]->timeseries.start(psim_.shard(k));
   }
 }
 
@@ -477,30 +452,28 @@ WorkerNode& Cluster::add_worker(NodeId id) {
                          1 + nodes_.size() / topo_.config().nodes_per_switch));
   }
   if (!eth_.attached(id)) eth_.attach(id);
-  if (psim_ != nullptr) {
-    std::size_t shard = 0;
+  // A one-shard simulation hosts every worker on shard 0, next to the edge.
+  std::size_t shard = 0;
+  if (psim_.shard_count() > 1) {
     if (config_.shard_mapping == ShardMapping::kLeafPerShard) {
       PD_CHECK(topo_.multi_switch(),
                "kLeafPerShard needs a multi-switch topology");
       // Shard index = leaf index (workers start at leaf 1; shard 0 stays
       // the edge). All of a leaf's workers share one scheduler.
       shard = topo_.leaf_of(id);
-      PD_CHECK(shard < psim_->shard_count(),
+      PD_CHECK(shard < psim_.shard_count(),
                "more leaves than shards: construct ParallelSim with 1 + "
                "ceil(workers / nodes_per_switch) shards");
     } else {
       shard = next_shard_++;
-      PD_CHECK(shard < psim_->shard_count(),
+      PD_CHECK(shard < psim_.shard_count(),
                "more workers than shards: construct ParallelSim with 1 + "
                "workers shards");
     }
-    node_shard_[id] = shard;
-    rdma_net_->set_node_scheduler(id, psim_->shard(shard));
-    node_jitter_.emplace(
-        id, sim::Rng(config_.seed ^
-                     (0xC0FFEE5EEDULL * (static_cast<std::uint64_t>(
-                                             id.value()) +
-                                         1))));
+  }
+  node_shard_[id] = shard;
+  if (rdma_net_ != nullptr) {
+    rdma_net_->set_node_scheduler(id, psim_.shard(shard));
   }
   auto node = std::make_unique<WorkerNode>(*this, id);
   WorkerNode* raw = node.get();
@@ -526,8 +499,7 @@ bool Cluster::tenants_shared(NodeId a, NodeId b) const {
 }
 
 void Cluster::refresh_lookahead_matrix() {
-  if (psim_ == nullptr) return;
-  const std::size_t n = psim_->shard_count();
+  const std::size_t n = psim_.shard_count();
   // Shard 0 (edge) and shards without a worker yet sit on leaf 0; a pair's
   // lookahead is the flat cross-node bound plus the minimum spine detour
   // between the two leaves. Workers on the same leaf keep the tight flat
@@ -569,7 +541,7 @@ void Cluster::refresh_lookahead_matrix() {
       d[a][b] = flat + topo_.min_extra_between_leaves(leaf[a], leaf[b]);
     }
   }
-  psim_->set_lookahead_matrix(std::move(d));
+  psim_.set_lookahead_matrix(std::move(d));
 }
 
 WorkerNode& Cluster::worker(NodeId id) {
@@ -710,36 +682,7 @@ void Cluster::finish_setup() {
       }
     }
   }
-  if (psim_ != nullptr) {
-    psim_->run();  // drain connection setup traffic across all shards
-  } else {
-    sched_.run();  // drain connection setup traffic
-  }
-}
-
-void Cluster::crash_node(NodeId node) {
-  PD_CHECK(rdma_net_ != nullptr, "crash_node requires an RDMA fabric");
-  PD_CHECK(has_worker(node), "unknown worker " << node);
-  rdma_net_->fabric().set_node_down(node, true);
-  rdma_net_->fail_node_qps(node);
-}
-
-void Cluster::restart_node(NodeId node) {
-  PD_CHECK(rdma_net_ != nullptr, "restart_node requires an RDMA fabric");
-  PD_CHECK(has_worker(node), "unknown worker " << node);
-  rdma_net_->fabric().set_node_down(node, false);
-}
-
-sim::Duration Cluster::jittered(NodeId node, sim::Duration nominal) {
-  if (config_.compute_jitter <= 0.0 || nominal == 0) return nominal;
-  // Parallel mode: per-node streams keep draws shard-local (no data race)
-  // and independent of cross-node event interleaving (deterministic for
-  // any thread count). Legacy mode keeps the shared stream, preserving
-  // bit-identical replays of earlier trees.
-  sim::Rng& rng = psim_ != nullptr ? node_jitter_.at(node) : rng_;
-  const double factor =
-      1.0 + config_.compute_jitter * (2.0 * rng.next_double() - 1.0);
-  return static_cast<sim::Duration>(static_cast<double>(nominal) * factor);
+  psim_.run();  // drain connection setup traffic across all shards
 }
 
 NodeId Cluster::placement_of(FunctionId fn) const {

@@ -41,7 +41,7 @@ const char* to_string(SystemKind kind);
 /// work charged to the engine core, no duplicate per-function processing).
 enum class SidecarMode : std::uint8_t { kPerFunctionEbpf, kNodeShared };
 
-/// Worker-to-shard assignment for parallel runs (see ClusterConfig).
+/// Worker-to-shard assignment for multi-shard runs (see ClusterConfig).
 enum class ShardMapping : std::uint8_t { kNodePerShard, kLeafPerShard };
 
 struct ClusterConfig {
@@ -66,10 +66,12 @@ struct ClusterConfig {
   /// parallel simulator turns the same per-pair distances into its
   /// lookahead matrix.
   fabric::TopologyConfig topology{};
-  /// How workers map onto parallel-simulator shards. kNodePerShard (the
-  /// default, and the only option on a flat fabric) gives every worker its
-  /// own shard. kLeafPerShard puts each leaf switch's workers in one shard:
-  /// intra-leaf traffic — a leaf-affine cell's entire chain ping-pong —
+  /// How workers map onto parallel-simulator shards when there is more
+  /// than one (a one-shard ParallelSim runs everything on shard 0).
+  /// kNodePerShard (the default, and the only option on a flat fabric)
+  /// gives every worker its own shard. kLeafPerShard puts each leaf
+  /// switch's workers in one shard: intra-leaf traffic — a leaf-affine
+  /// cell's entire chain ping-pong —
   /// becomes shard-local and leaves the epoch protocol entirely, while
   /// every remaining cross-shard link is a spine crossing whose multi-us
   /// path latency becomes the pair's lookahead. That is what collapses the
@@ -90,8 +92,7 @@ class WorkerNode {
   WorkerNode(Cluster& cluster, NodeId id);
 
   [[nodiscard]] NodeId id() const { return id_; }
-  /// The scheduler shard this node's events run on (the cluster scheduler
-  /// in legacy mode, the node's own shard in parallel mode).
+  /// The scheduler shard this node's events run on.
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] mem::MemoryDomain& memory() { return mem_; }
   [[nodiscard]] sim::CoreSet& cpu() { return cpu_; }
@@ -110,6 +111,11 @@ class WorkerNode {
   /// Round-robin host-core assignment for deployed functions.
   sim::Core& assign_core();
 
+  /// Apply the configured compute jitter to a nominal duration for work on
+  /// this node. Draws come from the node's own deterministic stream, so
+  /// they stay shard-local and replay identically for any thread count.
+  [[nodiscard]] sim::Duration jittered(sim::Duration nominal);
+
  private:
   friend class Cluster;
 
@@ -125,6 +131,7 @@ class WorkerNode {
   ipc::SockMap local_ipc_;
   core::IntraNodeRoutingTable intra_;
   std::size_t next_core_ = 0;
+  sim::Rng jitter_;
 };
 
 struct FunctionSpec {
@@ -135,15 +142,14 @@ struct FunctionSpec {
 
 class Cluster {
  public:
-  Cluster(sim::Scheduler& sched, ClusterConfig config);
-  /// Parallel mode (PR 4 tentpole): the cluster shards across `psim`'s
-  /// schedulers — shard 0 hosts the edge (clients, ingress, Ethernet,
-  /// control plane), shard 1+i hosts the i-th worker added — and
-  /// finish_setup() drives psim instead of a single scheduler. Requires a
-  /// Palladium system (baseline data planes assume one scheduler) and a
-  /// ParallelSim built with 1 + max workers shards. Simulated results are
-  /// bit-identical for any worker-thread count, but differ from legacy
-  /// single-scheduler runs (per-node RNG streams replace shared ones).
+  /// The cluster runs on `psim`'s schedulers. Shard 0 hosts the edge
+  /// (clients, ingress, Ethernet, control plane). With one shard every
+  /// worker lives there too: the plain serial simulation. With more, shard
+  /// 1+i hosts the i-th worker added (or its leaf, see ShardMapping), and
+  /// the ParallelSim needs 1 + max workers (leaves) shards. Baseline data
+  /// planes (SPRIGHT, NightCore, FUYAO) need a single shard. Simulated
+  /// results are bit-identical for any worker-thread count; jitter and
+  /// loss draw from per-node and per-port RNG streams.
   Cluster(sim::ParallelSim& psim, ClusterConfig config);
   ~Cluster();
 
@@ -241,10 +247,10 @@ class Cluster {
 
   // --- accessors -------------------------------------------------------------
 
+  /// The edge shard's scheduler (shard 0).
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
-  [[nodiscard]] bool sharded() const { return psim_ != nullptr; }
-  [[nodiscard]] sim::ParallelSim* parallel() { return psim_; }
-  /// Scheduler owning `node` (sched_ for the edge and in legacy mode).
+  [[nodiscard]] sim::ParallelSim& parallel() { return psim_; }
+  /// Scheduler owning `node` (the edge shard for non-workers).
   [[nodiscard]] sim::Scheduler& scheduler_for(NodeId node);
   /// Shard index owning `node` (0 for the edge and unknown nodes).
   [[nodiscard]] std::size_t shard_of(NodeId node) const;
@@ -256,56 +262,38 @@ class Cluster {
   [[nodiscard]] NodeId placement_of(FunctionId fn) const;
   [[nodiscard]] FunctionInstance& instance(FunctionId fn);
 
-  // --- fault injection -------------------------------------------------------
+  // --- observability -------------------------------------------------------
+  // Every shard records into its own obs::Hub, installed thread-locally
+  // around its execute phase; merge_observability folds them together.
 
-  /// Fail-stop crash of a worker's network attachment (RDMA systems only):
-  /// its fabric port goes dark — in-flight frames to/from it are lost —
-  /// and every RC QP on the node or pointing at it from a peer transitions
-  /// to error (the peers' RC retry counters exceed while it is down).
-  /// Surviving engines recover via retransmit + QP rebuild.
-  void crash_node(NodeId node);
-  /// Bring a crashed worker's attachment back up. Peers re-establish
-  /// connections lazily on their next send toward the node.
-  void restart_node(NodeId node);
-
-  /// Apply the configured compute jitter to a nominal duration for work on
-  /// `node`. Legacy mode draws from the cluster-wide stream (byte-identical
-  /// with earlier trees); parallel mode draws from the node's own
-  /// deterministic stream so draws stay shard-local and replayable.
-  [[nodiscard]] sim::Duration jittered(NodeId node, sim::Duration nominal);
-
-  // --- parallel-mode observability -------------------------------------------
-
-  /// Enable request tracing on the per-shard hubs (off by default in
-  /// parallel mode; sample every `n`th trace, 0 disables again).
+  /// Enable request tracing on the per-shard hubs (off by default; sample
+  /// every `n`th trace, 0 disables again).
   void enable_shard_tracing(std::uint64_t n);
   /// Enable exact busy-time profiling on the per-shard hubs: each shard
   /// worker thread attributes its cores' busy intervals into its own
-  /// obs::Profiler, folded together by merge_observability. Call before
-  /// the run starts.
+  /// obs::Profiler, folded together by merge_observability. Work submitted
+  /// from the calling thread outside any run (setup-era SRQ fills, for
+  /// one) folds into the edge shard's profiler, so call it before the
+  /// cluster's setup to account for every busy nanosecond.
   void enable_shard_profiling();
-  /// Enable the per-tenant resource ledger (ISSUE 10). Parallel mode: each
-  /// shard worker thread records occupancy / wait / blame into its own
-  /// obs::Ledger (chained in front of the shard profiler when profiling is
-  /// also on), folded together by merge_observability. Serial runs enable
-  /// the installed global hub's ledger via obs::LedgerSession instead. In
-  /// both modes this attaches simulated-time clocks to every buffer pool so
-  /// the exact slot-ns occupancy integrals accrue.
+  /// Enable the per-tenant resource ledger: each shard worker
+  /// thread records occupancy / wait / blame into its own obs::Ledger
+  /// (chained in front of the shard profiler when profiling is also on),
+  /// folded together by merge_observability. Also attaches simulated-time
+  /// clocks to every buffer pool so the exact slot-ns occupancy integrals
+  /// accrue.
   void enable_ledger();
   [[nodiscard]] bool ledger_enabled() const { return ledger_enabled_; }
   /// Fold every pool's slot-ns integral (through its node's final simulated
-  /// time) into the owning shard's ledger (parallel) or the installed global
-  /// hub's ledger (serial). Call once, after the run drains and before
-  /// merge_observability.
+  /// time) into the owning shard's ledger. Call once, after the run drains
+  /// and before merge_observability.
   void collect_pool_slot_ns();
-  /// The hub observing the cluster edge: shard 0's hub in parallel mode,
-  /// the installed global hub otherwise (may be null). Requests are
+  /// The hub observing the cluster edge (shard 0's). Requests are
   /// admitted, completed, and blame-targeted on the edge, so this is where
   /// the controllers' ledger lives.
-  [[nodiscard]] obs::Hub* edge_hub();
+  [[nodiscard]] obs::Hub& edge_hub() { return *shard_hubs_[0]; }
   /// Register a latency SLO with the watchdog that observes this cluster's
-  /// requests (the edge shard's hub in parallel mode, the installed global
-  /// hub otherwise).
+  /// requests (the edge shard's hub).
   void add_slo(obs::SloSpec spec);
   /// Start a UtilizationProbe on every worker core (host CPUs + a separate
   /// engine core), exposing each probe's last completed window in `reg` as
@@ -314,14 +302,13 @@ class Cluster {
   /// Start the time-series flight recorder (ISSUE 6): registers gauge
   /// probes over every engine / RNIC / connection manager / buffer pool /
   /// core set, then begins periodic background sampling in simulated time
-  /// — on each shard's own hub in parallel mode (folded together by
-  /// merge_observability), on the installed global hub otherwise. Call
-  /// after finish_setup() so tenants and connections exist; the ingress
-  /// and the chaos controller add their own series via flight_recorder().
+  /// on each shard's own hub (folded together by merge_observability).
+  /// Call after finish_setup() so tenants and connections exist; the
+  /// ingress and the chaos controller add their own series via
+  /// flight_recorder().
   void start_flight_recorder(obs::FlightConfig cfg = {});
-  /// Recorder holding `node`'s series: the owning shard's hub in parallel
-  /// mode, the installed global hub otherwise. nullptr until
-  /// start_flight_recorder() runs, so callers can no-op cheaply.
+  /// Recorder holding `node`'s series (its owning shard's hub). nullptr
+  /// until start_flight_recorder() runs, so callers can no-op cheaply.
   [[nodiscard]] obs::FlightRecorder* flight_recorder(NodeId node);
   [[nodiscard]] bool flight_recording() const { return flight_started_; }
   /// Fold every shard hub into `into` deterministically (shard order):
@@ -356,7 +343,6 @@ class Cluster {
   /// through shards they do talk to (edge shard included — the ingress may
   /// target any worker). Any post that violates the tightened matrix
   /// PD_CHECK-faults, so a wrong no-comm assumption is loud, not silent.
-  /// No-op in legacy mode.
   void refresh_lookahead_matrix();
 
   /// True when some admitted tenant is hosted on both nodes (an unscoped
@@ -364,7 +350,13 @@ class Cluster {
   /// finish_setup() and a direct edge in the lookahead matrix.
   [[nodiscard]] bool tenants_shared(NodeId a, NodeId b) const;
 
-  sim::Scheduler& sched_;
+  /// Busy observer for work submitted outside any shard's execute phase:
+  /// the edge shard's profiler while profiling (profiles merge by
+  /// resource, so which shard holds it does not matter), else none.
+  [[nodiscard]] sim::BusyObserver* outside_run_observer();
+
+  sim::ParallelSim& psim_;
+  sim::Scheduler& sched_;  ///< shard 0: the edge
   ClusterConfig config_;
   fabric::Topology topo_;  ///< leaf/spine layout shared by both fabrics
   fabric::Switch eth_;  ///< Ethernet network (TCP paths)
@@ -374,7 +366,7 @@ class Cluster {
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
   std::unordered_map<NodeId, WorkerNode*> by_id_;
   std::unordered_map<TenantId, std::uint32_t> tenants_;
-  /// Host scope per tenant (empty vector = every node, the legacy default).
+  /// Host scope per tenant (empty vector = every node, the default).
   /// Drives which node pairs finish_setup() meshes and which shard pairs
   /// the PDES lookahead matrix treats as directly communicating.
   std::unordered_map<TenantId, std::vector<NodeId>> tenant_hosts_;
@@ -384,17 +376,13 @@ class Cluster {
   std::unique_ptr<CartStateStore> cart_store_;
   std::vector<std::pair<NodeId, std::unique_ptr<CartStoreClient>>>
       cart_clients_;
-  sim::Rng rng_{0};
   bool setup_done_ = false;
   bool flight_started_ = false;
   std::vector<std::unique_ptr<sim::TimeSeries>> util_series_;
   std::vector<std::unique_ptr<sim::UtilizationProbe>> util_probes_;
 
-  // Parallel mode only.
-  sim::ParallelSim* psim_ = nullptr;
   std::unordered_map<NodeId, std::size_t> node_shard_;
   std::size_t next_shard_ = 1;  ///< shard 0 is the edge
-  std::unordered_map<NodeId, sim::Rng> node_jitter_;
   std::vector<std::unique_ptr<obs::Hub>> shard_hubs_;
   bool shard_profiling_ = false;
   bool ledger_enabled_ = false;

@@ -83,8 +83,7 @@ void FunctionInstance::on_message(const mem::BufferDescriptor& d) {
   const bool last_hop = h.hop_index + 1 == chain.hops.size();
   const FunctionId next_dst =
       last_hop ? FunctionId{h.client_id} : chain.hops[h.hop_index + 1].fn;
-  const sim::Duration compute =
-      node_.cluster().jittered(node_.id(), hop.compute_ns);
+  const sim::Duration compute = node_.jittered(hop.compute_ns);
   compute_total_ += compute;
   // Round-robin over the active replicas: deterministic (cursor state lives
   // on this instance, all deliveries arrive on the owning shard) and enough

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "core/engine.hpp"
-#include "obs/hub.hpp"
 #include "runtime/statestore.hpp"
 
 namespace pd::runtime {
@@ -93,20 +92,13 @@ void export_metrics(Cluster& cluster, obs::Registry& reg) {
   // export stays byte-comparable across --threads runs. Wall-clock numbers
   // (barrier_wait_ns) are deliberately excluded; benches report those
   // separately, outside golden-diffed artifacts.
-  if (sim::ParallelSim* psim = cluster.parallel()) {
-    reg.counter("pdes.epochs").set(psim->epochs());
-    reg.counter("pdes.skip_ahead_epochs").set(psim->skip_ahead_epochs());
-    reg.counter("pdes.mailbox_msgs").set(psim->mailbox_msgs());
-    for (std::size_t k = 0; k < psim->shard_count(); ++k) {
-      reg.counter("pdes.shard_events", "shard=" + std::to_string(k))
-          .set(psim->shard(k).events_processed());
-    }
-  }
-
-  // When the installed hub collected an exact busy-time profile, fold its
-  // per-(component, tenant) summary in alongside the data-plane counters.
-  if (obs::Hub* hub = obs::hub(); hub != nullptr && !hub->profiler.empty()) {
-    hub->profiler.export_folded(reg);
+  sim::ParallelSim& psim = cluster.parallel();
+  reg.counter("pdes.epochs").set(psim.epochs());
+  reg.counter("pdes.skip_ahead_epochs").set(psim.skip_ahead_epochs());
+  reg.counter("pdes.mailbox_msgs").set(psim.mailbox_msgs());
+  for (std::size_t k = 0; k < psim.shard_count(); ++k) {
+    reg.counter("pdes.shard_events", "shard=" + std::to_string(k))
+        .set(psim.shard(k).events_processed());
   }
 }
 

@@ -47,14 +47,6 @@ ParallelSim::ParallelSim(std::size_t shards, unsigned os_threads) {
 
 ParallelSim::~ParallelSim() = default;
 
-void ParallelSim::set_lookahead(Duration l) {
-  PD_CHECK(l >= 1, "lookahead must be at least 1 ns");
-  PD_CHECK(!running_, "lookahead change mid-run");
-  lookahead_ = l;
-  d_in_.assign(shards_.size(), std::vector<Duration>(shards_.size(), l));
-  for (std::size_t k = 0; k < shards_.size(); ++k) d_in_[k][k] = 0;
-}
-
 void ParallelSim::set_lookahead_matrix(std::vector<std::vector<Duration>> d) {
   PD_CHECK(!running_, "lookahead change mid-run");
   const std::size_t n = shards_.size();
@@ -96,11 +88,6 @@ void ParallelSim::set_lookahead_matrix(std::vector<std::vector<Duration>> d) {
   }
 }
 
-void ParallelSim::set_horizon_policy(HorizonPolicy policy) {
-  PD_CHECK(!running_, "horizon policy change mid-run");
-  policy_ = policy;
-}
-
 void ParallelSim::set_shard_hooks(ShardHook enter, ShardHook leave) {
   enter_shard_ = std::move(enter);
   leave_shard_ = std::move(leave);
@@ -135,15 +122,12 @@ void ParallelSim::post(std::size_t dst, TimePoint t, EventFn fn,
                                     << src << "][" << dst
                                     << "]=" << d_in_[dst][src] << ")");
   ++sender.posted_msgs;
-  if (policy_ == HorizonPolicy::kAdaptive) {
-    // Reflection cap: this event, once drained into dst, can bounce an
-    // influence back here no earlier than t + D[dst][src]. Shrink our own
-    // window so we never run past that point within this epoch. The cap is
-    // > now (t >= now + D[src][dst] and D[dst][src] >= 1), so the event
-    // currently executing is never invalidated.
-    sender.window_cap =
-        std::min(sender.window_cap, sat_add(t, d_in_[src][dst]));
-  }
+  // Reflection cap: this event, once drained into dst, can bounce an
+  // influence back here no earlier than t + D[dst][src]. Shrink our own
+  // window so we never run past that point within this epoch. The cap is
+  // > now (t >= now + D[src][dst] and D[dst][src] >= 1), so the event
+  // currently executing is never invalidated.
+  sender.window_cap = std::min(sender.window_cap, sat_add(t, d_in_[src][dst]));
   if (foreground) in_flight_fg_.fetch_add(1, std::memory_order_relaxed);
   Mailbox& mb = *shards_[dst].inbox[src];
   CrossEvent e{t, foreground, std::move(fn)};
@@ -203,39 +187,35 @@ bool ParallelSim::plan(TimePoint deadline, bool until_mode) {
     for (const Shard& s : shards_) fg += s.sched->foreground_live();
     if (fg == 0 || min1 == Scheduler::kNoEvent) return true;
   }
-  const bool adaptive = policy_ == HorizonPolicy::kAdaptive;
   bool skipped = false;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     Shard& s = shards_[k];
-    // PR 4 uniform-L horizon: influence from another shard cannot land
+    // Uniform-L horizon: influence from another shard cannot land
     // before (their earliest event) + L; influence reflected off our own
-    // earliest post needs 2L. Kept as the floor for skip-ahead accounting
-    // and as the kLegacy policy.
+    // earliest post needs 2L. It is only the reference skip-ahead epochs
+    // count against.
     const TimePoint other = k == owner ? min2 : min1;
     const TimePoint base = std::min(other, sat_add(s.next, lookahead_));
-    TimePoint legacy_h = sat_add(base, lookahead_);
-    if (until_mode) legacy_h = std::min(legacy_h, deadline + 1);
-    TimePoint h = legacy_h;
-    bool fg_bounded = false;
-    if (adaptive) {
-      // H_k = min over the other shards of next_j + D[j][k]. Idle shards
-      // contribute nothing (empty-mailbox skip-ahead); the k -> j -> k
-      // reflection is handled dynamically by window_cap, so there is no
-      // self term. kNoEvent means an unbounded grant: run until local
-      // foreground work drains (never spin on background self-ticks).
-      h = Scheduler::kNoEvent;
-      const std::vector<Duration>& din = d_in_[k];
-      for (std::size_t j = 0; j < shards_.size(); ++j) {
-        if (j == k) continue;
-        h = std::min(h, sat_add(shards_[j].next, din[j]));
-      }
-      if (until_mode) {
-        h = std::min(h, deadline + 1);
-      } else {
-        fg_bounded = h == Scheduler::kNoEvent;
-      }
-      if (h > legacy_h) skipped = true;
+    TimePoint uniform_h = sat_add(base, lookahead_);
+    if (until_mode) uniform_h = std::min(uniform_h, deadline + 1);
+    // H_k = min over the other shards of next_j + D[j][k]. Idle shards
+    // contribute nothing (empty-mailbox skip-ahead); the k -> j -> k
+    // reflection is handled dynamically by window_cap, so there is no
+    // self term. kNoEvent means an unbounded grant: run until local
+    // foreground work drains (never spin on background self-ticks).
+    TimePoint h = Scheduler::kNoEvent;
+    const std::vector<Duration>& din = d_in_[k];
+    for (std::size_t j = 0; j < shards_.size(); ++j) {
+      if (j == k) continue;
+      h = std::min(h, sat_add(shards_[j].next, din[j]));
     }
+    bool fg_bounded = false;
+    if (until_mode) {
+      h = std::min(h, deadline + 1);
+    } else {
+      fg_bounded = h == Scheduler::kNoEvent;
+    }
+    if (h > uniform_h) skipped = true;
     s.horizon = h;
     s.window_cap = h;
     s.fg_bounded = fg_bounded;

@@ -28,19 +28,20 @@
 // nothing in flight to reflect, because mailboxes only drain at
 // barriers. The shard owning the global minimum always has H_k > next_k,
 // so every epoch fires at least one event and virtual time advances.
-// (The PR 4 formula h_k = min(min_{j!=k} next_j, next_k + L) + L with a
-// single global L = min over all pairs remains available as
-// HorizonPolicy::kLegacy; it is conservative but caps every window at
-// next_k + 2L even when every other shard is idle.)
+// (The original uniform-L formula h_k = min(min_{j!=k} next_j, next_k + L)
+// + L, with L the smallest pair entry, survives only as the reference that
+// skip_ahead_epochs() counts against.)
+//
+// A one-shard ParallelSim is the plain serial simulation: there is no
+// other shard to bound the horizon, so run_until() executes in a single
+// window and run() drains in one, with no mailbox traffic.
 //
 // Determinism across worker-thread counts is structural: phases are
 // barrier-separated (drain | plan | execute), mailboxes are drained in
 // fixed shard order, and each shard's execution touches only its own
 // state — so the merged event order is a pure function of the model, not
 // of the OS schedule. One OS thread, four OS threads, or the serial
-// fallback all produce bit-identical simulations — and because horizons
-// only regroup events into epochs without moving any timestamp, the
-// adaptive and legacy policies simulate identical models too.
+// fallback all produce bit-identical simulations.
 #pragma once
 
 #include <atomic>
@@ -54,11 +55,6 @@
 #include "sim/scheduler.hpp"
 
 namespace pd::sim {
-
-/// Epoch-horizon computation: kAdaptive (per-pair lookahead matrix +
-/// empty-mailbox skip-ahead + dynamic reflection cap) or kLegacy (PR 4's
-/// uniform-L formula — kept for A/B tests and epoch-count regressions).
-enum class HorizonPolicy : std::uint8_t { kAdaptive, kLegacy };
 
 class ParallelSim {
  public:
@@ -77,25 +73,18 @@ class ParallelSim {
   /// OS threads the drivers will actually use.
   [[nodiscard]] unsigned os_threads() const { return threads_; }
 
-  /// Uniform conservative lookahead L in ns (fills the whole matrix).
-  /// Defaults to 1 (always safe); must be set before the first run.
-  void set_lookahead(Duration l);
   /// Per-pair lookahead matrix: d[src][dst] lower-bounds the latency of
   /// any direct influence from an event on `src` to shard `dst` (the
   /// cluster derives it from per-pair fabric path latency). The matrix is
   /// closed under min-plus here (Floyd–Warshall), so multi-shard relay
   /// chains are bounded by the pairwise entries too. Off-diagonal entries
-  /// must be >= 1; must be set before a run.
+  /// must be >= 1; must be set before a run. Until then every pair is
+  /// bounded by 1 ns (always safe).
   void set_lookahead_matrix(std::vector<std::vector<Duration>> d);
-  /// The smallest off-diagonal matrix entry (the uniform L of kLegacy).
-  [[nodiscard]] Duration lookahead() const { return lookahead_; }
   /// Effective (closed) lookahead from shard `src` to shard `dst`.
   [[nodiscard]] Duration lookahead(std::size_t src, std::size_t dst) const {
     return d_in_[dst][src];
   }
-
-  void set_horizon_policy(HorizonPolicy policy);
-  [[nodiscard]] HorizonPolicy horizon_policy() const { return policy_; }
 
   /// Hooks run around a shard's execute phase on whichever thread drives
   /// it (the runtime installs the shard's observability hub here).
@@ -134,7 +123,7 @@ class ParallelSim {
   /// win real cores can deliver).
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   /// Epochs in which at least one shard's adaptive horizon exceeded what
-  /// the legacy uniform-L formula would have granted it.
+  /// the uniform-L formula would have granted it.
   [[nodiscard]] std::uint64_t skip_ahead_epochs() const {
     return skip_ahead_epochs_;
   }
@@ -195,11 +184,10 @@ class ParallelSim {
 
   std::vector<Shard> shards_;
   unsigned threads_ = 1;
-  Duration lookahead_ = 1;  ///< min off-diagonal entry (legacy uniform L)
+  Duration lookahead_ = 1;  ///< min off-diagonal entry (the uniform L)
   /// Inbound lookahead, transposed for plan()'s per-shard scan:
   /// d_in_[dst][src] = closed D[src][dst].
   std::vector<std::vector<Duration>> d_in_;
-  HorizonPolicy policy_ = HorizonPolicy::kAdaptive;
   ShardHook enter_shard_;
   ShardHook leave_shard_;
   bool running_ = false;

@@ -3,20 +3,11 @@
 namespace pd::sim {
 
 namespace {
-BusyObserver* g_observer = nullptr;
 thread_local BusyObserver* tl_observer = nullptr;
 thread_local ProfileFrame tl_frame{};
 }  // namespace
 
-BusyObserver* busy_observer() {
-  return tl_observer != nullptr ? tl_observer : g_observer;
-}
-
-BusyObserver* install_busy_observer(BusyObserver* o) {
-  BusyObserver* prev = g_observer;
-  g_observer = o;
-  return prev;
-}
+BusyObserver* busy_observer() { return tl_observer; }
 
 BusyObserver* install_thread_busy_observer(BusyObserver* o) {
   BusyObserver* prev = tl_observer;

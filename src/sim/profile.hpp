@@ -8,10 +8,10 @@
 // reconstructs each core's busy_ns() exactly once the run drains — a
 // sampling-free profiler with zero statistical error.
 //
-// Like the obs hub, the observer is a single thread-local (shadowing a
-// global) pointer: a null observer makes the hook one predicted branch, and
-// installing one can never perturb simulation results — observers only
-// record, they never schedule events.
+// The observer is a single thread-local pointer, installed per shard by
+// the cluster's shard hooks: a null observer makes the hook one predicted
+// branch, and installing one can never perturb simulation results —
+// observers only record, they never schedule events.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +58,10 @@ class BusyObserver {
   }
 };
 
-/// Currently installed observer, or nullptr when profiling is off. A
-/// thread-local observer (sharded simulation workers) shadows the global.
+/// This thread's installed observer, or nullptr when profiling is off.
 [[nodiscard]] BusyObserver* busy_observer();
 
-/// Install `o` globally (nullptr uninstalls). Returns the previous one.
-BusyObserver* install_busy_observer(BusyObserver* o);
-
-/// Install `o` for THIS thread only (parallel shard enter/leave hooks).
+/// Install `o` for THIS thread (parallel shard enter/leave hooks).
 BusyObserver* install_thread_busy_observer(BusyObserver* o);
 
 /// The innermost active frame on this thread ("other" when none).

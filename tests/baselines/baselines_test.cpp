@@ -18,12 +18,12 @@ constexpr TenantId kTenant{1};
 constexpr FunctionId kFnA{1};
 constexpr FunctionId kFnB{2};
 
-std::unique_ptr<runtime::Cluster> cross_node_cluster(sim::Scheduler& sched,
+std::unique_ptr<runtime::Cluster> cross_node_cluster(sim::ParallelSim& psim,
                                                      runtime::SystemKind sys) {
   runtime::ClusterConfig cfg;
   cfg.system = sys;
   cfg.pool_buffers = 256;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -35,14 +35,15 @@ std::unique_ptr<runtime::Cluster> cross_node_cluster(sim::Scheduler& sched,
 }
 
 TEST(TcpRelay, RelaysAcrossNodesAndCountsMessages) {
-  sim::Scheduler sched;
-  auto cluster = cross_node_cluster(sched, runtime::SystemKind::kSpright);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = cross_node_cluster(psim, runtime::SystemKind::kSpright);
   workload::ChainDriver driver(*cluster, FunctionId{100}, kNode1, 1);
   cluster->finish_setup();
   driver.start(2);
-  sched.run_until(sched.now() + 500'000'000);
+  psim.run_until(sched.now() + 500'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
 
   ASSERT_GT(driver.completed(), 10u);
   auto* relay1 = dynamic_cast<TcpRelayEngine*>(&cluster->worker(kNode1).dataplane());
@@ -55,29 +56,30 @@ TEST(TcpRelay, RelaysAcrossNodesAndCountsMessages) {
 }
 
 TEST(TcpRelay, RelayEngineChargesCpuForCopies) {
-  sim::Scheduler sched;
-  auto cluster = cross_node_cluster(sched, runtime::SystemKind::kSpright);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = cross_node_cluster(psim, runtime::SystemKind::kSpright);
   workload::ChainDriver driver(*cluster, FunctionId{100}, kNode1, 1);
   cluster->finish_setup();
   const auto before = cluster->worker(kNode1).engine_core().busy_ns();
   driver.start(1);
-  sched.run_until(sched.now() + 200'000'000);
+  psim.run_until(sched.now() + 200'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
   // Serialization + TCP stack work must show up on the relay core.
   EXPECT_GT(cluster->worker(kNode1).engine_core().busy_ns() - before,
             static_cast<sim::Duration>(driver.completed()) * 10'000);
 }
 
 TEST(Fuyao, PinsAPollingCorePerNode) {
-  sim::Scheduler sched;
-  auto cluster = cross_node_cluster(sched, runtime::SystemKind::kFuyao);
+  sim::ParallelSim psim(1);
+  auto cluster = cross_node_cluster(psim, runtime::SystemKind::kFuyao);
   cluster->finish_setup();
   EXPECT_TRUE(cluster->worker(kNode1).engine_core().busy_poll());
   EXPECT_TRUE(cluster->worker(kNode2).engine_core().busy_poll());
   // The Palladium DNE variant, by contrast, pins a DPU core, not a host one.
-  sim::Scheduler sched2;
-  auto pall = cross_node_cluster(sched2, runtime::SystemKind::kPalladiumDne);
+  sim::ParallelSim psim2(1);
+  auto pall = cross_node_cluster(psim2, runtime::SystemKind::kPalladiumDne);
   pall->finish_setup();
   EXPECT_TRUE(pall->worker(kNode1).engine_core().busy_poll());
   EXPECT_EQ(&pall->worker(kNode1).engine_core(),
@@ -88,11 +90,12 @@ TEST(Fuyao, CreditWindowNeverOverflowsStaging) {
   // Push far more concurrent requests than staging slots: the credit
   // window must backpressure (queue at the sender) rather than overwrite
   // slots in flight.
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kFuyao;
   cfg.pool_buffers = 2048;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -102,9 +105,9 @@ TEST(Fuyao, CreditWindowNeverOverflowsStaging) {
   workload::ChainDriver driver(*cluster, FunctionId{100}, kNode1, 1);
   cluster->finish_setup();
   driver.start(256);  // >> 64 staging slots
-  sched.run_until(sched.now() + 1'000'000'000);
+  psim.run_until(sched.now() + 1'000'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
   EXPECT_GT(driver.completed(), 1000u);
   // All requests eventually completed (none lost to slot overwrites).
   EXPECT_EQ(driver.latencies().count(), driver.completed());
@@ -116,14 +119,15 @@ TEST(Fuyao, PalladiumOutpacesFuyaoUnderLoad) {
   // wakeups per message, receiver-side copies) saturates first — the §4.3
   // comparison point.
   auto throughput = [](runtime::SystemKind sys) {
-    sim::Scheduler sched;
-    auto cluster = cross_node_cluster(sched, sys);
+    sim::ParallelSim psim(1);
+    sim::Scheduler& sched = psim.shard(0);
+    auto cluster = cross_node_cluster(psim, sys);
     workload::ChainDriver driver(*cluster, FunctionId{100}, kNode1, 1);
     cluster->finish_setup();
     driver.start(64);
-    sched.run_until(sched.now() + 1'000'000'000);
+    psim.run_until(sched.now() + 1'000'000'000);
     driver.stop();
-    sched.run();
+    psim.run();
     return driver.completed();
   };
   const auto palladium = throughput(runtime::SystemKind::kPalladiumDne);

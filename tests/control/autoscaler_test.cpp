@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/hub.hpp"
 #include "obs/slo.hpp"
 #include "runtime/function.hpp"
 #include "workload/driver.hpp"
@@ -22,11 +21,11 @@ constexpr FunctionId kFnA{1};
 constexpr FunctionId kFnB{2};
 constexpr std::uint32_t kChain = 1;
 
-std::unique_ptr<runtime::Cluster> make_cluster(sim::Scheduler& sched) {
+std::unique_ptr<runtime::Cluster> make_cluster(sim::ParallelSim& psim) {
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 8;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -65,8 +64,9 @@ TEST(SloBurnSignal, RollFreshensBurnAndDecaysOnSilence) {
 // --- instance autoscaler -----------------------------------------------------
 
 TEST(InstanceAutoscalerTest, ActivatesProvisionedReplicasUnderBacklogThenIdles) {
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim);
   cluster->provision_replicas(kFnA, 3);
   workload::ChainDriver driver(*cluster, FunctionId{100}, kNode1, kChain);
   cluster->finish_setup();
@@ -87,14 +87,14 @@ TEST(InstanceAutoscalerTest, ActivatesProvisionedReplicasUnderBacklogThenIdles) 
   // 32 concurrent requests pile compute on A (40 µs per visit, twice per
   // request): the backlog trips the scaler within a few periods.
   driver.start(32);
-  sched.run_until(sched.now() + 300'000'000);
+  psim.run_until(sched.now() + 300'000'000);
   EXPECT_GT(inst.active_replicas(), 1u);
   const auto peak = inst.active_replicas();
 
   // Load gone: the scaler retires replicas back down to one.
   driver.stop();
-  sched.run();
-  sched.run_until(sched.now() + 300'000'000);
+  psim.run();
+  psim.run_until(sched.now() + 300'000'000);
   EXPECT_EQ(inst.active_replicas(), 1u);
 
   bool saw_up = false;
@@ -112,10 +112,9 @@ TEST(InstanceAutoscalerTest, ActivatesProvisionedReplicasUnderBacklogThenIdles) 
 // --- edge controller ---------------------------------------------------------
 
 TEST(EdgeControllerTest, ScalesWorkersOnBacklogAndEngagesPressureOnBurn) {
-  obs::Hub hub;
-  obs::Session session(hub);
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim);
 
   AdmissionController admission;
   // Best-effort on purpose: the protected path is exercised by the
@@ -152,7 +151,7 @@ TEST(EdgeControllerTest, ScalesWorkersOnBacklogAndEngagesPressureOnBurn) {
   wcfg.error_backoff = 1'000'000;  // bounded retry rate once shed
   workload::HttpLoadGen wrk(sched, gateway, wcfg);
   wrk.add_clients(24);
-  sched.run_until(sched.now() + 1'000'000'000);
+  psim.run_until(sched.now() + 1'000'000'000);
 
   EXPECT_GT(gateway.active_workers(), 1);
   EXPECT_TRUE(admission.pressure());
@@ -162,8 +161,8 @@ TEST(EdgeControllerTest, ScalesWorkersOnBacklogAndEngagesPressureOnBurn) {
   // Load stops; idle windows decay the burn and the controller releases
   // the gate (and the sheds stop growing).
   wrk.stop();
-  sched.run();
-  sched.run_until(sched.now() + 500'000'000);
+  psim.run();
+  psim.run_until(sched.now() + 500'000'000);
   EXPECT_FALSE(admission.pressure());
 
   bool scaled_up = false;

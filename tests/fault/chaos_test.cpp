@@ -36,10 +36,11 @@ struct ChaosResult {
 };
 
 ChaosResult run_chaos(std::uint64_t seed) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(NodeId{1});
   cluster.add_worker(NodeId{2});
   runtime::OnlineBoutique::deploy(cluster, NodeId{1}, NodeId{2});
@@ -65,11 +66,11 @@ ChaosResult run_chaos(std::uint64_t seed) {
   // Let the tail of the plan recover fully: the worst case is a crash late
   // in the window — QP pool rebuilds cost ~20 ms of connection setup per
   // backoff round before traffic flows again.
-  sched.run_until(fcfg.horizon);
+  psim.run_until(fcfg.horizon);
   const std::uint64_t completed_mid_chaos = wrk.completed();
-  sched.run_until(fcfg.horizon + 60'000'000);
+  psim.run_until(fcfg.horizon + 60'000'000);
   wrk.stop();
-  sched.run();  // drain: every in-flight request resolves (200/502/504)
+  psim.run();  // drain: every in-flight request resolves (200/502/504)
 
   ChaosResult r;
   r.sent = wrk.sent();

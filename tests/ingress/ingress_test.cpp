@@ -18,12 +18,12 @@ constexpr FunctionId kFnA{1};
 constexpr FunctionId kFnB{2};
 constexpr std::uint32_t kChain = 1;
 
-std::unique_ptr<runtime::Cluster> make_cluster(sim::Scheduler& sched,
+std::unique_ptr<runtime::Cluster> make_cluster(sim::ParallelSim& psim,
                                                runtime::SystemKind sys) {
   runtime::ClusterConfig cfg;
   cfg.system = sys;
   cfg.cpu_cores_per_node = 8;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -37,8 +37,9 @@ std::unique_ptr<runtime::Cluster> make_cluster(sim::Scheduler& sched,
 }
 
 TEST(PalladiumIngressTest, HttpToRdmaRoundTrip) {
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, runtime::SystemKind::kPalladiumDne);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, runtime::SystemKind::kPalladiumDne);
   PalladiumIngress::Config icfg;
   PalladiumIngress ing(*cluster, icfg);
   ing.expose_chain("/echo", kChain);
@@ -50,9 +51,9 @@ TEST(PalladiumIngressTest, HttpToRdmaRoundTrip) {
   wcfg.body = "request-body";
   workload::HttpLoadGen wrk(sched, ing, wcfg);
   wrk.add_clients(4);
-  sched.run_until(sched.now() + 2'000'000'000);
+  psim.run_until(sched.now() + 2'000'000'000);
   wrk.stop();
-  sched.run();
+  psim.run();
 
   EXPECT_GT(wrk.completed(), 100u);
   EXPECT_EQ(wrk.errors(), 0u);
@@ -62,8 +63,9 @@ TEST(PalladiumIngressTest, HttpToRdmaRoundTrip) {
 }
 
 TEST(PalladiumIngressTest, UnknownTargetGets404) {
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, runtime::SystemKind::kPalladiumDne);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, runtime::SystemKind::kPalladiumDne);
   PalladiumIngress ing(*cluster, {});
   ing.expose_chain("/echo", kChain);
   ing.finish_setup();
@@ -73,9 +75,9 @@ TEST(PalladiumIngressTest, UnknownTargetGets404) {
   wcfg.target = "/nope";
   workload::HttpLoadGen wrk(sched, ing, wcfg);
   wrk.add_clients(1);
-  sched.run_until(sched.now() + 200'000'000);
+  psim.run_until(sched.now() + 200'000'000);
   wrk.stop();
-  sched.run();
+  psim.run();
   EXPECT_GT(wrk.errors(), 0u);
   EXPECT_EQ(wrk.completed(), 0u);
 }
@@ -84,8 +86,9 @@ class ProxyIngressKinds
     : public ::testing::TestWithParam<proto::StackKind> {};
 
 TEST_P(ProxyIngressKinds, HttpProxyRoundTrip) {
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, runtime::SystemKind::kSpright);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, runtime::SystemKind::kSpright);
   ProxyIngress::Config icfg;
   icfg.stack = GetParam();
   icfg.cores = 2;
@@ -98,9 +101,9 @@ TEST_P(ProxyIngressKinds, HttpProxyRoundTrip) {
   wcfg.target = "/echo";
   workload::HttpLoadGen wrk(sched, ing, wcfg);
   wrk.add_clients(4);
-  sched.run_until(sched.now() + 2'000'000'000);
+  psim.run_until(sched.now() + 2'000'000'000);
   wrk.stop();
-  sched.run();
+  psim.run();
 
   EXPECT_GT(wrk.completed(), 50u);
   EXPECT_EQ(wrk.errors(), 0u);
@@ -119,8 +122,9 @@ TEST(IngressComparison, PalladiumBeatsProxiesOnSameWorkload) {
   // Shape check for Fig. 13: Palladium ingress > F-Ingress > K-Ingress in
   // RPS with one ingress core and many clients.
   auto run = [&](int variant) -> double {
-    sim::Scheduler sched;
-    auto cluster = make_cluster(sched, variant == 0
+    sim::ParallelSim psim(1);
+    sim::Scheduler& sched = psim.shard(0);
+    auto cluster = make_cluster(psim, variant == 0
                                            ? runtime::SystemKind::kPalladiumDne
                                            : runtime::SystemKind::kSpright);
     std::unique_ptr<IngressFrontend> ing;
@@ -152,9 +156,9 @@ TEST(IngressComparison, PalladiumBeatsProxiesOnSameWorkload) {
     workload::HttpLoadGen wrk(sched, *ing, wcfg);
     wrk.add_clients(32);
     const auto start = sched.now();
-    sched.run_until(start + 4'000'000'000);
+    psim.run_until(start + 4'000'000'000);
     wrk.stop();
-    sched.run();
+    psim.run();
     return static_cast<double>(wrk.completed()) / 4.0;
   };
 
@@ -169,12 +173,13 @@ TEST(PalladiumIngressTest, AutoscalerAddsWorkersUnderLoad) {
   // A near-zero-compute chain so the single ingress worker, not the
   // functions, is the first bottleneck (else its utilization never
   // crosses the 60% scale-up threshold).
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig ccfg;
   ccfg.system = runtime::SystemKind::kPalladiumDne;
   ccfg.cpu_cores_per_node = 8;
   ccfg.pool_buffers = 2048;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, ccfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, ccfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -195,9 +200,9 @@ TEST(PalladiumIngressTest, AutoscalerAddsWorkersUnderLoad) {
   wcfg.client_cores = 32;
   workload::HttpLoadGen wrk(sched, ing, wcfg);
   wrk.add_clients(64);
-  sched.run_until(sched.now() + 10'000'000'000);
+  psim.run_until(sched.now() + 10'000'000'000);
   wrk.stop();
-  sched.run();
+  psim.run();
 
   EXPECT_GT(ing.scale_events(), 0u);
   EXPECT_GT(ing.active_workers(), 1);

@@ -349,21 +349,20 @@ TEST(CritPathBoutique, ChaosSeedSurfacesRetransmitHopsAndTripsSlo) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact profiler: 100% busy-time accounting on a serial boutique run.
+// Exact profiler: 100% busy-time accounting on a one-shard boutique run.
 // ---------------------------------------------------------------------------
 
 TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
-  // The observer must be installed before the cluster exists so setup-era
-  // work (QP handshakes run inside finish_setup) is attributed too.
-  obs::Profiler prof;
-  obs::ProfileSession session(prof);
-
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 8;
   cfg.pool_buffers = 1024;
   cfg.system = runtime::SystemKind::kPalladiumDne;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
+  // Profiling must be on before finish_setup so setup-era work (the QP
+  // handshakes it drains) is attributed too.
+  cluster.enable_shard_profiling();
   cluster.add_worker(kNode1);
   cluster.add_worker(kNode2);
   runtime::OnlineBoutique::deploy(cluster, kNode1, kNode2);
@@ -383,9 +382,12 @@ TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
   workload::HttpLoadGen wrk(sched, ing, wcfg);
   wrk.add_clients(4);
 
-  sched.run_until(sched.now() + 20'000'000);
+  psim.run_until(sched.now() + 20'000'000);
   wrk.stop();
-  sched.run();  // drain: busy_ns() is credited at completion
+  psim.run();  // drain: busy_ns() is credited at completion
+  obs::Hub hub;
+  cluster.merge_observability(hub);
+  const obs::Profiler& prof = hub.profiler;
 
   ASSERT_GT(wrk.latencies().count(), 0u);
   ASSERT_FALSE(prof.empty());
@@ -409,12 +411,13 @@ TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
 // ---------------------------------------------------------------------------
 
 TEST(UtilProbesBoutique, CoreUtilGaugeExported) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 4;
   cfg.pool_buffers = 1024;
   cfg.system = runtime::SystemKind::kPalladiumDne;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(kNode1);
   cluster.add_worker(kNode2);
   runtime::OnlineBoutique::deploy(cluster, kNode1, kNode2);
@@ -428,7 +431,6 @@ TEST(UtilProbesBoutique, CoreUtilGaugeExported) {
   cluster.finish_setup();
 
   obs::Hub hub;
-  obs::Session session(hub);
   cluster.start_util_probes(hub.registry, 1'000'000);
 
   workload::HttpLoadGen::Config wcfg;
@@ -438,9 +440,9 @@ TEST(UtilProbesBoutique, CoreUtilGaugeExported) {
   workload::HttpLoadGen wrk(sched, ing, wcfg);
   wrk.add_clients(2);
 
-  sched.run_until(sched.now() + 10'000'000);
+  psim.run_until(sched.now() + 10'000'000);
   wrk.stop();
-  sched.run();
+  psim.run();
 
   const std::string json = hub.registry.to_json();
   EXPECT_NE(json.find("core_util"), std::string::npos);

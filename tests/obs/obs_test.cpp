@@ -188,22 +188,6 @@ TEST(Tracer, ChromeJsonRoundTrip) {
   EXPECT_EQ(fabric.trace_id, root.trace_id);
 }
 
-TEST(Hub, SessionInstallsAndRestores) {
-  EXPECT_EQ(obs::hub(), nullptr);
-  {
-    obs::Hub h;
-    obs::Session session(h);
-    EXPECT_EQ(obs::hub(), &h);
-    {
-      obs::Hub inner;
-      obs::Session nested(inner);
-      EXPECT_EQ(obs::hub(), &inner);
-    }
-    EXPECT_EQ(obs::hub(), &h);
-  }
-  EXPECT_EQ(obs::hub(), nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end: two-node cluster, traced request
 // ---------------------------------------------------------------------------
@@ -214,16 +198,18 @@ constexpr TenantId kTenant{1};
 constexpr FunctionId kEcho{1};
 constexpr FunctionId kEntry{100};
 
-/// Run a short echo workload on a two-node Palladium cluster with the given
-/// hub installed; returns after the scheduler drains.
+/// Run a short echo workload on a two-node Palladium cluster tracing every
+/// request; returns after the scheduler drains, with the cluster's
+/// observability merged into `hub`.
 void run_echo_cluster(obs::Hub& hub, runtime::SystemKind system,
                       sim::Duration run_ns) {
-  obs::Session session(hub);
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = system;
   cfg.cpu_cores_per_node = 4;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
+  cluster->enable_shard_tracing(1);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -234,9 +220,10 @@ void run_echo_cluster(obs::Hub& hub, runtime::SystemKind system,
   cluster->finish_setup();
 
   driver.start(1);
-  sched.run_until(sched.now() + run_ns);
+  psim.run_until(sched.now() + run_ns);
   driver.stop();
-  sched.run();
+  psim.run();
+  cluster->merge_observability(hub);
   runtime::export_metrics(*cluster, hub.registry);
 }
 
@@ -330,14 +317,12 @@ TEST(EndToEnd, OnPathRunRecordsSocDmaHistograms) {
 
 TEST(EndToEnd, BoutiqueRunExportsHealthyEngineCounters) {
   obs::Hub hub;
-  hub.tracer.set_sample_every(0);  // metrics only
-  obs::Session session(hub);
-
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 8;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   runtime::OnlineBoutique::deploy(*cluster, kNode1, kNode2);
@@ -346,9 +331,10 @@ TEST(EndToEnd, BoutiqueRunExportsHealthyEngineCounters) {
   cluster->finish_setup();
 
   driver.start(4);
-  sched.run_until(sched.now() + 200'000'000);  // 200 ms
+  psim.run_until(sched.now() + 200'000'000);  // 200 ms
   driver.stop();
-  sched.run();
+  psim.run();
+  cluster->merge_observability(hub);
   runtime::export_metrics(*cluster, hub.registry);
 
   EXPECT_GT(driver.completed(), 0u);

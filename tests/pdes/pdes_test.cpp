@@ -6,7 +6,9 @@
 // worker-thread count. Threads may only change wall-clock speed, never
 // behavior. Each scenario runs at --threads 1/2/4 and byte-compares the
 // artifacts, including a seeded chaos replay (the hardest case: faults
-// mutate fabric/RNIC/engine state on several shards at once).
+// mutate fabric/RNIC/engine state on several shards at once). The
+// one-shard cases cover the default run mode every bench and example uses
+// without --threads, baselines included.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,12 +16,13 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "fabric/fabric.hpp"
 #include "fault/fault.hpp"
 #include "ingress/palladium_ingress.hpp"
+#include "ingress/proxy_ingress.hpp"
 #include "obs/hub.hpp"
 #include "runtime/boutique.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/metrics_export.hpp"
 #include "sim/parallel.hpp"
 #include "workload/http_client.hpp"
 
@@ -195,12 +198,11 @@ struct ScaleResult {
   std::string metrics_json;
 };
 
-ScaleResult run_scale_boutique(unsigned os_threads, bool legacy_horizon) {
+ScaleResult run_scale_boutique(unsigned os_threads) {
   constexpr int kNodes = 32;
   constexpr std::size_t kCells = 16;
   constexpr std::size_t kPerSwitch = 8;
   sim::ParallelSim psim(/*shards=*/1 + kNodes / kPerSwitch, os_threads);
-  if (legacy_horizon) psim.set_horizon_policy(sim::HorizonPolicy::kLegacy);
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 8;
   cfg.pool_buffers = 1024;
@@ -229,11 +231,6 @@ ScaleResult run_scale_boutique(unsigned os_threads, bool legacy_horizon) {
   }
   ing.finish_setup();
   cluster.finish_setup();
-  if (legacy_horizon) {
-    // The PR 4 protocol baseline: uniform flat-fabric lookahead everywhere
-    // (the policy selected above restores the old horizon arithmetic).
-    psim.set_lookahead(fabric::cross_node_lookahead());
-  }
 
   std::vector<std::unique_ptr<workload::HttpLoadGen>> gens;
   for (const auto& cell : cells) {
@@ -272,7 +269,7 @@ ScaleResult run_scale_boutique(unsigned os_threads, bool legacy_horizon) {
 }
 
 TEST(Pdes, LeafShardedScaleBitIdenticalAcrossThreadCounts) {
-  const ScaleResult ref = run_scale_boutique(1, /*legacy_horizon=*/false);
+  const ScaleResult ref = run_scale_boutique(1);
   ASSERT_GT(ref.events, 0u);
   ASSERT_GT(ref.requests, 0u);
   ASSERT_GT(ref.epochs, 0u);
@@ -280,7 +277,7 @@ TEST(Pdes, LeafShardedScaleBitIdenticalAcrossThreadCounts) {
 
   for (unsigned threads : {2u, 4u}) {
     SCOPED_TRACE("os_threads=" + std::to_string(threads));
-    const ScaleResult got = run_scale_boutique(threads, false);
+    const ScaleResult got = run_scale_boutique(threads);
     EXPECT_EQ(got.events, ref.events);
     EXPECT_EQ(got.requests, ref.requests);
     EXPECT_EQ(got.p50, ref.p50);
@@ -292,29 +289,120 @@ TEST(Pdes, LeafShardedScaleBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Horizon-audit regression (ISSUE 9 satellite): the legacy PR 4 formula
-// stays available as HorizonPolicy::kLegacy and both policies simulate the
-// same model — identical request latencies to the nanosecond. Only epoch
-// grouping differs, and the adaptive protocol must keep its >=5x epoch
-// reduction on the leaf-sharded scale scenario. Latency quantiles (not raw
-// event counts) are the cross-policy equality check: events that share a
-// timestamp can drain in different epochs under different policies and
-// pick up different tie-break sequence numbers, which at dense load can
-// shuffle a handful of same-time deliveries without moving any latency.
-TEST(Pdes, AdaptiveHorizonCutsEpochsVsLegacy) {
-  const ScaleResult adaptive = run_scale_boutique(1, /*legacy_horizon=*/false);
-  const ScaleResult legacy = run_scale_boutique(1, /*legacy_horizon=*/true);
-  ASSERT_GT(adaptive.requests, 0u);
+// Epoch-protocol pin for the leaf-sharded scale scenario. Epochs,
+// skip-ahead epochs and mailbox messages are pure functions of the model
+// and the adaptive horizon protocol, so any change to how the protocol
+// groups events into epochs (or to the model) moves them. The values were
+// recorded when the uniform-L protocol still ran alongside: it needed
+// more than 5x the epochs for the same requests and latencies.
+TEST(Pdes, LeafShardedScaleEpochProtocolPinned) {
+  const ScaleResult r = run_scale_boutique(1);
+  EXPECT_EQ(r.epochs, 3324u);
+  EXPECT_EQ(r.skip_ahead, 3268u);
+  EXPECT_EQ(r.mailbox_msgs, 5472u);
+  EXPECT_EQ(r.requests, 1792u);
+  EXPECT_EQ(r.p50, 360447);
+  EXPECT_EQ(r.p99, 425983);
+}
 
-  EXPECT_EQ(adaptive.requests, legacy.requests);
-  EXPECT_EQ(adaptive.p50, legacy.p50);
-  EXPECT_EQ(adaptive.p99, legacy.p99);
-  // The epoch-count pin: the legacy protocol crawls in uniform-L steps and
-  // must stay the (expensive) upper baseline; adaptive batches cross-leaf
-  // horizons and skip-ahead epochs must actually occur.
-  EXPECT_GT(adaptive.skip_ahead, 0u);
-  EXPECT_EQ(legacy.skip_ahead, 0u);
-  EXPECT_GE(legacy.epochs, 5 * adaptive.epochs);
+// One run mode: without --threads every cluster runs on a one-shard
+// ParallelSim, baselines included. Each baseline completes a 2-node
+// boutique run there with every request answered (zero silent loss).
+struct OneShardResult {
+  std::uint64_t sent = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t events = 0;
+  sim::Duration p50 = 0;
+  sim::Duration p99 = 0;
+  std::string metrics_json;
+};
+
+OneShardResult run_one_shard_boutique(runtime::SystemKind system) {
+  sim::ParallelSim psim(/*shards=*/1);
+  runtime::ClusterConfig cfg;
+  cfg.cpu_cores_per_node = 8;
+  cfg.pool_buffers = 1024;
+  cfg.system = system;
+  runtime::Cluster cluster(psim, cfg);
+  cluster.add_worker(kNode1);
+  cluster.add_worker(kNode2);
+  runtime::OnlineBoutique::deploy(cluster, kNode1, kNode2);
+
+  std::unique_ptr<ingress::IngressFrontend> ing;
+  if (system == runtime::SystemKind::kPalladiumDne) {
+    ingress::PalladiumIngress::Config icfg;
+    icfg.initial_workers = 2;
+    auto p = std::make_unique<ingress::PalladiumIngress>(cluster, icfg);
+    p->expose_chain("/run", runtime::OnlineBoutique::kHomeQuery);
+    p->finish_setup();
+    ing = std::move(p);
+  } else {
+    auto p = std::make_unique<ingress::ProxyIngress>(
+        cluster, ingress::ProxyIngress::Config{});
+    p->expose_chain("/run", runtime::OnlineBoutique::kHomeQuery);
+    p->finish_setup();
+    ing = std::move(p);
+  }
+  cluster.finish_setup();
+
+  workload::HttpLoadGen::Config wcfg;
+  wcfg.target = "/run";
+  wcfg.body = std::string(64, 'x');
+  wcfg.client_cores = 4;
+  workload::HttpLoadGen wrk(psim.shard(0), *ing, wcfg);
+  wrk.add_clients(4);
+  psim.run_until(psim.shard(0).now() + 30'000'000);
+  wrk.stop();
+  psim.run();
+
+  obs::Hub merged;
+  cluster.merge_observability(merged);
+  runtime::export_metrics(cluster, merged.registry);
+
+  OneShardResult r;
+  r.sent = wrk.sent();
+  r.completed = wrk.completed();
+  r.errors = wrk.errors();
+  r.events = psim.events_processed();
+  r.p50 = wrk.latencies().quantile(0.5);
+  r.p99 = wrk.latencies().quantile(0.99);
+  r.metrics_json = merged.registry.to_json();
+  return r;
+}
+
+TEST(OneShard, BaselinesCompleteBoutiqueWithZeroSilentLoss) {
+  for (runtime::SystemKind sys :
+       {runtime::SystemKind::kSpright, runtime::SystemKind::kNightcore,
+        runtime::SystemKind::kFuyao}) {
+    SCOPED_TRACE(runtime::to_string(sys));
+    const OneShardResult r = run_one_shard_boutique(sys);
+    EXPECT_GT(r.completed, 0u);
+    EXPECT_EQ(r.errors, 0u);
+    EXPECT_EQ(r.sent, r.completed + r.errors);
+  }
+}
+
+TEST(OneShard, BaselineOnMultiShardSimThrows) {
+  sim::ParallelSim psim(/*shards=*/3);
+  runtime::ClusterConfig cfg;
+  cfg.system = runtime::SystemKind::kSpright;
+  EXPECT_THROW(runtime::Cluster(psim, cfg), pd::CheckFailure);
+}
+
+TEST(OneShard, PalladiumRunBitIdenticalAcrossRepetitions) {
+  const OneShardResult a =
+      run_one_shard_boutique(runtime::SystemKind::kPalladiumDne);
+  const OneShardResult b =
+      run_one_shard_boutique(runtime::SystemKind::kPalladiumDne);
+  ASSERT_GT(a.completed, 0u);
+  EXPECT_EQ(a.sent, a.completed + a.errors);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p99, b.p99);
+  ASSERT_NE(a.metrics_json.find("engine.tx_msgs"), std::string::npos);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
 }
 
 // Satellite 3: metric snapshots depend only on the instrument key set,

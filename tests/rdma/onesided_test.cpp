@@ -399,11 +399,12 @@ TEST(CartStoreTest, AblationIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(CartStoreTest, RkeyDenialFallsBackToRpcAndRequestsStillComplete) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 8;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(kNode1);
   cluster.add_worker(kNode2);
   runtime::OnlineBoutique::deploy(cluster, kNode1, kNode2,
@@ -419,9 +420,9 @@ TEST(CartStoreTest, RkeyDenialFallsBackToRpcAndRequestsStillComplete) {
   client->set_force_denial(true);
 
   driver.start(2);
-  sched.run_until(sched.now() + 300'000'000);
+  psim.run_until(sched.now() + 300'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
 
   // Denials happened, every one fell back to the RPC path, and the
   // requests completed anyway — nothing hangs on a revoked rkey.
@@ -440,11 +441,12 @@ TEST(CartStoreTest, RkeyDenialFallsBackToRpcAndRequestsStillComplete) {
 }
 
 TEST(CartStoreTest, UpdateLadderCommitsAndBumpsVersions) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 8;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(kNode1);
   cluster.add_worker(kNode2);
   runtime::OnlineBoutique::deploy(cluster, kNode1, kNode2,
@@ -455,9 +457,9 @@ TEST(CartStoreTest, UpdateLadderCommitsAndBumpsVersions) {
   cluster.finish_setup();
 
   driver.start(4);
-  sched.run_until(sched.now() + 300'000'000);
+  psim.run_until(sched.now() + 300'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
 
   EXPECT_GT(driver.completed(), 0u);
   runtime::CartStoreClient* client = cluster.cart_client(kNode1);

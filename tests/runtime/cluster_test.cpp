@@ -21,12 +21,12 @@ constexpr FunctionId kDriver{100};
 constexpr std::uint32_t kChain = 1;
 
 /// Two functions, A on node 1, B on node 2; chain entry->A->B->A->entry.
-std::unique_ptr<Cluster> make_cluster(sim::Scheduler& sched, SystemKind sys) {
+std::unique_ptr<Cluster> make_cluster(sim::ParallelSim& psim, SystemKind sys) {
   ClusterConfig cfg;
   cfg.system = sys;
   cfg.cpu_cores_per_node = 8;
   cfg.pool_buffers = 256;
-  auto cluster = std::make_unique<Cluster>(sched, cfg);
+  auto cluster = std::make_unique<Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   const bool single_node = sys == SystemKind::kNightcore;
   if (!single_node) cluster->add_worker(kNode2);
@@ -44,15 +44,16 @@ std::unique_ptr<Cluster> make_cluster(sim::Scheduler& sched, SystemKind sys) {
 class ClusterSystems : public ::testing::TestWithParam<SystemKind> {};
 
 TEST_P(ClusterSystems, RequestTraversesChainAndReturns) {
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, GetParam());
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, GetParam());
   workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
   cluster->finish_setup();
 
   driver.start(1);
-  sched.run_until(sched.now() + 1'000'000'000);  // 1 s
+  psim.run_until(sched.now() + 1'000'000'000);  // 1 s
   driver.stop();
-  sched.run();
+  psim.run();
 
   EXPECT_GT(driver.completed(), 10u) << to_string(GetParam());
   // Every completion visited A twice and B once.
@@ -83,51 +84,54 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ClusterTest, PayloadBytesSurviveTheChain) {
   // White-box check that buffers really carry the message through both
   // IPC and RDMA paths (not just descriptors).
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, SystemKind::kPalladiumDne);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, SystemKind::kPalladiumDne);
   workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
   cluster->finish_setup();
   driver.start(1);
-  sched.run_until(sched.now() + 100'000'000);
+  psim.run_until(sched.now() + 100'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
   EXPECT_GT(driver.completed(), 0u);
 }
 
 TEST(ClusterTest, ClosedLoopConcurrencyScalesThroughput) {
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, SystemKind::kPalladiumDne);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, SystemKind::kPalladiumDne);
   workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
   cluster->finish_setup();
 
   driver.start(8);
-  sched.run_until(sched.now() + 1'000'000'000);
+  psim.run_until(sched.now() + 1'000'000'000);
   const auto completed_8 = driver.completed();
   driver.stop();
-  sched.run();
+  psim.run();
 
-  sim::Scheduler sched2;
-  auto cluster2 = make_cluster(sched2, SystemKind::kPalladiumDne);
+  sim::ParallelSim psim2(1);
+  auto cluster2 = make_cluster(psim2, SystemKind::kPalladiumDne);
   workload::ChainDriver driver2(*cluster2, kDriver, kNode1, kChain);
   cluster2->finish_setup();
   driver2.start(1);
-  sched2.run_until(sched2.now() + 1'000'000'000);
+  psim2.run_until(psim2.shard(0).now() + 1'000'000'000);
   driver2.stop();
-  sched2.run();
+  psim2.run();
 
   EXPECT_GT(completed_8, driver2.completed() * 3)
       << "8 clients should easily triple 1-client throughput";
 }
 
 TEST(ClusterTest, DnePipelineCountsMatch) {
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, SystemKind::kPalladiumDne);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, SystemKind::kPalladiumDne);
   workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
   cluster->finish_setup();
   driver.start(2);
-  sched.run_until(sched.now() + 500'000'000);
+  psim.run_until(sched.now() + 500'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
 
   auto* eng1 = cluster->worker(kNode1).palladium_engine();
   auto* eng2 = cluster->worker(kNode2).palladium_engine();
@@ -145,14 +149,15 @@ TEST(ClusterTest, DnePipelineCountsMatch) {
 TEST(ClusterTest, PoolsDrainBackToFullWhenIdle) {
   // No buffer leaks: after the load stops and the system quiesces, every
   // tenant pool returns to (capacity - SRQ fill) availability.
-  sim::Scheduler sched;
-  auto cluster = make_cluster(sched, SystemKind::kPalladiumDne);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = make_cluster(psim, SystemKind::kPalladiumDne);
   workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
   cluster->finish_setup();
   driver.start(4);
-  sched.run_until(sched.now() + 300'000'000);
+  psim.run_until(sched.now() + 300'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
 
   for (NodeId n : {kNode1, kNode2}) {
     auto& pool = cluster->worker(n).memory().by_tenant(kTenant).pool();
@@ -164,11 +169,12 @@ TEST(ClusterTest, PoolsDrainBackToFullWhenIdle) {
 }
 
 TEST(ClusterTest, BoutiqueDeploysAndServesAllChains) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   ClusterConfig cfg;
   cfg.system = SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 16;
-  Cluster cluster(sched, cfg);
+  Cluster cluster(psim, cfg);
   cluster.add_worker(kNode1);
   cluster.add_worker(kNode2);
   OnlineBoutique::deploy(cluster, kNode1, kNode2);
@@ -181,9 +187,9 @@ TEST(ClusterTest, BoutiqueDeploysAndServesAllChains) {
   }
   cluster.finish_setup();
   for (auto& d : drivers) d->start(2);
-  sched.run_until(sched.now() + 2'000'000'000);
+  psim.run_until(sched.now() + 2'000'000'000);
   for (auto& d : drivers) d->stop();
-  sched.run();
+  psim.run();
 
   for (std::size_t i = 0; i < drivers.size(); ++i) {
     EXPECT_GT(drivers[i]->completed(), 20u)
@@ -195,30 +201,32 @@ TEST(ClusterTest, FullRunIsDeterministic) {
   // Same seed + same topology => bit-identical results, down to latency
   // quantiles. The reproducibility guarantee every bench relies on.
   auto run_once = [] {
-    sim::Scheduler sched;
-    auto cluster = make_cluster(sched, SystemKind::kPalladiumDne);
+    sim::ParallelSim psim(1);
+    sim::Scheduler& sched = psim.shard(0);
+    auto cluster = make_cluster(psim, SystemKind::kPalladiumDne);
     workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
     cluster->finish_setup();
     driver.start(6);
-    sched.run_until(sched.now() + 700'000'000);
+    psim.run_until(sched.now() + 700'000'000);
     driver.stop();
-    sched.run();
+    psim.run();
     return std::make_tuple(driver.completed(), driver.latencies().mean_ns(),
                            driver.latencies().quantile(0.99),
-                           sched.events_processed());
+                           psim.events_processed());
   };
   EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(ClusterTest, SeedChangesJitterButNotCorrectness) {
   auto run_with_seed = [](std::uint64_t seed) {
-    sim::Scheduler sched;
+    sim::ParallelSim psim(1);
+    sim::Scheduler& sched = psim.shard(0);
     ClusterConfig cfg;
     cfg.system = SystemKind::kPalladiumDne;
     cfg.cpu_cores_per_node = 8;
     cfg.pool_buffers = 256;
     cfg.seed = seed;
-    auto cluster = std::make_unique<Cluster>(sched, cfg);
+    auto cluster = std::make_unique<Cluster>(psim, cfg);
     cluster->add_worker(kNode1);
     cluster->add_worker(kNode2);
     cluster->add_tenant(kTenant, 1);
@@ -230,9 +238,9 @@ TEST(ClusterTest, SeedChangesJitterButNotCorrectness) {
     workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
     cluster->finish_setup();
     driver.start(4);
-    sched.run_until(sched.now() + 500'000'000);
+    psim.run_until(sched.now() + 500'000'000);
     driver.stop();
-    sched.run();
+    psim.run();
     return driver.completed();
   };
   const auto a = run_with_seed(1);
@@ -247,11 +255,12 @@ TEST(ClusterTest, SeedChangesJitterButNotCorrectness) {
 TEST(ClusterTest, CrossDomainSendCopiesIntoDestinationPool) {
   // §3.1 security model: a chain hop that crosses tenants must not share
   // memory — the runtime copies into the destination tenant's pool.
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
   ClusterConfig cfg;
   cfg.system = SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 8;
-  Cluster cluster(sched, cfg);
+  Cluster cluster(psim, cfg);
   cluster.add_worker(kNode1);
   cluster.add_worker(kNode2);
   cluster.add_tenant(TenantId{1}, 1);
@@ -266,9 +275,9 @@ TEST(ClusterTest, CrossDomainSendCopiesIntoDestinationPool) {
   workload::ChainDriver driver(cluster, kDriver, kNode1, 7);
   cluster.finish_setup();
   driver.start(1);
-  sched.run_until(sched.now() + 50'000'000);
+  psim.run_until(sched.now() + 50'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
   // The cross-tenant hop worked (copy path), and fn2 observed tenant-2
   // buffers only.
   EXPECT_GT(cluster.instance(FunctionId{2}).invocations(), 0u);
@@ -278,13 +287,14 @@ TEST(ClusterTest, NodeSharedSidecarShiftsPolicyWorkToEngine) {
   // §3.1 optimization (1): the consolidated per-node sidecar runs policy
   // checks in the engine instead of per function.
   auto engine_busy = [](SidecarMode mode) {
-    sim::Scheduler sched;
+    sim::ParallelSim psim(1);
+    sim::Scheduler& sched = psim.shard(0);
     ClusterConfig cfg;
     cfg.system = SystemKind::kPalladiumCne;  // engine on a host core
     cfg.cpu_cores_per_node = 8;
     cfg.pool_buffers = 256;
     cfg.sidecar = mode;
-    auto cluster = std::make_unique<Cluster>(sched, cfg);
+    auto cluster = std::make_unique<Cluster>(psim, cfg);
     cluster->add_worker(kNode1);
     cluster->add_worker(kNode2);
     cluster->add_tenant(kTenant, 1);
@@ -295,9 +305,9 @@ TEST(ClusterTest, NodeSharedSidecarShiftsPolicyWorkToEngine) {
     workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
     cluster->finish_setup();
     driver.start(2);
-    sched.run_until(sched.now() + 200'000'000);
+    psim.run_until(sched.now() + 200'000'000);
     driver.stop();
-    sched.run();
+    psim.run();
     EXPECT_GT(driver.completed(), 100u);
     return std::make_pair(cluster->worker(kNode1).engine_core().busy_ns(),
                           driver.completed());
@@ -311,10 +321,10 @@ TEST(ClusterTest, NodeSharedSidecarShiftsPolicyWorkToEngine) {
 }
 
 TEST(ClusterTest, CrossTenantDescriptorForgeryBlocked) {
-  sim::Scheduler sched;
+  sim::ParallelSim psim(1);
   ClusterConfig cfg;
   cfg.system = SystemKind::kPalladiumDne;
-  Cluster cluster(sched, cfg);
+  Cluster cluster(psim, cfg);
   cluster.add_worker(kNode1);
   cluster.add_tenant(TenantId{1}, 1);
   cluster.add_tenant(TenantId{2}, 1);

@@ -14,11 +14,11 @@ constexpr NodeId kNode2{2};
 constexpr TenantId kTenant{1};
 constexpr FunctionId kEcho{1};
 
-std::unique_ptr<runtime::Cluster> echo_cluster(sim::Scheduler& sched) {
+std::unique_ptr<runtime::Cluster> echo_cluster(sim::ParallelSim& psim) {
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.pool_buffers = 512;
-  auto cluster = std::make_unique<runtime::Cluster>(sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
   cluster->add_worker(kNode2);
   cluster->add_tenant(kTenant, 1);
@@ -29,28 +29,30 @@ std::unique_ptr<runtime::Cluster> echo_cluster(sim::Scheduler& sched) {
 }
 
 TEST(ChainDriver, ClosedLoopKeepsExactlyNClientsOutstanding) {
-  sim::Scheduler sched;
-  auto cluster = echo_cluster(sched);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = echo_cluster(psim);
   ChainDriver driver(*cluster, FunctionId{100}, kNode1, 1);
   cluster->finish_setup();
   driver.start(4);
-  sched.run_until(sched.now() + 500'000'000);
+  psim.run_until(sched.now() + 500'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
   EXPECT_GT(driver.completed(), 100u);
   // Closed loop: completions == issues - outstanding; all four finish.
   EXPECT_EQ(driver.latencies().count(), driver.completed());
 }
 
 TEST(ChainDriver, RpsWindowQuery) {
-  sim::Scheduler sched;
-  auto cluster = echo_cluster(sched);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = echo_cluster(psim);
   ChainDriver driver(*cluster, FunctionId{100}, kNode1, 1);
   cluster->finish_setup();
   driver.start(2);
-  sched.run_until(sched.now() + 3'000'000'000);
+  psim.run_until(sched.now() + 3'000'000'000);
   driver.stop();
-  sched.run();
+  psim.run();
   const double rps = driver.rps(1'000'000'000, 3'000'000'000);
   EXPECT_GT(rps, 0);
   EXPECT_NEAR(rps,
@@ -58,8 +60,8 @@ TEST(ChainDriver, RpsWindowQuery) {
 }
 
 TEST(BurstyLoad, OpenLoopHonorsSchedule) {
-  sim::Scheduler sched;
-  auto cluster = echo_cluster(sched);
+  sim::ParallelSim psim(1);
+  auto cluster = echo_cluster(psim);
   BurstyLoad::Schedule schedule;
   schedule.start = 4'000'000'000;  // after connection setup (~3 s)
   schedule.stop = 6'000'000'000;
@@ -67,7 +69,7 @@ TEST(BurstyLoad, OpenLoopHonorsSchedule) {
   BurstyLoad load(*cluster, FunctionId{100}, kNode1, 1, schedule, 42);
   cluster->finish_setup();
   load.start();
-  sched.run_until(7'000'000'000);
+  psim.run_until(7'000'000'000);
 
   // Nothing before start, nothing after stop.
   EXPECT_EQ(load.completions().bucket_value(3), 0.0);
@@ -78,8 +80,8 @@ TEST(BurstyLoad, OpenLoopHonorsSchedule) {
 }
 
 TEST(BurstyLoad, SurgeModulatesRate) {
-  sim::Scheduler sched;
-  auto cluster = echo_cluster(sched);
+  sim::ParallelSim psim(1);
+  auto cluster = echo_cluster(psim);
   BurstyLoad::Schedule schedule;
   schedule.start = 4'000'000'000;  // after connection setup
   schedule.stop = 8'000'000'000;
@@ -90,7 +92,7 @@ TEST(BurstyLoad, SurgeModulatesRate) {
   BurstyLoad load(*cluster, FunctionId{100}, kNode1, 1, schedule, 43);
   cluster->finish_setup();
   load.start();
-  sched.run_until(9'000'000'000);
+  psim.run_until(9'000'000'000);
   // Surge seconds (4 and 6) should see ~4x the base-rate seconds (5 and 7).
   const double surge = load.completions().bucket_value(4) +
                        load.completions().bucket_value(6);
@@ -100,8 +102,9 @@ TEST(BurstyLoad, SurgeModulatesRate) {
 }
 
 TEST(HttpLoadGen, CountsErrorsSeparately) {
-  sim::Scheduler sched;
-  auto cluster = echo_cluster(sched);
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  auto cluster = echo_cluster(psim);
   ingress::PalladiumIngress ing(*cluster, {});
   ing.expose_chain("/echo", 1);
   ing.finish_setup();
@@ -111,9 +114,9 @@ TEST(HttpLoadGen, CountsErrorsSeparately) {
   cfg.target = "/missing";  // 404s
   HttpLoadGen wrk(sched, ing, cfg);
   wrk.add_clients(2);
-  sched.run_until(sched.now() + 300'000'000);
+  psim.run_until(sched.now() + 300'000'000);
   wrk.stop();
-  sched.run();
+  psim.run();
   EXPECT_GT(wrk.errors(), 0u);
   EXPECT_EQ(wrk.completed(), 0u);
 }

@@ -10,9 +10,11 @@
 #   tools/run_all.sh chaos   build, run the chaos-labeled ctest suite, then
 #                            sweep 10 fault-plan seeds through the boutique
 #                            demo; fails if any seed loses a request
-#   tools/run_all.sh bench   build, then run the wall-clock perf gate sweep
-#                            against the committed BENCH_PR3.json baseline;
-#                            fails on >10% events/sec regression
+#   tools/run_all.sh bench   build, then tools/bench_gate.sh: the wall-clock
+#                            perf gate sweep against a baseline recorded on
+#                            this machine (recorded first if missing), plus
+#                            the golden gates; fails on >10% events/sec
+#                            regression or simulated drift
 #   tools/run_all.sh tsan    build with -DPD_SANITIZE=thread into build-tsan/
 #                            and smoke the parallel epoch-barrier loop (the
 #                            pdes determinism suite + a threaded perf_gate
@@ -235,17 +237,12 @@ if [ "$1" = "scale" ]; then
   ctest --test-dir build -L pdes --output-on-failure 2>&1 | tee scale_output.txt
   rm -rf scale_report && mkdir -p scale_report
   # The ISSUE 9 scale point (32 workers / 4 leaf switches / 16 cells, one
-  # shard per leaf) per worker-thread count, plus the PR 4 protocol
-  # baseline for the epoch-reduction A/B.
+  # shard per leaf) per worker-thread count.
   for t in 1 2 4; do
     echo "=== perf_gate --scale --threads $t ==="
     ./build/bench/perf_gate --scale --threads "$t" \
       --json "scale_report/t$t.json"
   done 2>&1 | tee -a scale_output.txt
-  echo "=== perf_gate --scale --legacy-horizon (PR 4 protocol baseline) ===" \
-    | tee -a scale_output.txt
-  ./build/bench/perf_gate --scale --legacy-horizon \
-    --json scale_report/legacy.json 2>&1 | tee -a scale_output.txt
   # Determinism gate: every simulated-time leaf — latencies, event counts,
   # and the pdes_* protocol counters — must be identical across thread
   # counts (wall_sec and barrier_wait are machine noise, excluded).
