@@ -13,10 +13,15 @@
 // scale-out table: N workers on a leaf-spine fabric, one boutique cell per
 // tenant, driven through the sharded epoch-barrier simulator (ISSUE 9).
 //   fig16_boutique --scale [--nodes N] [--cells C] [--switch S]
-//                  [--threads T] [--clients "a b c"]
+//                  [--threads T] [--clients "a b c"] [--json FILE]
 // e.g. the >=100k-client regime: --scale --nodes 64 --cells 32 --threads 4
 //                  --clients "100000"
+// --json writes one row per client count with only simulated-time leaves
+// (requests, events, sim latencies, pdes_* protocol counters), so the file
+// is byte-identical for every --threads value; tools/run_all.sh scale diffs
+// it against tools/golden/pdes_scale.json. Wall clock stays in the table.
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <cstring>
@@ -182,12 +187,17 @@ struct ScaleSpec {
 };
 
 struct ScaleResult {
+  int clients = 0;
   double rps = 0;
   double mean_ms = 0;
+  double p50_ms = 0;
   double p99_ms = 0;
-  std::uint64_t epochs = 0;
-  double wall_sec = 0;
+  std::uint64_t requests = 0;
   std::uint64_t events = 0;
+  std::uint64_t epochs = 0;
+  std::uint64_t skip_ahead_epochs = 0;
+  std::uint64_t mailbox_msgs = 0;
+  double wall_sec = 0;
 };
 
 ScaleResult run_scale(const ScaleSpec& spec, int clients) {
@@ -242,29 +252,69 @@ ScaleResult run_scale(const ScaleSpec& spec, int clients) {
     gens.push_back(std::move(gen));
   }
 
+  const auto requests_done = [&] {
+    std::uint64_t total = 0;
+    for (const auto& g : gens) total += g->latencies().count();
+    return total;
+  };
+
   psim.run_until(sched.now() + kWarm);
   const auto start = sched.now();
+  const auto requests0 = requests_done();
   const auto events0 = psim.events_processed();
   const auto epochs0 = psim.epochs();
+  const auto skip0 = psim.skip_ahead_epochs();
+  const auto msgs0 = psim.mailbox_msgs();
   const auto wall0 = std::chrono::steady_clock::now();
   psim.run_until(start + kWindow);
   const auto wall1 = std::chrono::steady_clock::now();
 
   ScaleResult r;
+  r.clients = clients;
   r.wall_sec = std::chrono::duration<double>(wall1 - wall0).count();
+  r.requests = requests_done() - requests0;
   r.events = psim.events_processed() - events0;
   r.epochs = psim.epochs() - epochs0;
+  r.skip_ahead_epochs = psim.skip_ahead_epochs() - skip0;
+  r.mailbox_msgs = psim.mailbox_msgs() - msgs0;
   for (const auto& g : gens) r.rps += g->rps(start, start + kWindow);
   sim::LatencyHistogram merged;
   for (const auto& g : gens) merged.merge(g->latencies());
   r.mean_ms = merged.mean_ns() / 1e6;
+  r.p50_ms = static_cast<double>(merged.quantile(0.5)) / 1e6;
   r.p99_ms = static_cast<double>(merged.quantile(0.99)) / 1e6;
   for (auto& g : gens) g->stop();
   psim.run();
   return r;
 }
 
-int scale_main(const ScaleSpec& spec) {
+/// The deterministic leaves of every scale row; no wall clock, no thread
+/// count, so runs at any --threads produce the same bytes.
+std::string scale_json(const ScaleSpec& spec,
+                       const std::vector<ScaleResult>& rows) {
+  std::ostringstream os;
+  os.precision(6);
+  os << std::fixed;
+  os << "{\n  \"bench\": \"fig16_boutique --scale\",\n"
+     << "  \"chain\": \"home_query\",\n"
+     << "  \"nodes\": " << spec.nodes << ",\n  \"cells\": " << spec.cells
+     << ",\n  \"nodes_per_switch\": " << spec.nodes_per_switch
+     << ",\n  \"results\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ScaleResult& r = rows[i];
+    os << "    {\"clients\": " << r.clients << ", \"requests\": " << r.requests
+       << ", \"events\": " << r.events << ", \"rps\": " << r.rps
+       << ", \"mean_ms\": " << r.mean_ms << ", \"sim_p50_ms\": " << r.p50_ms
+       << ", \"sim_p99_ms\": " << r.p99_ms << ", \"pdes_epochs\": " << r.epochs
+       << ", \"pdes_skip_ahead_epochs\": " << r.skip_ahead_epochs
+       << ", \"pdes_mailbox_msgs\": " << r.mailbox_msgs << "}"
+       << (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  os << "  ]\n}\n";
+  return os.str();
+}
+
+int scale_main(const ScaleSpec& spec, const char* json_path) {
   using namespace pd::bench;
   const std::size_t leaves =
       (static_cast<std::size_t>(spec.nodes) + spec.nodes_per_switch - 1) /
@@ -276,8 +326,14 @@ int scale_main(const ScaleSpec& spec) {
               std::to_string(spec.threads) + " thread(s)");
   Table t({"clients", "RPS", "mean ms", "p99 ms", "epochs/sim-s",
            "wall Mevents/s"});
+  std::vector<ScaleResult> rows;
   for (int clients : spec.loads) {
-    const ScaleResult r = run_scale(spec, clients);
+    const ScaleResult& r = rows.emplace_back(run_scale(spec, clients));
+    if (r.requests == 0) {
+      std::cerr << "fig16_boutique: no request completed at " << clients
+                << " clients\n";
+      return 1;
+    }
     t.add_row({std::to_string(clients), fmt_k(r.rps), fmt(r.mean_ms, 2),
                fmt(r.p99_ms, 2), fmt_k(static_cast<double>(r.epochs)),
                fmt(r.wall_sec > 0
@@ -288,6 +344,16 @@ int scale_main(const ScaleSpec& spec) {
   t.print();
   print_note("one shard per leaf switch; per-pair lookahead batches every "
              "cross-leaf horizon to ~4.5 us (ISSUE 9)");
+  if (json_path != nullptr) {
+    std::FILE* f = std::fopen(json_path, "w");
+    if (f == nullptr) {
+      std::cerr << "fig16_boutique: cannot write " << json_path << "\n";
+      return 1;
+    }
+    const std::string j = scale_json(spec, rows);
+    std::fwrite(j.data(), 1, j.size(), f);
+    std::fclose(f);
+  }
   return 0;
 }
 
@@ -297,6 +363,7 @@ int main(int argc, char** argv) {
   using namespace pd::bench;
   bool scale = false;
   ScaleSpec spec;
+  const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--scale") == 0) {
       scale = true;
@@ -312,11 +379,18 @@ int main(int argc, char** argv) {
       spec.loads.clear();
       std::istringstream is(argv[++i]);
       for (int c; is >> c;) spec.loads.push_back(c);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
     } else {
       std::cerr << "usage: fig16_boutique [--scale [--nodes N] [--cells C] "
-                   "[--switch S] [--threads T] [--clients \"a b c\"]]\n";
+                   "[--switch S] [--threads T] [--clients \"a b c\"] "
+                   "[--json FILE]]\n";
       return 2;
     }
+  }
+  if (json_path != nullptr && !scale) {
+    std::cerr << "fig16_boutique: --json needs --scale\n";
+    return 2;
   }
   if (scale) {
     if (spec.nodes < 2 || spec.cells == 0 || spec.nodes_per_switch == 0 ||
@@ -325,7 +399,7 @@ int main(int argc, char** argv) {
                    ">=1 per-switch, >=1 thread and a client list\n";
       return 2;
     }
-    return scale_main(spec);
+    return scale_main(spec, json_path);
   }
   const System systems[] = {System::kPalladiumDne, System::kPalladiumCne,
                             System::kFuyaoF,       System::kFuyaoK,

@@ -59,9 +59,6 @@ NetworkEngine::NetworkEngine(sim::Scheduler& sched, EngineKind kind,
   ledger_queue_ = track_ + "/txq";
 
   rnic_.cq().set_notify([this] { kick_rx(); });
-  rnic_.cq().set_coalescing(
-      &sched_, static_cast<std::size_t>(std::max(config_.cq_coalesce_batch, 1)),
-      config_.cq_coalesce_window);
   rnic_.set_rnr_queue_limit(config_.rnr_queue_limit);
   // The reliability layer's ACK/NACK control channel (hardware-generated
   // in the real DNE: no engine-core cost on either end).
@@ -278,12 +275,8 @@ void NetworkEngine::kick_tx() {
 
 void NetworkEngine::tx_iteration() {
   // One run-to-completion TX slice: scheduling decision + routing lookup +
-  // WR wrap + doorbell per message (§3.2). With doorbell coalescing, up to
-  // tx_doorbell_batch messages share one engine-core event — same total
-  // stage cost, one scheduling decision slice, one doorbell ring.
-  const auto batch = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(config_.tx_doorbell_batch, 1)),
-      tx_backlog());
+  // WR wrap + doorbell for the next queued message (§3.2).
+  const auto batch = std::min<std::size_t>(1, tx_backlog());
   const sim::Duration work =
       static_cast<sim::Duration>(batch) *
       (cost::kDneSchedNs + cost::kDneTxStageNs + config_.extra_per_msg_ns);

@@ -56,19 +56,6 @@ struct EngineConfig {
   sim::Duration replenish_period = 20'000;  // 20 µs
   /// CQEs drained per RX iteration (batching in the event loop).
   int rx_batch = 8;
-  /// §4.2 CQE batching / interrupt moderation: defer the CQ notify until
-  /// this many CQEs accumulate (or the window below expires), so the engine
-  /// drains N completions per scheduled poll event instead of waking once
-  /// per arrival. 1 = notify per arrival (bit-identical legacy behaviour).
-  int cq_coalesce_batch = 1;
-  /// Max time a completion may sit unharvested while coalescing
-  /// (moderation timer). 0 disables coalescing regardless of the batch.
-  sim::Duration cq_coalesce_window = 2'000;  // 2 µs
-  /// Doorbell/WR coalescing: TX messages dequeued and posted per engine-core
-  /// event. The per-message stage cost is unchanged — batching only merges
-  /// scheduling decisions into one run-to-completion slice (fewer simulator
-  /// events, slightly burstier posts). 1 = legacy one-event-per-message.
-  int tx_doorbell_batch = 1;
   /// Cap on simultaneously active (RNIC-cache-resident) QPs; shadow QPs
   /// beyond this stay inactive until needed (§3.3 / [52]).
   int max_active_qps = cost::kRnicQpCacheSlots;

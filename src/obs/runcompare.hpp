@@ -1,14 +1,15 @@
 // Structural run comparison (ISSUE 6 tentpole, half 2).
 //
 // Every obs artifact — metrics.json, critpath.json, slo reports, the
-// flight recorder's timeseries.json, perf_gate's BENCH json — is plain
-// JSON produced deterministically from simulated time. This module
-// parses two such files, flattens them into dotted key paths
-// (`gate.sim_p50_ms`, `series.engine.tx_backlog{node=1}.points[3][2]`),
+// flight recorder's timeseries.json, the ledger, the fig16 --scale JSON —
+// is plain JSON produced deterministically from simulated time. This
+// module parses two such files, flattens them into dotted key paths
+// (`results[0].sim_p50_ms`, `series.engine.tx_backlog{node=1}.points[3][2]`),
 // and diffs the leaves under configurable absolute/relative thresholds,
 // so a bench regression gates on the artifact itself instead of a
-// human eyeball. tools/report_diff is the CLI; bench_gate.sh wires it
-// into the perf gate.
+// human eyeball. tools/report_diff is the CLI; tools/run_all.sh wires it
+// into the golden gates. json_parse is also the parser under
+// obs::read_chrome_trace.
 #pragma once
 
 #include <cstdint>

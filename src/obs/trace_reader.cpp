@@ -1,167 +1,71 @@
 #include "obs/trace_reader.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "common/check.hpp"
+#include "obs/runcompare.hpp"
 
 namespace pd::obs {
 namespace {
-
-/// Minimal recursive-descent JSON scanner over the exporter's output.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    PD_CHECK(pos_ < s_.size(), "unexpected end of trace JSON");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    PD_CHECK(peek() == c, "expected '" << c << "' at offset " << pos_);
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      PD_CHECK(pos_ < s_.size(), "unterminated string in trace JSON");
-      char c = s_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        PD_CHECK(pos_ < s_.size(), "dangling escape in trace JSON");
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: out += e;  // \" \\ \/ fall through correctly
-        }
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    PD_CHECK(pos_ > start, "expected number at offset " << start);
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  /// Parse one flat-ish object into string and number maps. Nested objects
-  /// ("args") are flattened with a "args." key prefix.
-  void parse_object(std::map<std::string, std::string>& strings,
-                    std::map<std::string, double>& numbers,
-                    const std::string& prefix = {}) {
-    expect('{');
-    if (consume('}')) return;
-    while (true) {
-      std::string key = prefix + parse_string();
-      expect(':');
-      char c = peek();
-      if (c == '"') {
-        strings[key] = parse_string();
-      } else if (c == '{') {
-        parse_object(strings, numbers, key + ".");
-      } else {
-        numbers[key] = parse_number();
-      }
-      if (consume('}')) break;
-      expect(',');
-    }
-  }
-
-  std::size_t pos_ = 0;
-  const std::string& s_;
-};
 
 std::int64_t round_ns(double us) {
   return static_cast<std::int64_t>(std::llround(us * 1e3));
 }
 
-}  // namespace
+/// Member `key` of `obj` as a string ("" when absent or not a string).
+std::string str_at(const JsonValue* obj, std::string_view key) {
+  const JsonValue* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string : "";
+}
 
-std::vector<ReadSpan> read_chrome_trace(const std::string& json) {
-  Parser p(json);
-  p.expect('{');
-  // Scan top-level keys until "traceEvents".
-  while (true) {
-    std::string key = p.parse_string();
-    p.expect(':');
-    if (key == "traceEvents") break;
-    char c = p.peek();
-    if (c == '"') {
-      p.parse_string();
-    } else {
-      p.parse_number();
-    }
-    p.expect(',');
-  }
+/// Member `key` of `obj` as a number (0 when absent or not a number).
+double num_at(const JsonValue* obj, std::string_view key) {
+  const JsonValue* v = obj != nullptr ? obj->find(key) : nullptr;
+  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number : 0.0;
+}
+
+/// The ph:"X" slices of a parsed trace, tracks resolved from the ph:"M"
+/// thread_name metadata that precedes them.
+std::vector<ReadSpan> spans_of(const JsonValue& doc) {
+  const JsonValue* events = doc.find("traceEvents");
+  PD_CHECK(events != nullptr && events->kind == JsonValue::Kind::kArray,
+           "trace JSON has no traceEvents array");
 
   std::map<int, std::string> tid_names;
   std::vector<ReadSpan> spans;
-  p.expect('[');
-  if (!p.consume(']')) {
-    while (true) {
-      std::map<std::string, std::string> strings;
-      std::map<std::string, double> numbers;
-      p.parse_object(strings, numbers);
-      const std::string& ph = strings["ph"];
-      int tid = static_cast<int>(numbers["tid"]);
-      if (ph == "M" && strings["name"] == "thread_name") {
-        tid_names[tid] = strings["args.name"];
-      } else if (ph == "X") {
-        ReadSpan s;
-        s.name = strings["name"];
-        auto it = tid_names.find(tid);
-        s.track = it != tid_names.end() ? it->second : std::to_string(tid);
-        s.begin_ns = round_ns(numbers["ts"]);
-        s.dur_ns = round_ns(numbers["dur"]);
-        s.trace_id = static_cast<std::uint64_t>(numbers["args.trace_id"]);
-        s.span_id = static_cast<std::uint32_t>(numbers["args.span_id"]);
-        s.parent_id = static_cast<std::uint32_t>(numbers["args.parent_id"]);
-        spans.push_back(std::move(s));
-      }
-      if (p.consume(']')) break;
-      p.expect(',');
+  for (const JsonValue& ev : events->elements) {
+    PD_CHECK(ev.kind == JsonValue::Kind::kObject,
+             "traceEvents entry is not an object");
+    const std::string ph = str_at(&ev, "ph");
+    const int tid = static_cast<int>(num_at(&ev, "tid"));
+    const JsonValue* a = ev.find("args");
+    if (ph == "M" && str_at(&ev, "name") == "thread_name") {
+      tid_names[tid] = str_at(a, "name");
+    } else if (ph == "X") {
+      ReadSpan s;
+      s.name = str_at(&ev, "name");
+      auto it = tid_names.find(tid);
+      s.track = it != tid_names.end() ? it->second : std::to_string(tid);
+      s.begin_ns = round_ns(num_at(&ev, "ts"));
+      s.dur_ns = round_ns(num_at(&ev, "dur"));
+      s.trace_id = static_cast<std::uint64_t>(num_at(a, "trace_id"));
+      s.span_id = static_cast<std::uint32_t>(num_at(a, "span_id"));
+      s.parent_id = static_cast<std::uint32_t>(num_at(a, "parent_id"));
+      spans.push_back(std::move(s));
     }
   }
   return spans;
 }
 
+}  // namespace
+
+std::vector<ReadSpan> read_chrome_trace(const std::string& json) {
+  return spans_of(json_parse(json));
+}
+
 std::vector<ReadSpan> read_chrome_trace_file(const std::string& path) {
-  std::ifstream f(path);
-  PD_CHECK(f.good(), "cannot open " << path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return read_chrome_trace(ss.str());
+  return spans_of(json_parse_file(path));
 }
 
 }  // namespace pd::obs

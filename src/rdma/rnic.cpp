@@ -54,42 +54,11 @@ const char* to_string(QpState s) {
 // CompletionQueue
 // ---------------------------------------------------------------------------
 
-void CompletionQueue::fire_notify() {
-  if (coalesce_timer_ != sim::kInvalidEvent) {
-    sched_->cancel(coalesce_timer_);
-    coalesce_timer_ = sim::kInvalidEvent;
-  }
-  ++notifies_;
-  notify_();
-}
-
 void CompletionQueue::push(Completion c) {
   const bool was_empty = entries_.empty();
   entries_.push_back(std::move(c));
   ++total_;
-  if (!notify_) return;
-  if (!coalescing()) {
-    if (was_empty) {
-      ++notifies_;
-      notify_();
-    }
-    return;
-  }
-  if (entries_.size() >= coalesce_batch_) {
-    fire_notify();
-    return;
-  }
-  if (was_empty && coalesce_timer_ == sim::kInvalidEvent) {
-    // Foreground: the parked completions must still be delivered before
-    // run() declares the simulation drained.
-    coalesce_timer_ = sched_->schedule_after(coalesce_window_, [this] {
-      coalesce_timer_ = sim::kInvalidEvent;
-      if (!entries_.empty() && notify_) {
-        ++notifies_;
-        notify_();
-      }
-    });
-  }
+  if (was_empty && notify_) notify_();
 }
 
 std::vector<Completion> CompletionQueue::poll(std::size_t max) {

@@ -13,7 +13,6 @@
 #include "common/units.hpp"
 #include "mem/descriptor.hpp"
 #include "sim/fifo_ring.hpp"
-#include "sim/scheduler.hpp"
 
 namespace pd::rdma {
 
@@ -85,12 +84,6 @@ struct Completion {
 /// poll or register a notify callback that fires on the empty->non-empty
 /// transition (the simulation analog of a CQ event channel; the DNE uses it
 /// to trigger its run-to-completion loop iteration).
-///
-/// CQE batching (§4.2): with coalescing armed, the notify is deferred until
-/// `batch` entries accumulate or `window` ns pass since the queue went
-/// non-empty — the consumer then drains N CQEs per poll event instead of
-/// being woken once per completion. Defaults (batch 1 / window 0) preserve
-/// immediate per-arrival notification bit-for-bit.
 class CompletionQueue {
  public:
   void push(Completion c);
@@ -105,34 +98,13 @@ class CompletionQueue {
 
   [[nodiscard]] std::size_t depth() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t total_pushed() const { return total_; }
-  /// Times the notify callback actually fired (events seen by the engine).
-  [[nodiscard]] std::uint64_t notifies() const { return notifies_; }
 
   void set_notify(std::function<void()> notify) { notify_ = std::move(notify); }
 
-  /// Arm interrupt-moderation-style coalescing. `sched` drives the window
-  /// timer; batch <= 1 or window <= 0 disables coalescing.
-  void set_coalescing(sim::Scheduler* sched, std::size_t batch,
-                      sim::Duration window) {
-    sched_ = sched;
-    coalesce_batch_ = batch;
-    coalesce_window_ = window;
-  }
-
  private:
-  [[nodiscard]] bool coalescing() const {
-    return sched_ != nullptr && coalesce_batch_ > 1 && coalesce_window_ > 0;
-  }
-  void fire_notify();
-
   sim::FifoRing<Completion> entries_;
   std::function<void()> notify_;
   std::uint64_t total_ = 0;
-  std::uint64_t notifies_ = 0;
-  sim::Scheduler* sched_ = nullptr;
-  std::size_t coalesce_batch_ = 1;
-  sim::Duration coalesce_window_ = 0;
-  sim::EventId coalesce_timer_ = sim::kInvalidEvent;
 };
 
 }  // namespace pd::rdma

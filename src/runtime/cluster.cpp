@@ -415,33 +415,6 @@ void Cluster::register_flight_probes(WorkerNode& node,
   });
 }
 
-void Cluster::start_util_probes(obs::Registry& reg, sim::Duration period) {
-  PD_CHECK(util_probes_.empty(), "utilization probes already started");
-  auto add_probe = [&](NodeId id, const sim::Core& core,
-                       sim::Scheduler& sched) {
-    auto series = std::make_unique<sim::TimeSeries>(period, core.name());
-    auto probe =
-        std::make_unique<sim::UtilizationProbe>(sched, core, period, *series);
-    probe->start();
-    // Registry probe: read lazily at snapshot time, skipped by shard
-    // merges, so the gauge reflects the final completed window.
-    reg.probe("core_util",
-              "node=" + std::to_string(id.value()) + ",core=" + core.name(),
-              [p = probe.get()] { return p->last_util(); });
-    util_series_.push_back(std::move(series));
-    util_probes_.push_back(std::move(probe));
-  };
-  for (auto& node : nodes_) {
-    sim::Scheduler& sched = scheduler_for(node->id());
-    for (std::size_t i = 0; i < node->cpu().size(); ++i) {
-      add_probe(node->id(), node->cpu().core(i), sched);
-    }
-    if (&node->engine_core() != &node->cpu().core(node->cpu().size() - 1)) {
-      add_probe(node->id(), node->engine_core(), sched);
-    }
-  }
-}
-
 WorkerNode& Cluster::add_worker(NodeId id) {
   PD_CHECK(!setup_done_, "topology frozen after finish_setup");
   PD_CHECK(by_id_.find(id) == by_id_.end(), "worker " << id << " exists");

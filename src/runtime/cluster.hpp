@@ -295,10 +295,6 @@ class Cluster {
   /// Register a latency SLO with the watchdog that observes this cluster's
   /// requests (the edge shard's hub).
   void add_slo(obs::SloSpec spec);
-  /// Start a UtilizationProbe on every worker core (host CPUs + a separate
-  /// engine core), exposing each probe's last completed window in `reg` as
-  /// `core_util{node,core}`.
-  void start_util_probes(obs::Registry& reg, sim::Duration period);
   /// Start the time-series flight recorder (ISSUE 6): registers gauge
   /// probes over every engine / RNIC / connection manager / buffer pool /
   /// core set, then begins periodic background sampling in simulated time
@@ -378,8 +374,6 @@ class Cluster {
       cart_clients_;
   bool setup_done_ = false;
   bool flight_started_ = false;
-  std::vector<std::unique_ptr<sim::TimeSeries>> util_series_;
-  std::vector<std::unique_ptr<sim::UtilizationProbe>> util_probes_;
 
   std::unordered_map<NodeId, std::size_t> node_shard_;
   std::size_t next_shard_ = 1;  ///< shard 0 is the edge

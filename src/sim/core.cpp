@@ -88,43 +88,4 @@ Duration CoreSet::total_busy_ns() const {
   return total;
 }
 
-UtilizationProbe::UtilizationProbe(Scheduler& sched, const Core& core,
-                                   Duration period, TimeSeries& out)
-    : sched_(sched), core_(core), period_(period), out_(out) {
-  PD_CHECK(period_ > 0, "probe period must be positive");
-}
-
-void UtilizationProbe::start() {
-  PD_CHECK(!running_, "probe already running");
-  running_ = true;
-  last_busy_ = core_.busy_ns();
-  pending_ = sched_.schedule_background_after(period_, [this] { sample(); });
-}
-
-void UtilizationProbe::stop() {
-  running_ = false;
-  // Cancel the in-flight sampling event: were it left live, a later
-  // start() would spawn a second chain and double-count utilization.
-  if (pending_ != kInvalidEvent) {
-    sched_.cancel(pending_);
-    pending_ = kInvalidEvent;
-  }
-}
-
-void UtilizationProbe::sample() {
-  pending_ = kInvalidEvent;
-  if (!running_) return;
-  const Duration busy = core_.busy_ns();
-  const double util =
-      core_.busy_poll()
-          ? 1.0
-          : static_cast<double>(busy - last_busy_) / static_cast<double>(period_);
-  last_busy_ = busy;
-  last_util_ = std::min(util, 1.0);
-  // Record at the *start* of the window the sample covers.
-  out_.add(sched_.now() - period_, std::min(util, 1.0) * static_cast<double>(period_) /
-                                        static_cast<double>(out_.bucket_width()));
-  pending_ = sched_.schedule_background_after(period_, [this] { sample(); });
-}
-
 }  // namespace pd::sim

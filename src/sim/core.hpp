@@ -12,7 +12,6 @@
 
 #include "sim/fifo_ring.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace pd::sim {
@@ -90,35 +89,6 @@ class CoreSet {
 
  private:
   std::vector<std::unique_ptr<Core>> cores_;
-};
-
-/// Samples a core's utilization (busy-time delta / window) into a TimeSeries
-/// at a fixed period. Busy-poll cores report 1.0 (fully occupied).
-class UtilizationProbe {
- public:
-  UtilizationProbe(Scheduler& sched, const Core& core, Duration period,
-                   TimeSeries& out);
-  void start();
-  void stop();
-
-  /// Utilization of the most recently completed window, clamped to [0, 1].
-  /// Exported as the `core_util{node,core}` registry gauge so SLO/profiler
-  /// reports and the Fig. 14/15 series read the same measurement.
-  [[nodiscard]] double last_util() const { return last_util_; }
-
- private:
-  void sample();
-
-  Scheduler& sched_;
-  const Core& core_;
-  Duration period_;
-  TimeSeries& out_;
-  Duration last_busy_ = 0;
-  double last_util_ = 0.0;
-  bool running_ = false;
-  /// The pending sampling event, cancelled on stop() so a later start()
-  /// cannot leave two sampling chains double-counting utilization.
-  EventId pending_ = kInvalidEvent;
 };
 
 }  // namespace pd::sim

@@ -59,7 +59,10 @@ void ChainDriver::on_response(const mem::BufferDescriptor& d) {
   auto& pool = cluster_.worker(node_).memory().by_pool(d.pool).pool();
   const core::MessageHeader h =
       core::read_header(pool.access(d, mem::actor_function(entry_)));
-  PD_CHECK(h.is_response(), "driver received a non-response");
+  // An error completion (the engine shed or failed the request) comes back
+  // with kFlagError on the original request header, not kFlagResponse.
+  PD_CHECK(h.is_response() || h.is_error(),
+           "driver received a non-response");
   core::trace_finish(h, cluster_.scheduler().now());
   pool.release(d, mem::actor_function(entry_));
 

@@ -223,51 +223,6 @@ TEST_F(EngineTest, CneRunsOnHostCoreWithoutDpu) {
   EXPECT_GT(cne_core1.busy_ns(), 0);
 }
 
-/// Standalone instance of the fixture so a test can stand up a second,
-/// independently configured cluster for differential comparisons.
-struct EngineHarness : EngineTest {
-  using EngineTest::build;
-  using EngineTest::dst_got;
-  using EngineTest::sched;
-  using EngineTest::send_one;
-  void TestBody() override {}  // satisfy ::testing::Test's pure virtual
-};
-
-TEST_F(EngineTest, DoorbellBatchingDeliversSameMessagesWithFewerEvents) {
-  // tx_doorbell_batch=4 posts up to 4 queued messages per engine-core
-  // event (one scheduling slice, one doorbell). Delivery is unchanged;
-  // only the simulator event count shrinks.
-  EngineConfig batched;
-  batched.tx_doorbell_batch = 4;
-  build(batched);
-  for (int i = 0; i < 16; ++i) send_one();
-  sched.run();
-  const auto batched_events = sched.events_processed();
-  EXPECT_EQ(dst_got.size(), 16u);
-  EXPECT_EQ(eng1->counters().tx_msgs, 16u);
-
-  // Same traffic with the legacy one-event-per-message TX path.
-  EngineHarness legacy;  // fresh cluster
-  legacy.build(EngineConfig{});
-  for (int i = 0; i < 16; ++i) legacy.send_one();
-  legacy.sched.run();
-  EXPECT_EQ(legacy.dst_got.size(), 16u);
-  EXPECT_GT(legacy.sched.events_processed(), batched_events);
-}
-
-TEST_F(EngineTest, CqCoalescingKnobsStillDeliverEverything) {
-  // CQE batching defers RX wakeups; the moderation window guarantees tail
-  // completions still drain before the simulation is considered idle.
-  EngineConfig cfg;
-  cfg.cq_coalesce_batch = 8;
-  cfg.cq_coalesce_window = 2'000;
-  build(cfg);
-  for (int i = 0; i < 20; ++i) send_one();
-  sched.run();
-  EXPECT_EQ(dst_got.size(), 20u);
-  EXPECT_EQ(eng2->counters().rx_msgs, 20u);
-}
-
 TEST_F(EngineTest, EngineRejectsUnknownTenantTraffic) {
   build(EngineConfig{});
   auto& other =

@@ -406,49 +406,4 @@ TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// core_util registry gauge from UtilizationProbes.
-// ---------------------------------------------------------------------------
-
-TEST(UtilProbesBoutique, CoreUtilGaugeExported) {
-  sim::ParallelSim psim(1);
-  sim::Scheduler& sched = psim.shard(0);
-  runtime::ClusterConfig cfg;
-  cfg.cpu_cores_per_node = 4;
-  cfg.pool_buffers = 1024;
-  cfg.system = runtime::SystemKind::kPalladiumDne;
-  runtime::Cluster cluster(psim, cfg);
-  cluster.add_worker(kNode1);
-  cluster.add_worker(kNode2);
-  runtime::OnlineBoutique::deploy(cluster, kNode1, kNode2);
-
-  ingress::PalladiumIngress::Config icfg;
-  icfg.initial_workers = 2;
-  icfg.request_deadline = 0;
-  ingress::PalladiumIngress ing(cluster, icfg);
-  ing.expose_chain("/run", runtime::OnlineBoutique::kHomeQuery);
-  ing.finish_setup();
-  cluster.finish_setup();
-
-  obs::Hub hub;
-  cluster.start_util_probes(hub.registry, 1'000'000);
-
-  workload::HttpLoadGen::Config wcfg;
-  wcfg.target = "/run";
-  wcfg.body = std::string(64, 'x');
-  wcfg.client_cores = 2;
-  workload::HttpLoadGen wrk(sched, ing, wcfg);
-  wrk.add_clients(2);
-
-  psim.run_until(sched.now() + 10'000'000);
-  wrk.stop();
-  psim.run();
-
-  const std::string json = hub.registry.to_json();
-  EXPECT_NE(json.find("core_util"), std::string::npos);
-  // Per-core labels for both workers' host cores and the engine core.
-  EXPECT_NE(json.find("node=1,core=node1/cpu/0"), std::string::npos);
-  EXPECT_NE(json.find("node=2,core=node2/cpu/0"), std::string::npos);
-}
-
 }  // namespace

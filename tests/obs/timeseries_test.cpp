@@ -258,6 +258,54 @@ TimelineRun run_boutique(std::size_t os_threads, std::uint64_t chaos_seed,
   return r;
 }
 
+// core.util is the busy-time delta of each sampling window over the
+// window: summed over the node's host cores for set=cpu, the engine core
+// alone for set=engine. A busy-poll engine core (DNE) reports the share of
+// the window it spent on work, not its pinned 100% occupancy.
+TEST(FlightRecorder, CoreUtilMeasuresBusyFractionPerWindow) {
+  constexpr sim::Duration kPeriod = 1'000'000;
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  runtime::ClusterConfig cfg;
+  cfg.cpu_cores_per_node = 4;
+  cfg.system = runtime::SystemKind::kPalladiumDne;
+  runtime::Cluster cluster(psim, cfg);
+  runtime::WorkerNode& node = cluster.add_worker(kNode1);
+  cluster.finish_setup();
+  cluster.start_flight_recorder({.sample_period = kPeriod});
+  ASSERT_TRUE(node.engine_core().busy_poll());
+
+  // Load exactly one window, starting on a sampling tick.
+  const sim::TimePoint t0 = (sched.now() / kPeriod + 1) * kPeriod;
+  const sim::Duration engine_busy = node.engine_core().scale(300'000);
+  sched.schedule_at(t0, [&node] {
+    node.cpu().core(0).submit(400'000);
+    node.cpu().core(1).submit(400'000);
+    node.engine_core().submit(300'000);
+  });
+  psim.run_until(t0 + 3 * kPeriod);
+
+  obs::Hub merged;
+  cluster.merge_observability(merged);
+  const auto util_at = [&merged](const char* set, sim::TimePoint t) {
+    const obs::FlightSeries* s = merged.timeseries.find(
+        "core.util", std::string("node=1,set=") + set);
+    EXPECT_NE(s, nullptr);
+    if (s == nullptr) return -1.0;
+    for (const obs::FlightPoint& b : s->buckets()) {
+      if (b.t0 == t) return b.mean();
+    }
+    ADD_FAILURE() << "no core.util sample at t=" << t;
+    return -1.0;
+  };
+  // 2 x 400 us on 4 host cores in a 1 ms window.
+  EXPECT_DOUBLE_EQ(util_at("cpu", t0 + kPeriod), 0.2);
+  EXPECT_DOUBLE_EQ(util_at("cpu", t0 + 2 * kPeriod), 0.0);
+  EXPECT_DOUBLE_EQ(util_at("engine", t0 + kPeriod),
+                   static_cast<double>(engine_busy) / kPeriod);
+  EXPECT_DOUBLE_EQ(util_at("engine", t0 + 2 * kPeriod), 0.0);
+}
+
 TEST(TimeseriesPdes, ExportByteIdenticalAcrossThreadCounts) {
   const TimelineRun ref = run_boutique(1, /*chaos_seed=*/0);
   ASSERT_GT(ref.series, 0u);

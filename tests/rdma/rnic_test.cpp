@@ -293,71 +293,6 @@ TEST_F(RnicTest, CqNotifyFiresOnEmptyToNonEmpty) {
   EXPECT_EQ(notifications, 2);
 }
 
-TEST(CqCoalescing, BatchThresholdFiresOneNotifyForNCompletions) {
-  // §4.2 CQE batching: N back-to-back completions produce a single notify
-  // (at the Nth arrival), not N edge interrupts.
-  sim::Scheduler s;
-  CompletionQueue cq;
-  std::vector<sim::TimePoint> fired;
-  cq.set_notify([&] { fired.push_back(s.now()); });
-  cq.set_coalescing(&s, /*batch=*/4, /*window=*/2'000);
-  for (int i = 0; i < 4; ++i) {
-    s.schedule_at(i * 100, [&cq] { cq.push(Completion{}); });
-  }
-  s.run();
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired.front(), 300);  // at the 4th push, before the window
-  EXPECT_EQ(cq.depth(), 4u);
-  EXPECT_EQ(cq.notifies(), 1u);
-}
-
-TEST(CqCoalescing, WindowTimerFlushesPartialBatch) {
-  // Fewer completions than the batch threshold: the moderation window
-  // bounds their delivery delay — notify fires when the window expires,
-  // measured from the empty->non-empty transition.
-  sim::Scheduler s;
-  CompletionQueue cq;
-  std::vector<sim::TimePoint> fired;
-  cq.set_notify([&] { fired.push_back(s.now()); });
-  cq.set_coalescing(&s, /*batch=*/4, /*window=*/2'000);
-  s.schedule_at(500, [&cq] { cq.push(Completion{}); });
-  s.schedule_at(700, [&cq] { cq.push(Completion{}); });
-  s.run();  // foreground timer: run() must not strand the delivery
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired.front(), 2'500);  // 500 (first push) + 2'000 window
-  EXPECT_EQ(cq.depth(), 2u);
-}
-
-TEST(CqCoalescing, BatchFireCancelsPendingWindowTimer) {
-  sim::Scheduler s;
-  CompletionQueue cq;
-  int notifications = 0;
-  cq.set_notify([&] { ++notifications; cq.poll(8); });
-  cq.set_coalescing(&s, /*batch=*/2, /*window=*/2'000);
-  s.schedule_at(100, [&cq] { cq.push(Completion{}); });
-  s.schedule_at(200, [&cq] { cq.push(Completion{}); });  // batch hit here
-  s.run();
-  EXPECT_EQ(notifications, 1);  // window expiry at 2'100 must not re-fire
-  EXPECT_EQ(s.now(), 200);      // and the cancelled timer doesn't hold time
-}
-
-TEST(CqCoalescing, DefaultConfigKeepsLegacyEdgeNotify) {
-  // batch <= 1 disables coalescing entirely: notify on every
-  // empty->non-empty edge, synchronously inside push().
-  sim::Scheduler s;
-  CompletionQueue cq;
-  int notifications = 0;
-  cq.set_notify([&] { ++notifications; });
-  cq.set_coalescing(&s, /*batch=*/1, /*window=*/2'000);
-  cq.push(Completion{});
-  EXPECT_EQ(notifications, 1);
-  cq.push(Completion{});  // not an edge
-  EXPECT_EQ(notifications, 1);
-  cq.poll(8);
-  cq.push(Completion{});
-  EXPECT_EQ(notifications, 2);
-}
-
 TEST_F(RnicTest, UnregisteredPoolRejectedOnPost) {
   QueuePair& a = connect();
   auto& dom = mem1;

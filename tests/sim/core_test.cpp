@@ -103,21 +103,6 @@ TEST(CoreSet, LeastLoadedSelection) {
   EXPECT_EQ(set.total_busy_ns(), 600);
 }
 
-TEST(UtilizationProbe, MeasuresBusyFraction) {
-  Scheduler s;
-  Core core(s, "cpu0");
-  TimeSeries util(1'000'000);  // 1 ms buckets
-  UtilizationProbe probe(s, core, 1'000'000, util);
-  probe.start();
-  // 400 µs of work in the first 1 ms window -> 40% utilization.
-  core.submit(400'000);
-  s.run_until(3'500'000);
-  probe.stop();
-  s.run();
-  EXPECT_NEAR(util.bucket_value(0), 0.4, 0.01);
-  EXPECT_NEAR(util.bucket_value(1), 0.0, 0.01);
-}
-
 TEST(Core, FractionalSpeedCarriesRemainderWithoutDrift) {
   // Regression: speeds that don't divide the work evenly used to truncate
   // the sub-ns remainder on every job. A 0.54-speed core running 1e6 jobs
@@ -150,84 +135,6 @@ TEST(Core, FractionalCarryDoesNotBreakMinimumOneNs) {
   for (int i = 0; i < 10; ++i) fast.submit(1);
   s.run();
   EXPECT_EQ(s.now(), 10);  // 10 clamped jobs, 1 ns each — no credit leaks
-}
-
-TEST(UtilizationProbe, StopThenRestartDoesNotDoubleSample) {
-  // Regression: stop() did not cancel the in-flight sample event, so a
-  // stop()/start() cycle left two sampling chains running and every bucket
-  // was credited twice (2.0 "utilization" on a fully busy core).
-  Scheduler s;
-  Core core(s, "dne0", 0.5);
-  core.set_busy_poll(true);
-  TimeSeries util(1'000'000);
-  UtilizationProbe probe(s, core, 1'000'000, util);
-  probe.start();
-  s.run_until(500'000);
-  probe.stop();
-  probe.start();  // restart mid-window: exactly one chain must survive
-  s.run_until(3'600'000);
-  probe.stop();
-  s.run();
-  EXPECT_NEAR(util.bucket_value(1), 1.0, 0.01);
-  EXPECT_NEAR(util.bucket_value(2), 1.0, 0.01);
-}
-
-TEST(UtilizationProbe, RestartDoesNotAttributeStoppedEraBusy) {
-  // Regression for the last_util() gauge (exported as core_util{node,core}):
-  // start() must re-baseline last_busy_ against the core's current
-  // busy_ns(). Without that, work completed while the probe was stopped
-  // leaks into the first window after a restart and the gauge reports a
-  // busy core when the window was actually idle.
-  Scheduler s;
-  Core core(s, "cpu0");
-  TimeSeries util(1'000'000);
-  UtilizationProbe probe(s, core, 1'000'000, util);
-  probe.start();
-  core.submit(400'000);
-  s.run_until(1'500'000);  // first window sampled: 40% busy
-  EXPECT_NEAR(probe.last_util(), 0.4, 0.01);
-  probe.stop();
-
-  core.submit(900'000);  // completes while the probe is stopped
-  s.run_until(3'500'000);
-  probe.start();
-  s.run_until(4'600'000);  // one full, completely idle window
-  probe.stop();
-  s.run();
-  // The 900 µs of stopped-era busy time must not be double-counted into
-  // the post-restart window.
-  EXPECT_DOUBLE_EQ(probe.last_util(), 0.0);
-}
-
-TEST(UtilizationProbe, StopCancelsPendingSample) {
-  // After stop(), no further samples may fire even if the sim keeps
-  // running past the next sampling tick.
-  Scheduler s;
-  Core core(s, "cpu0");
-  core.set_busy_poll(true);  // would report 1.0 if sampled
-  TimeSeries util(1'000'000);
-  UtilizationProbe probe(s, core, 1'000'000, util);
-  probe.start();
-  s.run_until(1'500'000);
-  probe.stop();
-  s.schedule_at(5'000'000, [] {});  // keep the sim alive past ticks 2..4
-  s.run();
-  EXPECT_NEAR(util.bucket_value(2), 0.0, 0.01);
-  EXPECT_NEAR(util.bucket_value(3), 0.0, 0.01);
-}
-
-TEST(UtilizationProbe, BusyPollCoreReportsFull) {
-  Scheduler s;
-  Core core(s, "dne0", 0.5);
-  core.set_busy_poll(true);
-  TimeSeries util(1'000'000);
-  UtilizationProbe probe(s, core, 1'000'000, util);
-  probe.start();
-  s.run_until(2'500'000);
-  probe.stop();
-  s.run();
-  EXPECT_NEAR(util.bucket_value(0), 1.0, 0.01);
-  EXPECT_NEAR(util.bucket_value(1), 1.0, 0.01);
 }
 
 }  // namespace

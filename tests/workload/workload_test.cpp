@@ -14,9 +14,11 @@ constexpr NodeId kNode2{2};
 constexpr TenantId kTenant{1};
 constexpr FunctionId kEcho{1};
 
-std::unique_ptr<runtime::Cluster> echo_cluster(sim::ParallelSim& psim) {
+std::unique_ptr<runtime::Cluster> echo_cluster(
+    sim::ParallelSim& psim, core::EngineConfig engine = {}) {
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
+  cfg.engine = engine;
   cfg.pool_buffers = 512;
   auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   cluster->add_worker(kNode1);
@@ -57,6 +59,27 @@ TEST(ChainDriver, RpsWindowQuery) {
   EXPECT_GT(rps, 0);
   EXPECT_NEAR(rps,
               static_cast<double>(driver.completed()) / 3.0, rps * 0.6);
+}
+
+TEST(ChainDriver, CountsEngineErrorCompletionsAsFailed) {
+  // One unacked slot per node: the engine sheds most of the 8 clients'
+  // requests at admission and hands each back as an error completion
+  // (kFlagError without kFlagResponse). The closed loop counts it as
+  // failed and issues the next request.
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  core::EngineConfig engine;
+  engine.max_unacked = 1;
+  auto cluster = echo_cluster(psim, engine);
+  ChainDriver driver(*cluster, FunctionId{100}, kNode1, 1);
+  cluster->finish_setup();
+  driver.start(8);
+  psim.run_until(sched.now() + 50'000'000);
+  driver.stop();
+  psim.run();
+  EXPECT_GT(driver.failed(), 0u);
+  EXPECT_GT(driver.completed(), 0u);
+  EXPECT_EQ(driver.latencies().count(), driver.completed());
 }
 
 TEST(BurstyLoad, OpenLoopHonorsSchedule) {

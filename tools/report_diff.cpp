@@ -8,9 +8,9 @@
 // missing/extra keys and type changes are always regressions; numeric
 // leaves pass when the difference is within --abs OR --rel; strings must
 // match exactly. Exit 0 when clean, 1 on any regression, 2 on usage/IO
-// errors — so bench_gate.sh and run_all.sh can gate on artifacts
-// directly. Works on any of our exports: metrics.json, critpath.json,
-// timeseries.json, SLO reports, perf_gate BENCH json.
+// errors — so run_all.sh can gate on artifacts directly. Works on any of
+// our exports: metrics.json, critpath.json, timeseries.json, SLO reports,
+// ledger.json, fig16_boutique --scale --json.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

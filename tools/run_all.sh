@@ -10,15 +10,11 @@
 #   tools/run_all.sh chaos   build, run the chaos-labeled ctest suite, then
 #                            sweep 10 fault-plan seeds through the boutique
 #                            demo; fails if any seed loses a request
-#   tools/run_all.sh bench   build, then tools/bench_gate.sh: the wall-clock
-#                            perf gate sweep against a baseline recorded on
-#                            this machine (recorded first if missing), plus
-#                            the golden gates; fails on >10% events/sec
-#                            regression or simulated drift
 #   tools/run_all.sh tsan    build with -DPD_SANITIZE=thread into build-tsan/
 #                            and smoke the parallel epoch-barrier loop (the
-#                            pdes determinism suite + a threaded perf_gate
-#                            smoke) under ThreadSanitizer
+#                            pdes determinism suite + a tiny threaded
+#                            fig16_boutique --scale point) under
+#                            ThreadSanitizer
 #   tools/run_all.sh overload  build, run the overload-labeled ctest suite
 #                            (admission/autoscaler units + the scenario
 #                            acceptance tests), then sweep all four overload
@@ -45,13 +41,13 @@
 #                            report_diff passes a perturbed artifact
 #   tools/run_all.sh scale   build, run the pdes-labeled ctest suite (which
 #                            includes the 32-node leaf-sharded determinism
-#                            tests), then the perf_gate --scale point at
-#                            --threads 1/2/4 into scale_report/; fails if
-#                            the deterministic leaves (sim latencies,
-#                            events/request, pdes_* protocol counters)
-#                            differ across thread counts, drift from the
-#                            committed golden, or if report_diff passes a
-#                            perturbed artifact
+#                            tests), then the fig16_boutique --scale point
+#                            (128 clients) at --threads 1/2/4 into
+#                            scale_report/; fails if the deterministic
+#                            leaves (sim latencies, events, requests, pdes_*
+#                            protocol counters) differ across thread counts,
+#                            drift from the committed golden, or if
+#                            report_diff passes a perturbed artifact
 #   tools/run_all.sh obs     build, run the obs-report + obs-ts ctest labels,
 #                            then an observability boutique sweep: critical-
 #                            path + flamegraph + SLO + flight-recorder
@@ -60,12 +56,6 @@
 #                            against the committed golden via report_diff
 set -e
 cd "$(dirname "$0")/.."
-
-if [ "$1" = "bench" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
-  exec tools/bench_gate.sh
-fi
 
 if [ "$1" = "chaos" ]; then
   cmake -B build -G Ninja
@@ -86,19 +76,17 @@ fi
 if [ "$1" = "tsan" ]; then
   cmake -B build-tsan -G Ninja -DPD_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan --target pdes_test perf_gate
+  cmake --build build-tsan --target pdes_test fig16_boutique
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan -L pdes --output-on-failure 2>&1 \
     | tee tsan_output.txt
   # The determinism suite runs the sharded boutique at 1/2/4 worker
-  # threads; the perf_gate smoke adds the run_until + drain path.
+  # threads; a tiny multi-switch leaf-sharded point adds the run_until +
+  # drain path and the adaptive-horizon skip-ahead under TSan too.
   TSAN_OPTIONS=halt_on_error=1 \
-    ./build-tsan/bench/perf_gate --smoke --threads 2 > /dev/null
-  # A small multi-switch leaf-sharded point exercises the adaptive-horizon
-  # skip-ahead and reflection-cap paths (ISSUE 9) under TSan too.
-  TSAN_OPTIONS=halt_on_error=1 \
-    ./build-tsan/bench/perf_gate --scale --nodes 8 --cells 4 --switch 4 \
-    --clients 16 --threads 2 > /dev/null
+    ./build-tsan/bench/fig16_boutique --scale --nodes 4 --cells 2 \
+    --switch 2 --threads 2 --clients "8" \
+    --json build-tsan/bench_smoke.json > /dev/null
   echo "tsan smoke passed: parallel epoch loop is data-race-clean"
   exit 0
 fi
@@ -170,7 +158,7 @@ if [ "$1" = "ledger" ]; then
   # Run-diff gate: the ledger is fully deterministic (simulated time
   # only), so any drift from the committed golden means attribution or
   # control behavior changed and the golden must be re-recorded
-  # deliberately (tools/bench_gate.sh --record-ledger).
+  # deliberately (tools/README.md, "Re-recording a golden").
   ./build/tools/report_diff tools/golden/ledger.json \
     ledger_report/t1_ledger.json 2>&1 | tee -a ledger_output.txt
   # ...and report_diff itself must fail loudly on a perturbed artifact.
@@ -239,13 +227,13 @@ if [ "$1" = "scale" ]; then
   # The ISSUE 9 scale point (32 workers / 4 leaf switches / 16 cells, one
   # shard per leaf) per worker-thread count.
   for t in 1 2 4; do
-    echo "=== perf_gate --scale --threads $t ==="
-    ./build/bench/perf_gate --scale --threads "$t" \
+    echo "=== fig16_boutique --scale --clients 128 --threads $t ==="
+    ./build/bench/fig16_boutique --scale --clients "128" --threads "$t" \
       --json "scale_report/t$t.json"
   done 2>&1 | tee -a scale_output.txt
   # Determinism gate: every simulated-time leaf — latencies, event counts,
   # and the pdes_* protocol counters — must be identical across thread
-  # counts (wall_sec and barrier_wait are machine noise, excluded).
+  # counts (any wall-clock field is machine noise and stays out).
   for t in 2 4; do
     ./build/tools/report_diff --only sim_ --only .events --only .requests \
       --only pdes_epochs --only pdes_skip_ahead --only pdes_mailbox \
@@ -254,7 +242,7 @@ if [ "$1" = "scale" ]; then
   done 2>&1 | tee -a scale_output.txt
   # Golden gate: drift from the committed scale-point artifact means the
   # model or the epoch protocol changed and the golden must be re-recorded
-  # deliberately (tools/bench_gate.sh --record-scale).
+  # deliberately (tools/README.md, "Re-recording a golden").
   ./build/tools/report_diff --only sim_ --only .events --only .requests \
     --only pdes_epochs --only pdes_skip_ahead --only pdes_mailbox \
     tools/golden/pdes_scale.json scale_report/t1.json \
