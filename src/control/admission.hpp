@@ -51,10 +51,6 @@ class AdmissionController {
     it->second.tokens = policy.burst;  // start full: bursts at t=0 admit
   }
 
-  [[nodiscard]] bool has_policy(TenantId tenant) const {
-    return tenants_.find(tenant) != tenants_.end();
-  }
-
   /// Engage / release overload pressure. While released, every tenant is
   /// admitted unconditionally (buckets still refill, so engaging pressure
   /// later starts from a full, not stale, bucket).
@@ -72,7 +68,6 @@ class AdmissionController {
   /// provisioned rate — while other best-effort tenants keep the plain
   /// one-token clamp. Releasing pressure clears the target.
   void set_pressure_target(TenantId tenant) { target_ = tenant; }
-  void clear_pressure_target() { target_ = TenantId{}; }
   [[nodiscard]] TenantId pressure_target() const { return target_; }
   [[nodiscard]] static constexpr std::uint64_t target_cost() { return 4; }
 

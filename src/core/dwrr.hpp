@@ -135,9 +135,6 @@ class DwrrScheduler {
     auto it = queues_.find(tenant);
     return it == queues_.end() ? 0 : it->second.items.size();
   }
-  [[nodiscard]] std::uint32_t weight_of(TenantId tenant) const {
-    return queues_.at(tenant).weight;
-  }
   /// Unspent deficit credit currently held by `tenant` (0 when unknown).
   /// A persistently high value with a backlogged queue means the tenant's
   /// head item exceeds its per-round quantum — the flight recorder

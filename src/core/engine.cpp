@@ -35,9 +35,8 @@ NetworkEngine::NetworkEngine(sim::Scheduler& sched, EngineKind kind,
            "bad engine config");
   PD_CHECK(!config_.tenant_admission || config_.use_dwrr,
            "tenant_admission requires DWRR scheduling");
-  PD_CHECK(!config_.tenant_admission || reliable(),
-           "tenant_admission partitions the reliability window; enable "
-           "retransmit_timeout");
+  PD_CHECK(config_.retransmit_timeout > 0,
+           "retransmit_timeout must be positive");
 
   if (kind_ == EngineKind::kCne) {
     sockmap_ = std::make_unique<ipc::SockMap>(sched_);
@@ -59,7 +58,6 @@ NetworkEngine::NetworkEngine(sim::Scheduler& sched, EngineKind kind,
   ledger_queue_ = track_ + "/txq";
 
   rnic_.cq().set_notify([this] { kick_rx(); });
-  rnic_.set_rnr_queue_limit(config_.rnr_queue_limit);
   // The reliability layer's ACK/NACK control channel (hardware-generated
   // in the real DNE: no engine-core cost on either end).
   rnic_.network().set_datagram_handler(
@@ -219,7 +217,7 @@ void NetworkEngine::on_ingest(const mem::BufferDescriptor& d) {
   auto tit = tenants_.find(d.tenant);
   PD_CHECK(tit != tenants_.end(),
            "message from unknown tenant " << d.tenant);
-  if (reliable() && config_.tenant_admission) {
+  if (config_.tenant_admission) {
     // Tenant-scoped credit gate (ISSUE 7): occupancy counts both what the
     // tenant has queued in the scheduler and what it has in the reliability
     // window, so a tenant saturating either stage is shed individually.
@@ -239,7 +237,7 @@ void NetworkEngine::on_ingest(const mem::BufferDescriptor& d) {
       return;
     }
   }
-  if (reliable() && unacked_.size() >= config_.max_unacked) {
+  if (unacked_.size() >= config_.max_unacked) {
     // Load shedding at admission: too many sends already await ACKs (the
     // fabric or a peer is struggling). Fail explicitly instead of letting
     // the backlog eat the buffer pool.
@@ -328,28 +326,23 @@ void NetworkEngine::transmit(const mem::BufferDescriptor& d) {
   }
   const NodeId dest = routes_.lookup(h.dst());
 
-  std::uint64_t seq = 0;
-  if (reliable()) {
-    seq = next_seq_++;
-    h.seq = seq;
-    write_header(bytes, h);
-  }
+  const std::uint64_t seq = next_seq_++;
+  h.seq = seq;
+  write_header(bytes, h);
 
   pool_of(d).transfer(d, actor(), mem::actor_rnic(node()));
   rdma::WorkRequest wr;
   wr.wr_id = next_wr_id_++;
   wr.opcode = rdma::Opcode::kSend;
   wr.local = d;
-  if (reliable()) {
-    UnackedMsg m;
-    m.d = d;
-    m.dest = dest;
-    m.timer = sched_.schedule_after(config_.retransmit_timeout,
-                                    [this, seq] { on_retransmit_timeout(seq); });
-    unacked_.emplace(seq, m);
-    ++tenant_unacked_[d.tenant];
-    wr_seq_.emplace(wr.wr_id, seq);
-  }
+  UnackedMsg m;
+  m.d = d;
+  m.dest = dest;
+  m.timer = sched_.schedule_after(config_.retransmit_timeout,
+                                  [this, seq] { on_retransmit_timeout(seq); });
+  unacked_.emplace(seq, m);
+  ++tenant_unacked_[d.tenant];
+  wr_seq_.emplace(wr.wr_id, seq);
   conn_mgr_.send(dest, d.tenant, wr);
   ++counters_.tx_msgs;
 }
@@ -459,18 +452,14 @@ void NetworkEngine::deliver_local(const mem::BufferDescriptor& d,
 
 void NetworkEngine::handle_send_done(const rdma::Completion& c) {
   // Sender side: the WR left the NIC; reclaim the buffer token from the
-  // RNIC. Unsequenced messages recycle immediately (pre-reliability
-  // behaviour); sequenced ones are held until their ACK so a retransmit
-  // can re-post the same buffer zero-copy.
+  // RNIC. The buffer is held until its ACK so a retransmit can re-post it
+  // zero-copy.
   auto& pool = pool_of(c.buffer);
   pool.transfer(c.buffer, mem::actor_rnic(node()), actor());
 
   auto wit = wr_seq_.find(c.wr_id);
-  if (wit == wr_seq_.end()) {
-    pool.release(c.buffer, actor());
-    ++counters_.recycled;
-    return;
-  }
+  PD_CHECK(wit != wr_seq_.end(), "send completion for untracked WR "
+                                     << c.wr_id);
   const std::uint64_t seq = wit->second;
   wr_seq_.erase(wit);
   auto it = unacked_.find(seq);

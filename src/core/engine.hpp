@@ -61,8 +61,8 @@ struct EngineConfig {
   int max_active_qps = cost::kRnicQpCacheSlots;
 
   // --- reliability (per-message ack/timeout/retransmit) --------------------
-  /// Retransmit timeout per sequenced message; 0 disables the reliability
-  /// layer entirely (fire-and-forget, the pre-fault-model behaviour).
+  /// Retransmit timeout per message (every message is sequenced and held
+  /// until its ACK); must be positive.
   sim::Duration retransmit_timeout = 100'000;  // 100 µs
   /// Total send attempts per message (first send + retries) before the
   /// engine gives up and emits an explicit error completion.
@@ -71,9 +71,6 @@ struct EngineConfig {
   /// ingest is shed with an error completion instead of queued (explicit
   /// back-pressure rather than silent loss under pool exhaustion).
   std::size_t max_unacked = 512;
-  /// Receiver-side RNR parking bound per tenant; arrivals beyond it are
-  /// dropped with a NACK datagram back to the sender.
-  std::size_t rnr_queue_limit = 64;
 
   // --- per-tenant admission (ISSUE 7: tenant-scoped credit gate) -----------
   /// Partition `max_unacked` into per-tenant credit caps proportional to
@@ -164,9 +161,6 @@ class NetworkEngine : public DataPlane {
   [[nodiscard]] const EngineCounters& counters() const { return counters_; }
   [[nodiscard]] rdma::ConnectionManager& connections() { return conn_mgr_; }
   [[nodiscard]] std::size_t tx_backlog() const;
-  [[nodiscard]] std::uint64_t rx_consumed(TenantId t) const {
-    return rbr_outstanding_lookup(t);
-  }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   /// Sequenced messages awaiting ACK (the reliability window occupancy;
   /// headroom against config().max_unacked is a flight-recorder series).
@@ -184,12 +178,6 @@ class NetworkEngine : public DataPlane {
   [[nodiscard]] std::size_t tenant_unacked(TenantId t) const {
     auto it = tenant_unacked_.find(t);
     return it == tenant_unacked_.end() ? 0 : it->second;
-  }
-  /// Per-tenant admission credit cap (0 when the tenant is unknown or the
-  /// tenant gate is disabled).
-  [[nodiscard]] std::size_t tenant_credit_cap(TenantId t) const {
-    auto it = tenants_.find(t);
-    return it == tenants_.end() ? 0 : it->second.credit_cap;
   }
   [[nodiscard]] bool has_tenant(TenantId t) const {
     return tenants_.find(t) != tenants_.end();
@@ -249,7 +237,6 @@ class NetworkEngine : public DataPlane {
   };
   using UnackedIter = std::unordered_map<std::uint64_t, UnackedMsg>::iterator;
 
-  [[nodiscard]] bool reliable() const { return config_.retransmit_timeout > 0; }
   void on_datagram(NodeId from, const rdma::Datagram& dg);
   void on_retransmit_timeout(std::uint64_t seq);
   void release_tenant_credit(TenantId tenant);
@@ -275,9 +262,6 @@ class NetworkEngine : public DataPlane {
   /// Close the staging span and record the copy's duration into the
   /// always-on `dne.soc_dma_ns{dir=...,node=...}` histogram.
   void end_soc_dma(std::uint32_t span, const char* dir, sim::TimePoint begin);
-  std::uint64_t rbr_outstanding_lookup(TenantId t) const {
-    return rbr_.outstanding(t);
-  }
   /// Resource-ledger queue-wait bracketing (ISSUE 10): enter when a message
   /// joins the DWRR/FCFS scheduler, exit when it is dequeued for a TX slice
   /// (serviced: also record the slice's service segment, the evidence later

@@ -332,7 +332,6 @@ void OwdlEchoPeer::acquire_lock_then_write(std::uint32_t slot_index,
       write_and_unlock(slot_index, request_id, payload_len, response);
       return;
     }
-    ++lock_retries_;
     sched_.schedule_after(cost::kLockRetryBackoffNs,
                           [this, slot_index, request_id, payload_len, response] {
                             acquire_lock_then_write(slot_index, request_id,

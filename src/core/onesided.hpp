@@ -154,7 +154,6 @@ class OwdlEchoPeer {
   void send_request(std::uint32_t payload_len, EchoDone done);
 
   [[nodiscard]] std::uint64_t echoes() const { return echoes_; }
-  [[nodiscard]] std::uint64_t lock_retries() const { return lock_retries_; }
 
  private:
   static std::uint64_t lock_addr(std::uint32_t slot_index) {
@@ -197,7 +196,6 @@ class OwdlEchoPeer {
   std::uint64_t next_write_ = 1;
   std::uint64_t next_unlock_ = 1;
   std::uint64_t echoes_ = 0;
-  std::uint64_t lock_retries_ = 0;
 };
 
 }  // namespace pd::core

@@ -41,7 +41,6 @@ class ComchServer {
   /// Tear down a client (the DNE can disconnect misbehaving tenants).
   void disconnect(FunctionId client);
   [[nodiscard]] bool connected(FunctionId client) const;
-  [[nodiscard]] std::size_t num_clients() const { return clients_.size(); }
 
   /// Host function -> DNE. `charge_host=false` when the caller already
   /// accounted the enqueue cost on its own core (run-to-completion send).

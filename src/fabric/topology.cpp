@@ -1,16 +1,13 @@
 #include "fabric/topology.hpp"
 
-#include "common/check.hpp"
+#include "proto/cost_model.hpp"
 
 namespace pd::fabric {
 
-void Topology::configure(TopologyConfig cfg) {
-  PD_CHECK(cfg.oversubscription >= 1.0,
-           "uplink oversubscription must be >= 1: " << cfg.oversubscription);
-  PD_CHECK(cfg.inter_switch_propagation >= 0,
-           "negative inter-switch propagation");
-  cfg_ = cfg;
-}
+static_assert(cost::kUplinkOversubscription >= 1.0);
+static_assert(cost::kInterSwitchPropagationNs >= 0);
+
+void Topology::configure(TopologyConfig cfg) { cfg_ = cfg; }
 
 void Topology::assign(NodeId node, std::uint32_t leaf) {
   leaf_[node] = leaf;
@@ -19,10 +16,6 @@ void Topology::assign(NodeId node, std::uint32_t leaf) {
 std::uint32_t Topology::leaf_of(NodeId node) const {
   auto it = leaf_.find(node);
   return it == leaf_.end() ? 0 : it->second;
-}
-
-int Topology::switch_hops(NodeId a, NodeId b) const {
-  return multi_switch() && leaf_of(a) != leaf_of(b) ? 3 : 1;
 }
 
 sim::Duration Topology::extra_latency(NodeId a, NodeId b, Bytes wire_bytes,
@@ -34,8 +27,9 @@ sim::Duration Topology::extra_latency(NodeId a, NodeId b, Bytes wire_bytes,
   // leaf -> spine -> leaf: two extra cut-through hops, two inter-switch
   // propagation legs, and one serialization pass at the uplink's
   // oversubscribed per-flow share.
-  return 2 * cost::kSwitchLatencyNs + 2 * cfg_.inter_switch_propagation +
-         sim::transfer_time(wire_bytes, port_bandwidth / cfg_.oversubscription);
+  return 2 * cost::kSwitchLatencyNs + 2 * cost::kInterSwitchPropagationNs +
+         sim::transfer_time(wire_bytes,
+                            port_bandwidth / cost::kUplinkOversubscription);
 }
 
 sim::Duration Topology::uplink_serialization(NodeId a, NodeId b,
@@ -43,13 +37,13 @@ sim::Duration Topology::uplink_serialization(NodeId a, NodeId b,
                                              BitsPerSec port_bandwidth) const {
   if (!multi_switch() || leaf_of(a) == leaf_of(b)) return 0;
   return sim::transfer_time(wire_bytes,
-                            port_bandwidth / cfg_.oversubscription);
+                            port_bandwidth / cost::kUplinkOversubscription);
 }
 
 sim::Duration Topology::min_extra_between_leaves(std::uint32_t a,
                                                  std::uint32_t b) const {
   if (!multi_switch() || a == b) return 0;
-  return 2 * cost::kSwitchLatencyNs + 2 * cfg_.inter_switch_propagation + 1;
+  return 2 * cost::kSwitchLatencyNs + 2 * cost::kInterSwitchPropagationNs + 1;
 }
 
 }  // namespace pd::fabric

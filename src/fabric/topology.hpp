@@ -21,7 +21,6 @@
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
-#include "proto/cost_model.hpp"
 #include "sim/time.hpp"
 
 namespace pd::fabric {
@@ -30,11 +29,6 @@ struct TopologyConfig {
   /// Worker nodes per leaf switch; 0 keeps the legacy single flat switch
   /// (every pair one hop, byte-identical to the pre-topology fabric).
   std::size_t nodes_per_switch = 0;
-  /// Leaf-to-spine oversubscription: each flow crossing the uplink
-  /// serializes at port bandwidth / oversubscription.
-  double oversubscription = cost::kUplinkOversubscription;
-  /// One leaf<->spine propagation leg (a cross-leaf path crosses two).
-  sim::Duration inter_switch_propagation = cost::kInterSwitchPropagationNs;
 };
 
 class Topology {
@@ -51,9 +45,6 @@ class Topology {
   /// leaf, where the cluster's external uplink terminates.
   void assign(NodeId node, std::uint32_t leaf);
   [[nodiscard]] std::uint32_t leaf_of(NodeId node) const;
-
-  /// Switch hops a frame crosses: 1 within a leaf, 3 across the spine.
-  [[nodiscard]] int switch_hops(NodeId a, NodeId b) const;
 
   /// Path cost beyond the flat single-switch fabric for one frame of
   /// `wire_bytes` (0 within a leaf): the two extra switch hops, both

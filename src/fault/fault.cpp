@@ -7,6 +7,15 @@
 
 namespace pd::fault {
 
+namespace {
+/// Dark time for link-down / crash, and window length for loss.
+constexpr sim::Duration kMinOutage = 200'000;
+constexpr sim::Duration kMaxOutage = 2'000'000;
+/// Frame-loss probability range for a loss window.
+constexpr double kMinLoss = 0.05;
+constexpr double kMaxLoss = 0.5;
+}  // namespace
+
 const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kLinkDown: return "link_down";
@@ -23,8 +32,7 @@ FaultPlan FaultPlan::generate(std::uint64_t seed,
                               const std::vector<NodeId>& nodes,
                               FaultPlanConfig cfg) {
   PD_CHECK(!nodes.empty(), "fault plan needs at least one target node");
-  PD_CHECK(cfg.min_gap <= cfg.max_gap && cfg.min_outage <= cfg.max_outage &&
-               cfg.min_stall <= cfg.max_stall && cfg.min_loss <= cfg.max_loss,
+  PD_CHECK(cfg.min_gap <= cfg.max_gap && cfg.min_stall <= cfg.max_stall,
            "inverted fault plan bounds");
   FaultPlan plan;
   plan.seed = seed;
@@ -51,12 +59,11 @@ FaultPlan FaultPlan::generate(std::uint64_t seed,
     switch (e.kind) {
       case FaultKind::kLinkDown:
       case FaultKind::kNodeCrash:
-        e.duration = draw(cfg.min_outage, cfg.max_outage);
+        e.duration = draw(kMinOutage, kMaxOutage);
         break;
       case FaultKind::kLinkLoss:
-        e.duration = draw(cfg.min_outage, cfg.max_outage);
-        e.loss = cfg.min_loss +
-                 (cfg.max_loss - cfg.min_loss) * rng.next_double();
+        e.duration = draw(kMinOutage, kMaxOutage);
+        e.loss = kMinLoss + (kMaxLoss - kMinLoss) * rng.next_double();
         break;
       case FaultKind::kQpFail:
         if (nodes.size() > 1) {

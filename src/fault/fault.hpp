@@ -48,11 +48,6 @@ struct FaultPlanConfig {
   /// Idle gap drawn between the end of one episode and the next start.
   sim::Duration min_gap = 1'000'000;
   sim::Duration max_gap = 6'000'000;
-  /// Dark time for link-down / crash, and window length for loss.
-  sim::Duration min_outage = 200'000;
-  sim::Duration max_outage = 2'000'000;
-  double min_loss = 0.05;
-  double max_loss = 0.5;
   sim::Duration min_stall = 100'000;
   sim::Duration max_stall = 1'000'000;
 };

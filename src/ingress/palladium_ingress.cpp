@@ -13,6 +13,8 @@ namespace pd::ingress {
 namespace {
 
 constexpr sim::Duration kSeriesBucket = 1'000'000'000;  // 1 s
+/// Deadline-driven re-sends before the gateway answers 504.
+constexpr int kMaxRetries = 2;
 
 }  // namespace
 
@@ -91,7 +93,7 @@ void PalladiumIngress::finish_setup() {
 
   autoscale_busy_.assign(static_cast<std::size_t>(config_.max_workers), 0);
   if (config_.autoscale) {
-    sched_.schedule_background_after(config_.scale_check_period,
+    sched_.schedule_background_after(cost::kIngressScaleCheckPeriodNs,
                                      [this] { autoscale_tick(); });
   }
   sched_.schedule_background_after(kSeriesBucket, [this] { sample_tick(); });
@@ -151,12 +153,12 @@ void PalladiumIngress::sample_tick() {
   // Per-second series for Fig. 14: active worker count (each pinned to a
   // full busy-polling core) and aggregate *useful* CPU seconds.
   worker_series_.add(sched_.now() - 1, active_workers_);
+  // Every worker counts, not only the active ones: one scaled down during
+  // the second did useful work before it stopped.
   double useful = 0;
   for (int w = 0; w < config_.max_workers; ++w) {
     const auto busy = worker_core(w).busy_ns();
-    if (w < active_workers_) {
-      useful += sim::to_sec(busy - last_busy_[static_cast<std::size_t>(w)]);
-    }
+    useful += sim::to_sec(busy - last_busy_[static_cast<std::size_t>(w)]);
     last_busy_[static_cast<std::size_t>(w)] = busy;
   }
   useful_cpu_series_.add(sched_.now() - 1, useful);
@@ -204,26 +206,14 @@ int PalladiumIngress::attach_client(
   };
   conn->tcp = std::make_unique<proto::TcpConnection>(sched_, cluster_.ethernet(),
                                                      std::move(a), std::move(b));
-  ClientConn* raw = conn.get();
+  conn->tcp->connect(nullptr);
   clients_.push_back(std::move(conn));
-  raw->tcp->connect([this, id] {
-    ClientConn& c = *clients_[static_cast<std::size_t>(id)];
-    c.established = true;
-    while (!c.pending.empty()) {
-      c.tcp->send_a_to_b(std::move(c.pending.front()));
-      c.pending.pop_front();
-    }
-  });
   return id;
 }
 
 void PalladiumIngress::client_send(int client, std::string bytes) {
-  ClientConn& c = *clients_.at(static_cast<std::size_t>(client));
-  if (!c.established) {
-    c.pending.push_back(std::move(bytes));
-    return;
-  }
-  c.tcp->send_a_to_b(std::move(bytes));
+  clients_.at(static_cast<std::size_t>(client))->tcp->send_a_to_b(
+      std::move(bytes));
 }
 
 void PalladiumIngress::on_client_bytes(int client, std::string_view bytes) {
@@ -371,7 +361,7 @@ void PalladiumIngress::on_deadline(std::uint64_t request_id) {
   PendingRequest& pr = pit->second;
   pr.deadline = sim::kInvalidEvent;
 
-  if (pr.attempts > config_.max_retries) {
+  if (pr.attempts > kMaxRetries) {
     // Retry budget exhausted: fail the request explicitly. This is a
     // policy decision (the gateway giving up), so it gets its own counter
     // and a "deadline_expired" span on the request's trace — distinct from
@@ -533,19 +523,20 @@ void PalladiumIngress::autoscale_tick() {
   for (int w = 0; w < active_workers_; ++w) {
     const auto busy = worker_core(w).busy_ns();
     util_sum += static_cast<double>(busy - autoscale_busy_[static_cast<std::size_t>(w)]) /
-                static_cast<double>(config_.scale_check_period);
+                static_cast<double>(cost::kIngressScaleCheckPeriodNs);
   }
   for (int w = 0; w < config_.max_workers; ++w) {
     autoscale_busy_[static_cast<std::size_t>(w)] = worker_core(w).busy_ns();
   }
   const double avg = util_sum / active_workers_;
 
-  if (avg > config_.scale_up_util && active_workers_ < config_.max_workers) {
+  if (avg > cost::kIngressScaleUpUtil &&
+      active_workers_ < config_.max_workers) {
     apply_scaling(active_workers_ + 1);
-  } else if (avg < config_.scale_down_util && active_workers_ > 1) {
+  } else if (avg < cost::kIngressScaleDownUtil && active_workers_ > 1) {
     apply_scaling(active_workers_ - 1);
   }
-  sched_.schedule_background_after(config_.scale_check_period,
+  sched_.schedule_background_after(cost::kIngressScaleCheckPeriodNs,
                                    [this] { autoscale_tick(); });
 }
 

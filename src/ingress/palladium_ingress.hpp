@@ -10,7 +10,6 @@
 // brief service blip visible in Fig. 14 (2).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -35,19 +34,17 @@ class PalladiumIngress : public IngressFrontend {
     NodeId node{200};
     int initial_workers = 1;
     int max_workers = 8;
+    /// Scale the worker pool on useful-CPU utilization (§3.6; see
+    /// cost::kIngressScaleUpUtil).
     bool autoscale = false;
-    double scale_up_util = 0.60;
-    double scale_down_util = 0.30;
-    sim::Duration scale_check_period = 1'000'000'000;  // 1 s
     int srq_fill = 256;
     int rc_connections = 2;
     /// Request-level recovery: if no response arrives within the deadline
     /// the gateway re-sends the request (at-least-once; the data plane
     /// suppresses duplicates where it can and the gateway tolerates
-    /// duplicate responses). After `max_retries` re-sends it answers 504.
+    /// duplicate responses). After two re-sends it answers 504.
     /// 0 disables deadlines (the pre-fault-model behaviour).
     sim::Duration request_deadline = 2'000'000;  // 2 ms
-    int max_retries = 2;
     /// Optional per-tenant admission gate, consulted before a request
     /// enters the fabric (ISSUE 7). Not owned; must outlive the ingress.
     /// Requests it sheds are answered 429 — explicit, never silent.
@@ -122,8 +119,6 @@ class PalladiumIngress : public IngressFrontend {
     std::unique_ptr<proto::TcpConnection> tcp;
     std::function<void(std::string_view)> to_client;
     int worker = 0;
-    bool established = false;
-    std::deque<std::string> pending;  // sends queued before the handshake
   };
   struct PendingRequest {
     int client = -1;

@@ -212,32 +212,16 @@ void ProxyIngress::finish_setup() {
     });
     auto [it, inserted] = uplinks_.emplace(node, std::move(uplink));
     PD_CHECK(inserted, "duplicate uplink");
-    it->second.tcp->connect([this, node] {
-      Uplink& u = uplinks_.at(node);
-      u.established = true;
-      while (!u.pending.empty()) {
-        u.tcp->send_a_to_b(std::move(u.pending.front()));
-        u.pending.pop_front();
-      }
-    });
+    it->second.tcp->connect(nullptr);
   }
 
   if (config_.autoscale) {
     PD_CHECK(config_.stack == proto::StackKind::kFstack,
              "autoscaling applies to the F-stack proxy");
-    sched_.schedule_background_after(config_.scale_check_period,
+    sched_.schedule_background_after(cost::kIngressScaleCheckPeriodNs,
                                      [this] { autoscale_tick(); });
   }
   sched_.schedule_background_after(kSeriesBucket, [this] { sample_tick(); });
-}
-
-void ProxyIngress::send_uplink(NodeId node, std::string bytes) {
-  Uplink& u = uplinks_.at(node);
-  if (!u.established) {
-    u.pending.push_back(std::move(bytes));
-    return;
-  }
-  u.tcp->send_a_to_b(std::move(bytes));
 }
 
 int ProxyIngress::attach_client(NodeId client_node, sim::Core& client_core,
@@ -272,26 +256,14 @@ int ProxyIngress::attach_client(NodeId client_node, sim::Core& client_core,
   };
   conn->tcp = std::make_unique<proto::TcpConnection>(sched_, cluster_.ethernet(),
                                                      std::move(a), std::move(b));
-  ClientConn* raw = conn.get();
+  conn->tcp->connect(nullptr);
   clients_.push_back(std::move(conn));
-  raw->tcp->connect([this, id] {
-    ClientConn& c = *clients_[static_cast<std::size_t>(id)];
-    c.established = true;
-    while (!c.pending.empty()) {
-      c.tcp->send_a_to_b(std::move(c.pending.front()));
-      c.pending.pop_front();
-    }
-  });
   return id;
 }
 
 void ProxyIngress::client_send(int client, std::string bytes) {
-  ClientConn& c = *clients_.at(static_cast<std::size_t>(client));
-  if (!c.established) {
-    c.pending.push_back(std::move(bytes));
-    return;
-  }
-  c.tcp->send_a_to_b(std::move(bytes));
+  clients_.at(static_cast<std::size_t>(client))->tcp->send_a_to_b(
+      std::move(bytes));
 }
 
 void ProxyIngress::on_client_bytes(int client, std::string_view bytes) {
@@ -328,7 +300,7 @@ void ProxyIngress::on_client_bytes(int client, std::string_view bytes) {
     proto::HttpRequest fwd = req;
     fwd.target = "/" + std::to_string(chain.id);
     fwd.headers.add("X-Req", std::to_string(tag));
-    send_uplink(gw_node, proto::serialize(fwd));
+    uplinks_.at(gw_node).tcp->send_a_to_b(proto::serialize(fwd));
   });
 }
 
@@ -369,18 +341,19 @@ void ProxyIngress::autoscale_tick() {
     const auto busy = rx_core(w).busy_ns();
     util_sum += static_cast<double>(busy -
                                     autoscale_busy_[static_cast<std::size_t>(w)]) /
-                static_cast<double>(config_.scale_check_period);
+                static_cast<double>(cost::kIngressScaleCheckPeriodNs);
   }
   for (std::size_t w = 0; w < cores_.size(); ++w) {
     autoscale_busy_[w] = cores_.core(w).busy_ns();
   }
   const double avg = util_sum / active_workers_;
-  if (avg > config_.scale_up_util && active_workers_ < config_.max_workers) {
+  if (avg > cost::kIngressScaleUpUtil &&
+      active_workers_ < config_.max_workers) {
     ++active_workers_;
     for (int w = 0; w < active_workers_; ++w) {
       rx_core(w).submit(cost::kIngressWorkerRestartNs);
     }
-  } else if (avg < config_.scale_down_util && active_workers_ > 1) {
+  } else if (avg < cost::kIngressScaleDownUtil && active_workers_ > 1) {
     --active_workers_;
     for (int w = 0; w < active_workers_; ++w) {
       rx_core(w).submit(cost::kIngressWorkerRestartNs);
@@ -394,7 +367,7 @@ void ProxyIngress::autoscale_tick() {
       c->tcp->endpoint_b().core = &rx_core(c->worker);
     }
   }
-  sched_.schedule_background_after(config_.scale_check_period,
+  sched_.schedule_background_after(cost::kIngressScaleCheckPeriodNs,
                                    [this] { autoscale_tick(); });
 }
 

@@ -9,7 +9,6 @@
 //    optional horizontal scaling (the adapted autoscaler of §4.1.3).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,11 +61,10 @@ class ProxyIngress : public IngressFrontend {
     /// Kernel mode: cores available to softirq/NGINX (RSS spread).
     /// F-stack mode: dedicated pinned worker cores.
     int cores = 1;
-    bool autoscale = false;  ///< F-stack only
+    /// F-stack only; same hysteresis as the PALLADIUM gateway
+    /// (cost::kIngressScaleUpUtil).
+    bool autoscale = false;
     int max_workers = 8;
-    double scale_up_util = 0.60;
-    double scale_down_util = 0.30;
-    sim::Duration scale_check_period = 1'000'000'000;
   };
 
   ProxyIngress(runtime::Cluster& cluster, Config config);
@@ -93,19 +91,14 @@ class ProxyIngress : public IngressFrontend {
     std::unique_ptr<proto::TcpConnection> tcp;
     std::function<void(std::string_view)> to_client;
     int worker = 0;
-    bool established = false;
-    std::deque<std::string> pending;
   };
   struct Uplink {
     std::unique_ptr<proto::TcpConnection> tcp;
     WorkerGateway* gateway = nullptr;
-    bool established = false;
-    std::deque<std::string> pending;
   };
 
   void on_client_bytes(int client, std::string_view bytes);
   void on_gateway_bytes(NodeId gateway, std::string_view bytes);
-  void send_uplink(NodeId node, std::string bytes);
   void autoscale_tick();
   void sample_tick();
   sim::Core& rx_core(int worker);

@@ -422,7 +422,8 @@ std::string Ledger::to_csv() const {
   return out;
 }
 
-std::string Ledger::table(std::size_t max_rows) const {
+std::string Ledger::table() const {
+  constexpr std::size_t kMaxRows = 12;
   std::string out;
   out += "  interference (queueing imposed, aggressor -> victim)\n";
   out += "  aggressor   victim      kind     blame_us\n";
@@ -430,7 +431,7 @@ std::string Ledger::table(std::size_t max_rows) const {
   char buf[96];
   for (const BlameRow& r : blame_rows()) {
     if (r.aggressor == r.victim) continue;  // self-queueing: report last
-    if (shown++ >= max_rows) break;
+    if (shown++ >= kMaxRows) break;
     std::snprintf(buf, sizeof(buf), "  %-11" PRId64 " %-11" PRId64 " %-8s %12.1f\n",
                   r.aggressor, r.victim, to_string(r.kind),
                   static_cast<double>(r.ns) / 1e3);

@@ -176,8 +176,8 @@ class Ledger final : public sim::BusyObserver {
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] std::string to_csv() const;
 
-  /// Human-readable blame table (top `max_rows` cross-tenant rows).
-  [[nodiscard]] std::string table(std::size_t max_rows = 12) const;
+  /// Human-readable blame table (the top 12 cross-tenant rows).
+  [[nodiscard]] std::string table() const;
 
   /// Merge another shard's totals into this ledger (sorted-key maps, so
   /// the result is independent of merge order arity). Live timeline state

@@ -8,6 +8,11 @@
 
 namespace pd::obs {
 
+namespace {
+/// Alert when a window's burn rate reaches this.
+constexpr double kBurnAlert = 1.0;
+}  // namespace
+
 void SloWatchdog::add(SloSpec spec) {
   PD_CHECK(!spec.name.empty(), "SLO spec needs a name");
   PD_CHECK(spec.target_ns > 0, "SLO \"" << spec.name << "\" needs a target");
@@ -111,7 +116,7 @@ void SloWatchdog::close_window(Tracked& t) {
     registry_->counter("slo.requests", label).inc(t.requests);
     registry_->counter("slo.violations", label).inc(t.violations);
   }
-  if (burn >= t.spec.burn_alert) {
+  if (burn >= kBurnAlert) {
     ++t.alerts_fired;
     alerts_.push_back(SloAlert{t.spec.name, w0, w1, t.requests, t.violations,
                                burn});

@@ -8,7 +8,7 @@
 // alert sequences replay bit-identically across --threads 1/2/4.
 //
 // Burn rate per window = (violations / requests) / budget: 1.0 means the
-// window consumed exactly its budget, >= `burn_alert` trips an alert that
+// window consumed exactly its budget, and reaching it trips an alert that
 // is recorded both as a structured event and as `slo.alerts{slo=...}` in
 // the metrics registry (the multiwindow burn-rate alerting style of the
 // SRE workbook, collapsed to one window per spec).
@@ -33,7 +33,6 @@ struct SloSpec {
   sim::Duration target_ns = 0;    ///< latency objective (the "p99 target")
   double budget = 0.01;           ///< allowed violating fraction per window
   sim::Duration window_ns = 100'000'000;  ///< evaluation window (100 ms)
-  double burn_alert = 1.0;        ///< alert when burn rate reaches this
 };
 
 struct SloAlert {

@@ -10,6 +10,8 @@
 // Changing a constant here recalibrates every benchmark consistently.
 #pragma once
 
+#include <cstddef>
+
 #include "common/units.hpp"
 #include "sim/time.hpp"
 
@@ -27,6 +29,14 @@ inline constexpr double kHostCoreSpeed = 1.0;
 /// DPU Arm A72 core @2.0 GHz vs x86 @3.7 GHz. §4.3.1 notes the streamlined
 /// ISA "compensates somewhat"; effective throughput ratio ~0.5.
 inline constexpr double kDpuCoreSpeed = 0.5;
+/// Arm cores per Bluefield-2 DPU.
+inline constexpr std::size_t kDpuCores = 8;
+
+/// Relative jitter applied to per-hop compute times (cache effects,
+/// branchy handlers). Essential under a deterministic scheduler: without
+/// it, closed-loop clients phase-lock into convoys that no real system
+/// exhibits. Deterministic per seed.
+inline constexpr double kComputeJitter = 0.10;
 
 // --------------------------------------------------------------------------
 // Fabric (200 Gbps switched RDMA network)
@@ -38,7 +48,7 @@ inline constexpr Duration kSwitchLatencyNs = 400;      // cut-through hop
 
 /// Multi-switch fabric (leaf-spine, ISSUE 9): one leaf<->spine fiber leg —
 /// a multi-rack fiber run plus spine pipeline latency, so several times the
-/// in-rack NIC<->ToR hop — and the default leaf-uplink oversubscription
+/// in-rack NIC<->ToR hop — and the leaf-uplink oversubscription
 /// (per-flow uplink share = port bandwidth / factor). The leg length also
 /// feeds the PDES lookahead matrix: cross-leaf shard pairs grant each other
 /// horizons of 2 switch hops + 2 legs (~4.5 us), which is what lets the
@@ -65,6 +75,10 @@ inline constexpr Duration kQpActivateNs = 2'000;
 inline constexpr int kRnicQpCacheSlots = 64;
 /// Extra per-WR penalty when the active-QP set overflows the NIC cache.
 inline constexpr Duration kQpCacheMissPenaltyNs = 1'200;
+/// Receiver-side RNR parking bound per tenant: messages that hit an empty
+/// SRQ wait in a queue this deep; arrivals beyond it are dropped with a
+/// NACK datagram back to the sender.
+inline constexpr std::size_t kRnrQueueLimit = 64;
 
 // --------------------------------------------------------------------------
 // DPU network engine (DNE) stages — run on the DPU core at kDpuCoreSpeed
@@ -212,5 +226,12 @@ inline constexpr Duration kDispatcherPerInvocationNs = 9'000;
 /// Worker-process spawn/teardown during ingress horizontal scaling (§3.6
 /// notes a brief interruption on restart).
 inline constexpr Duration kIngressWorkerRestartNs = 300 * 1'000'000;  // 300 ms
+/// Ingress horizontal-scaling hysteresis (§3.6), shared by PALLADIUM's
+/// gateway and F-Ingress: every check period the gateway averages its
+/// workers' useful-CPU share, adds a worker above the upper bound and
+/// removes one below the lower bound.
+inline constexpr double kIngressScaleUpUtil = 0.60;
+inline constexpr double kIngressScaleDownUtil = 0.30;
+inline constexpr Duration kIngressScaleCheckPeriodNs = 1'000'000'000;  // 1 s
 
 }  // namespace pd::cost

@@ -40,7 +40,8 @@ sim::Core& TcpConnection::pick_core(TcpEndpoint& ep) {
 }
 
 void TcpConnection::connect(std::function<void()> established) {
-  PD_CHECK(!established_, "connection already established");
+  PD_CHECK(!connecting_, "connect called twice");
+  connecting_ = true;
   const StackCosts ca = costs_for(a_.stack);
   const StackCosts cb = costs_for(b_.stack);
   // SYN ->, SYN/ACK <-, ACK -> : 1.5 RTTs plus per-side stack work.
@@ -55,6 +56,10 @@ void TcpConnection::connect(std::function<void()> established) {
           eth_.send(a_.node, b_.node, 64, [this, established =
                                                      std::move(established)] {
             established_ = true;
+            for (QueuedSend& q : queued_) {
+              send(*q.from, *q.to, std::move(q.bytes));
+            }
+            queued_.clear();
             if (established) established();
           });
         });
@@ -65,7 +70,11 @@ void TcpConnection::connect(std::function<void()> established) {
 
 void TcpConnection::send(TcpEndpoint& from, TcpEndpoint& to,
                          std::string bytes) {
-  PD_CHECK(established_, "send on unestablished connection");
+  PD_CHECK(connecting_, "send before connect");
+  if (!established_) {
+    queued_.push_back(QueuedSend{&from, &to, std::move(bytes)});
+    return;
+  }
   const StackCosts tx = costs_for(from.stack);
   const StackCosts rx = costs_for(to.stack);
   const auto len = static_cast<Bytes>(bytes.size());

@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 #include "proto/cost_model.hpp"
@@ -51,22 +52,31 @@ class TcpConnection {
   TcpConnection(sim::Scheduler& sched, fabric::Switch& eth, TcpEndpoint a,
                 TcpEndpoint b);
 
-  /// Three-way handshake; `established` fires when the connection is ready.
+  /// Three-way handshake; `established` fires when the connection is ready,
+  /// after the sends queued during the handshake have been issued.
   void connect(std::function<void()> established);
   [[nodiscard]] bool established() const { return established_; }
 
   /// Send an application message from endpoint A to B (or B to A). The
   /// peer's on_message handler receives the bytes after stack + wire costs.
+  /// A send made after connect() but before the handshake completes is
+  /// queued and issued in order at establishment; one made before
+  /// connect() is a check failure.
   void send_a_to_b(std::string bytes) { send(a_, b_, std::move(bytes)); }
   void send_b_to_a(std::string bytes) { send(b_, a_, std::move(bytes)); }
 
   [[nodiscard]] std::uint64_t messages() const { return messages_; }
   [[nodiscard]] Bytes bytes_transferred() const { return bytes_; }
 
-  TcpEndpoint& endpoint_a() { return a_; }
   TcpEndpoint& endpoint_b() { return b_; }
 
  private:
+  struct QueuedSend {
+    TcpEndpoint* from;
+    TcpEndpoint* to;
+    std::string bytes;
+  };
+
   void send(TcpEndpoint& from, TcpEndpoint& to, std::string bytes);
   static sim::Core& pick_core(TcpEndpoint& ep);
 
@@ -74,7 +84,9 @@ class TcpConnection {
   fabric::Switch& eth_;
   TcpEndpoint a_;
   TcpEndpoint b_;
+  bool connecting_ = false;
   bool established_ = false;
+  std::vector<QueuedSend> queued_;  ///< sends made during the handshake
   std::uint64_t messages_ = 0;
   Bytes bytes_ = 0;
 };

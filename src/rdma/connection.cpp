@@ -14,6 +14,13 @@ namespace {
 /// establish still in flight) — just poll again shortly after.
 constexpr sim::Duration kConnectingPollNs = 50'000;
 
+/// Exponential backoff for pool re-establishment after faults: delays are
+/// kBackoffBaseNs * 2^attempt capped at kBackoffCapNs, each scaled by a
+/// jitter factor uniform in [0.5, 1.5) from a dedicated deterministic
+/// stream.
+constexpr sim::Duration kBackoffBaseNs = 200'000;    ///< 0.2 ms, 2nd attempt
+constexpr sim::Duration kBackoffCapNs = 20'000'000;  ///< 20 ms ceiling
+
 }  // namespace
 
 ConnectionManager::ConnectionManager(Rnic& local, int max_active)
@@ -168,9 +175,9 @@ void ConnectionManager::start_rebuild(PoolKey key, const WorkRequest& wr) {
 }
 
 sim::Duration ConnectionManager::backoff_delay(int attempt) {
-  sim::Duration d = backoff_.base_ns;
-  for (int i = 1; i < attempt && d < backoff_.cap_ns; ++i) d *= 2;
-  d = std::min(d, backoff_.cap_ns);
+  sim::Duration d = kBackoffBaseNs;
+  for (int i = 1; i < attempt && d < kBackoffCapNs; ++i) d *= 2;
+  d = std::min(d, kBackoffCapNs);
   // Jitter in [0.5, 1.5): desynchronizes the retry storms that lock-step
   // backoff produces after a correlated fault.
   return static_cast<sim::Duration>(

@@ -27,14 +27,6 @@ struct ConnectionStats {
   std::uint64_t rebuild_retries = 0;    ///< extra handshake rounds (backoff)
 };
 
-/// Exponential-backoff parameters for pool re-establishment after faults.
-/// Delays are `base * 2^attempt` capped at `cap`, each scaled by a jitter
-/// factor uniform in [0.5, 1.5) from a dedicated deterministic stream.
-struct BackoffConfig {
-  sim::Duration base_ns = 200'000;     ///< 0.2 ms before the 2nd attempt
-  sim::Duration cap_ns = 20'000'000;   ///< 20 ms ceiling
-};
-
 class ConnectionManager {
  public:
   /// `max_active`: cap on simultaneously active QPs on this node
@@ -80,12 +72,6 @@ class ConnectionManager {
     return total;
   }
 
-  /// Install the deterministic stream used for backoff jitter (callers
-  /// fork it off their seeded root Rng). Optional: the default stream is
-  /// fixed-seeded, so runs are reproducible either way.
-  void set_backoff_rng(sim::Rng rng) { backoff_rng_ = rng; }
-  void set_backoff(BackoffConfig cfg) { backoff_ = cfg; }
-
  private:
   struct PoolKey {
     NodeId remote;
@@ -123,7 +109,7 @@ class ConnectionManager {
   std::uint64_t activation_clock_ = 0;
   std::unordered_map<QpId, std::uint64_t> last_active_;
   ConnectionStats stats_;
-  BackoffConfig backoff_;
+  /// Fixed-seeded stream for backoff jitter, so runs are reproducible.
   sim::Rng backoff_rng_{0xBACC0FFULL};
 };
 

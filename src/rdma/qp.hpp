@@ -59,7 +59,6 @@ class QueuePair {
   /// WRs posted but not yet completed — the DNE's congestion signal for
   /// least-congested QP selection (§3.2).
   [[nodiscard]] int outstanding() const { return outstanding_; }
-  [[nodiscard]] std::uint64_t sends_posted() const { return sends_posted_; }
 
  private:
   friend class Rnic;
@@ -74,7 +73,6 @@ class QueuePair {
   NodeId remote_node_{};
   QpId remote_qp_{};
   int outstanding_ = 0;
-  std::uint64_t sends_posted_ = 0;
 };
 
 }  // namespace pd::rdma

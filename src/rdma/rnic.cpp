@@ -166,7 +166,6 @@ void QueuePair::post_send(const WorkRequest& wr) {
   PD_CHECK(state_ == QpState::kActive,
            "post_send on QP " << id_ << " in state " << to_string(state_));
   ++outstanding_;
-  ++sends_posted_;
   rnic_.execute(*this, wr);
 }
 
@@ -499,7 +498,7 @@ void Rnic::arrive_send(QpId dest_qp, TenantId tenant, std::uint32_t len,
   if (srq.empty()) {
     ++counters_.rnr_events;
     auto& rnr = rnr_queues_[tenant];
-    if (rnr.size() >= rnr_queue_limit_) {
+    if (rnr.size() >= cost::kRnrQueueLimit) {
       // Receiver-side overload: drop the arrival and NACK the sender's
       // reliability layer so it sheds immediately instead of retrying into
       // the same full queue.

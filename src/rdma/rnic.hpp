@@ -172,11 +172,6 @@ class Rnic {
     drain_listener_ = std::move(listener);
   }
 
-  /// Bound on messages parked per tenant awaiting SRQ buffers (RNR state).
-  /// Beyond it arrivals are dropped and a NACK datagram is returned to the
-  /// sender so it can shed instead of burning retransmit timers.
-  void set_rnr_queue_limit(std::size_t limit) { rnr_queue_limit_ = limit; }
-
   /// Fault injection: fail every QP on this RNIC that is established or
   /// connecting (optionally only those whose remote is `peer`).
   void fail_qps(NodeId peer = NodeId{});
@@ -277,14 +272,14 @@ class Rnic {
   /// WR post and SRQ post — a hash lookup here shows up in profiles).
   std::vector<char> registered_;
   std::unordered_map<TenantId, std::deque<mem::BufferDescriptor>> srqs_;
-  /// Messages that hit an empty SRQ wait here (RNR retry behaviour).
+  /// Messages that hit an empty SRQ wait here (RNR retry behaviour), at
+  /// most cost::kRnrQueueLimit per tenant.
   struct PendingRecv {
     QpId dest_qp;
     std::uint32_t len;
     std::vector<std::byte> payload;
   };
   std::unordered_map<TenantId, std::deque<PendingRecv>> rnr_queues_;
-  std::size_t rnr_queue_limit_ = 64;
 
   DrainListener drain_listener_;
   std::unordered_map<PoolId, WriteMonitor> write_monitors_;

@@ -142,8 +142,7 @@ void OnlineBoutique::deploy(Cluster& cluster, NodeId hot_node,
 }
 
 std::vector<OnlineBoutique::Cell> OnlineBoutique::deploy_cells(
-    Cluster& cluster, const std::vector<NodeId>& nodes, std::size_t cells,
-    CellPlacement placement, bool cart_store) {
+    Cluster& cluster, const std::vector<NodeId>& nodes, std::size_t cells) {
   PD_CHECK(!nodes.empty(), "deploy_cells needs at least one node");
   PD_CHECK(cells > 0, "deploy_cells needs at least one cell");
   const std::size_t n = nodes.size();
@@ -153,20 +152,12 @@ std::vector<OnlineBoutique::Cell> OnlineBoutique::deploy_cells(
     Cell cell;
     cell.index = static_cast<std::uint32_t>(c);
     cell.tenant = TenantId{static_cast<std::uint32_t>(1 + c)};
-    if (n == 1) {
-      cell.hot = cell.cold = nodes[0];
-    } else if (placement == CellPlacement::kLeafAffine) {
-      cell.hot = nodes[(2 * c) % n];
-      cell.cold = nodes[(2 * c + 1) % n];
-    } else {  // kCrossLeaf: hot from the first half, cold from the second
-      const std::size_t half = n - n / 2;
-      cell.hot = nodes[c % half];
-      cell.cold = nodes[half + c % (n / 2)];
-    }
+    cell.hot = nodes[(2 * c) % n];
+    cell.cold = nodes[(2 * c + 1) % n];
     const auto off = static_cast<std::uint32_t>(c);
     cell.home_query = kHomeQuery + off * kChainStride;
-    deploy_one(cluster, cell.hot, cell.cold, cart_store, cell.tenant,
-               off * kFunctionStride, off * kChainStride,
+    deploy_one(cluster, cell.hot, cell.cold, /*cart_store=*/false,
+               cell.tenant, off * kFunctionStride, off * kChainStride,
                c == 0 ? std::string{} : "#" + std::to_string(c),
                /*scope_tenant=*/true);
     out.push_back(cell);

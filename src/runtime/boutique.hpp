@@ -56,16 +56,6 @@ struct OnlineBoutique {
   static constexpr std::uint32_t kFunctionStride = 16;
   static constexpr std::uint32_t kChainStride = 8;
 
-  /// How deploy_cells picks each cell's hot/cold node pair from `nodes`.
-  enum class CellPlacement : std::uint8_t {
-    /// Consecutive nodes — with nodes_per_switch >= 2 a cell's two nodes
-    /// share a leaf, so its 12-exchange chains never cross the spine.
-    kLeafAffine,
-    /// Hot node from the first half, cold from the second — every chain
-    /// hop crosses the spine (the oversubscription stress case).
-    kCrossLeaf,
-  };
-
   /// One deployed boutique instance.
   struct Cell {
     std::uint32_t index = 0;
@@ -76,14 +66,15 @@ struct OnlineBoutique {
   };
 
   /// Deploy `cells` independent boutique instances (one tenant each) over
-  /// `nodes`, pairing hot/cold nodes per `placement`. Cells wrap around
-  /// `nodes` when 2*cells exceeds it. This is the 16–64-node scale
-  /// workload: per-cell tenants keep pools and chains isolated while every
-  /// cell shares the fabric and, cross-leaf, the oversubscribed spine.
-  static std::vector<Cell> deploy_cells(
-      Cluster& cluster, const std::vector<NodeId>& nodes, std::size_t cells,
-      CellPlacement placement = CellPlacement::kLeafAffine,
-      bool cart_store = false);
+  /// `nodes`, each on a consecutive hot/cold node pair — with
+  /// nodes_per_switch >= 2 a cell's two nodes share a leaf, so its
+  /// 12-exchange chains never cross the spine. Cells wrap around `nodes`
+  /// when 2*cells exceeds it. This is the 16–64-node scale workload:
+  /// per-cell tenants keep pools and chains isolated while every cell
+  /// shares the fabric.
+  static std::vector<Cell> deploy_cells(Cluster& cluster,
+                                        const std::vector<NodeId>& nodes,
+                                        std::size_t cells);
 
   /// The three chains Fig. 16 / Table 2 measure.
   static const std::vector<std::uint32_t>& measured_chains();

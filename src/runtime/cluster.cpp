@@ -60,7 +60,7 @@ WorkerNode::WorkerNode(Cluster& cluster, NodeId id)
     rnic_ = std::make_unique<rdma::Rnic>(*cluster.rdma_net_, id, mem_);
   }
   if (sys == SystemKind::kPalladiumDne || sys == SystemKind::kPalladiumOnPath) {
-    dpu_ = std::make_unique<dpu::Dpu>(sched_, id, cfg.dpu_cores);
+    dpu_ = std::make_unique<dpu::Dpu>(sched_, id, cost::kDpuCores);
   }
 
   switch (sys) {
@@ -116,9 +116,9 @@ sim::Core& WorkerNode::assign_core() {
 }
 
 sim::Duration WorkerNode::jittered(sim::Duration nominal) {
-  const double jitter = cluster_.config().compute_jitter;
-  if (jitter <= 0.0 || nominal == 0) return nominal;
-  const double factor = 1.0 + jitter * (2.0 * jitter_.next_double() - 1.0);
+  if (nominal == 0) return nominal;
+  const double factor =
+      1.0 + cost::kComputeJitter * (2.0 * jitter_.next_double() - 1.0);
   return static_cast<sim::Duration>(static_cast<double>(nominal) * factor);
 }
 
@@ -603,16 +603,14 @@ void Cluster::register_external_entry(FunctionId entry, NodeId node) {
   }
 }
 
-void Cluster::enable_cart_store(NodeId store_node, std::uint32_t slots,
-                                Bytes record_bytes) {
+void Cluster::enable_cart_store(NodeId store_node, std::uint32_t slots) {
   PD_CHECK(!setup_done_, "enable_cart_store must run before finish_setup");
   PD_CHECK(cart_store_ == nullptr, "cart store already enabled");
   PD_CHECK(rdma_net_ != nullptr && is_palladium(config_.system),
            "the cart store needs an RDMA-backed Palladium data plane");
   PD_CHECK(has_worker(store_node), "unknown store node " << store_node);
 
-  cart_store_ =
-      std::make_unique<CartStateStore>(worker(store_node), slots, record_bytes);
+  cart_store_ = std::make_unique<CartStateStore>(worker(store_node), slots);
   for (auto& node : nodes_) {
     if (node->id() == store_node) continue;
     auto client = std::make_unique<CartStoreClient>(*node, *cart_store_);

@@ -48,14 +48,8 @@ struct ClusterConfig {
   SystemKind system = SystemKind::kPalladiumDne;
   core::EngineConfig engine{};      ///< Palladium engine tuning
   std::size_t cpu_cores_per_node = 16;
-  std::size_t dpu_cores = 8;
   std::size_t pool_buffers = 1024;  ///< buffers per tenant pool per node
   Bytes buffer_bytes = 16 * 1024;
-  /// Relative jitter applied to per-hop compute times (cache effects,
-  /// branchy handlers). Essential under a deterministic scheduler: without
-  /// it, closed-loop clients phase-lock into convoys that no real system
-  /// exhibits. Deterministic per seed.
-  double compute_jitter = 0.10;
   std::uint64_t seed = 0x9E3779B9;
   SidecarMode sidecar = SidecarMode::kPerFunctionEbpf;
   /// Fabric topology (ISSUE 9). Default (nodes_per_switch = 0) is the flat
@@ -111,7 +105,7 @@ class WorkerNode {
   /// Round-robin host-core assignment for deployed functions.
   sim::Core& assign_core();
 
-  /// Apply the configured compute jitter to a nominal duration for work on
+  /// Apply cost::kComputeJitter to a nominal duration for work on
   /// this node. Draws come from the node's own deterministic stream, so
   /// they stay shard-local and replay identically for any thread count.
   [[nodiscard]] sim::Duration jittered(sim::Duration nominal);
@@ -211,8 +205,7 @@ class Cluster {
   /// worker. Must run after the workers exist and before finish_setup()
   /// (the RC handshakes drain there). Requires an RDMA-backed Palladium
   /// system. Chains opt hops in via ChainHop::store_op.
-  void enable_cart_store(NodeId store_node, std::uint32_t slots = 64,
-                         Bytes record_bytes = 2048);
+  void enable_cart_store(NodeId store_node, std::uint32_t slots = 64);
   /// The store (nullptr until enable_cart_store). The store node itself
   /// has no client — its functions keep using RPC to the state service.
   [[nodiscard]] CartStateStore* cart_store() { return cart_store_.get(); }
@@ -283,7 +276,6 @@ class Cluster {
   /// clocks to every buffer pool so the exact slot-ns occupancy integrals
   /// accrue.
   void enable_ledger();
-  [[nodiscard]] bool ledger_enabled() const { return ledger_enabled_; }
   /// Fold every pool's slot-ns integral (through its node's final simulated
   /// time) into the owning shard's ledger. Call once, after the run drains
   /// and before merge_observability.
@@ -306,7 +298,6 @@ class Cluster {
   /// Recorder holding `node`'s series (its owning shard's hub). nullptr
   /// until start_flight_recorder() runs, so callers can no-op cheaply.
   [[nodiscard]] obs::FlightRecorder* flight_recorder(NodeId node);
-  [[nodiscard]] bool flight_recording() const { return flight_started_; }
   /// Fold every shard hub into `into` deterministically (shard order):
   /// counters add, histograms merge, spans concatenate and cross-shard span
   /// ends resolve. Call after the run; shard registries are reset so a

@@ -47,7 +47,6 @@ void FunctionInstance::on_message(const mem::BufferDescriptor& d) {
     // requester so the invocation fails visibly instead of hanging. If the
     // error response itself cannot make it back, the engine drops it
     // terminally — no error ping-pong.
-    ++errors_received_;
     const FunctionId client{h.client_id};
     if (h.client_id == 0 || client == spec_.id) {
       pool.release(d, actor());
@@ -80,7 +79,7 @@ void FunctionInstance::on_message(const mem::BufferDescriptor& d) {
   // channel-enqueue work are one uninterruptible job on this core. Charging
   // them separately would let the next request's compute slip in between
   // and head-of-line-block this response.
-  const bool last_hop = h.hop_index + 1 == chain.hops.size();
+  const bool last_hop = std::size_t{h.hop_index} + 1 == chain.hops.size();
   const FunctionId next_dst =
       last_hop ? FunctionId{h.client_id} : chain.hops[h.hop_index + 1].fn;
   const sim::Duration compute = node_.jittered(hop.compute_ns);
@@ -123,7 +122,7 @@ void FunctionInstance::store_advance(const mem::BufferDescriptor& d) {
   // Sandwich invariant: the store hop must have a successor, and that
   // successor must be this same function — the store op stands in for the
   // service's reply, so somebody must be here to consume it.
-  PD_CHECK(h.hop_index + 2 < chain.hops.size(),
+  PD_CHECK(std::size_t{h.hop_index} + 2 < chain.hops.size(),
            "store hop cannot be the chain's terminal hop");
   PD_CHECK(chain.hops[h.hop_index + 2].fn == spec_.id,
            "store hop not sandwiched by " << spec_.name);
@@ -190,7 +189,7 @@ void FunctionInstance::advance_chain(const mem::BufferDescriptor& d) {
   core::MessageHeader h = core::read_header(pool.access(d, actor()));
   const Chain& chain = node_.cluster().chains().by_id(h.chain_id);
   const ChainHop& hop = chain.hops[h.hop_index];
-  const bool last_hop = h.hop_index + 1 == chain.hops.size();
+  const bool last_hop = std::size_t{h.hop_index} + 1 == chain.hops.size();
 
   // Zero-copy: reuse the same buffer for the outbound message — only the
   // header is rewritten and the length adjusted.

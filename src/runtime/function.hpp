@@ -50,10 +50,6 @@ class FunctionInstance {
   [[nodiscard]] std::uint64_t store_fallbacks() const {
     return store_fallbacks_;
   }
-  /// Error completions received from the engine (failed sends of ours).
-  [[nodiscard]] std::uint64_t errors_received() const {
-    return errors_received_;
-  }
   /// Total application compute executed (reference ns) — lets harnesses
   /// separate function work from data-plane work in CPU accounting.
   [[nodiscard]] sim::Duration compute_ns_total() const { return compute_total_; }
@@ -78,7 +74,6 @@ class FunctionInstance {
   std::size_t rr_ = 0;          ///< round-robin cursor over active replicas
   std::uint64_t inflight_ = 0;  ///< accepted-not-yet-executed compute jobs
   std::uint64_t invocations_ = 0;
-  std::uint64_t errors_received_ = 0;
   std::uint64_t store_ops_ = 0;
   std::uint64_t store_fallbacks_ = 0;
   sim::Duration compute_total_ = 0;

@@ -8,14 +8,13 @@
 
 namespace pd::runtime {
 
-CartStateStore::CartStateStore(WorkerNode& node, std::uint32_t slots,
-                               Bytes record_bytes)
-    : node_(node), slots_(slots), record_bytes_(record_bytes) {
+CartStateStore::CartStateStore(WorkerNode& node, std::uint32_t slots)
+    : node_(node), slots_(slots) {
   PD_CHECK(slots_ > 0, "cart store needs at least one slot");
   PD_CHECK(node_.rnic() != nullptr, "cart store requires an RNIC");
 
   auto& tm = node_.memory().create_tenant_pool(
-      kStoreTenant, "cart_store", slots_, record_bytes_);
+      kStoreTenant, "cart_store", slots_, kRecordBytes);
   tm.export_to_dpu();
   tm.export_to_rdma();
   slab_ = tm.pool_id();
@@ -48,8 +47,7 @@ std::uint64_t CartStateStore::version(std::uint32_t slot) const {
   return node_.rnic()->atomic_word(version_addr(slot));
 }
 
-CartStoreClient::CartStoreClient(WorkerNode& node, CartStateStore& store,
-                                 std::uint32_t scratch_slots)
+CartStoreClient::CartStoreClient(WorkerNode& node, CartStateStore& store)
     : node_(node),
       store_(store),
       cm_(*node.rnic()),
@@ -59,7 +57,8 @@ CartStoreClient::CartStoreClient(WorkerNode& node, CartStateStore& store,
            "the store node reads its slab locally — no client needed");
 
   auto& tm = node_.memory().create_tenant_pool(
-      kScratchTenant, "cart_scratch", scratch_slots, store_.record_bytes());
+      kScratchTenant, "cart_scratch", kScratchSlots,
+      CartStateStore::kRecordBytes);
   tm.export_to_rdma();
   scratch_pool_ = tm.pool_id();
   // Local-only registration: the scratch is a READ landing zone / WRITE
@@ -69,7 +68,7 @@ CartStoreClient::CartStoreClient(WorkerNode& node, CartStateStore& store,
 
   const mem::Actor nic = mem::actor_rnic(node_.id());
   auto& pool = tm.pool();
-  for (std::uint32_t s = 0; s < scratch_slots; ++s) {
+  for (std::uint32_t s = 0; s < kScratchSlots; ++s) {
     auto d = pool.allocate(nic);
     PD_CHECK(d.has_value(), "cart scratch slot allocation failed");
     scratch_.push_back(*d);
@@ -145,7 +144,7 @@ void CartStoreClient::post_read(Op op, std::uint32_t scratch) {
   wr.remote_pool = force_denial_ ? scratch_pool_ : store_.slab();
   wr.remote_index = op.slot;
   wr.read_len = std::min<std::uint32_t>(
-      op.bytes, static_cast<std::uint32_t>(store_.record_bytes()));
+      op.bytes, static_cast<std::uint32_t>(CartStateStore::kRecordBytes));
   wait_on(wr.wr_id,
           [this, scratch, done = std::move(op.done)](const rdma::Completion& c) {
             release_scratch(scratch);
@@ -197,7 +196,7 @@ void CartStoreClient::post_acquire(Op op, std::uint32_t scratch) {
 void CartStoreClient::post_write(Op op, std::uint32_t scratch) {
   auto& pool = node_.memory().by_pool(scratch_pool_).pool();
   const std::uint32_t len = std::min<std::uint32_t>(
-      op.bytes, static_cast<std::uint32_t>(store_.record_bytes()));
+      op.bytes, static_cast<std::uint32_t>(CartStateStore::kRecordBytes));
   rdma::WorkRequest wr;
   wr.wr_id = next_wr_id();
   wr.opcode = rdma::Opcode::kWrite;

@@ -11,7 +11,7 @@
 //
 // Two pieces:
 //  - CartStateStore: the slab on the store node. A dedicated tenant pool
-//    (slots x record_bytes) registered with full remote access plus two
+//    (slots x kRecordBytes) registered with full remote access plus two
 //    atomic-word families guarded by the slab MR: per-slot ownership
 //    tokens and per-slot version counters.
 //  - CartStoreClient: per remote node. Owns a local-only scratch MR (READ
@@ -40,13 +40,14 @@ class CartStateStore {
  public:
   /// Pseudo-tenant owning the slab pool (far outside application range).
   static constexpr TenantId kStoreTenant{950};
+  /// Bytes per cart record slot.
+  static constexpr Bytes kRecordBytes = 2048;
 
-  CartStateStore(WorkerNode& node, std::uint32_t slots, Bytes record_bytes);
+  CartStateStore(WorkerNode& node, std::uint32_t slots);
 
   [[nodiscard]] NodeId node() const { return node_.id(); }
   [[nodiscard]] PoolId slab() const { return slab_; }
   [[nodiscard]] std::uint32_t slots() const { return slots_; }
-  [[nodiscard]] Bytes record_bytes() const { return record_bytes_; }
 
   /// Per-slot ownership-token word (0 = free, else the holder's token).
   [[nodiscard]] static std::uint64_t token_addr(std::uint32_t slot) {
@@ -64,7 +65,6 @@ class CartStateStore {
   WorkerNode& node_;
   PoolId slab_{};
   std::uint32_t slots_;
-  Bytes record_bytes_;
 };
 
 class CartStoreClient {
@@ -75,9 +75,11 @@ class CartStoreClient {
   /// CQ; everything else belongs to the engine.
   static constexpr std::uint64_t kWrTag = 0xCA57ULL << 48;
   static constexpr std::uint64_t kWrTagMask = 0xFFFFULL << 48;
+  /// Scratch slots (READ landing buffers / WRITE staging): the most store
+  /// ops one node keeps in flight.
+  static constexpr std::uint32_t kScratchSlots = 64;
 
-  CartStoreClient(WorkerNode& node, CartStateStore& store,
-                  std::uint32_t scratch_slots = 64);
+  CartStoreClient(WorkerNode& node, CartStateStore& store);
 
   struct Counters {
     std::uint64_t reads = 0;          ///< completed one-sided record READs

@@ -93,8 +93,6 @@ void ParallelSim::set_shard_hooks(ShardHook enter, ShardHook leave) {
   leave_shard_ = std::move(leave);
 }
 
-std::size_t ParallelSim::current_shard() { return tl_shard; }
-
 void ParallelSim::post(std::size_t dst, TimePoint t, EventFn fn,
                        bool foreground) {
   PD_CHECK(dst < shards_.size(), "post to unknown shard " << dst);

@@ -98,10 +98,9 @@ class ParallelSim {
   /// mirrors Scheduler::schedule_at vs schedule_background_at.
   void post(std::size_t dst, TimePoint t, EventFn fn, bool foreground = true);
 
-  /// Shard index the calling thread is currently executing, or npos when
-  /// not inside a shard's execute phase (setup / main thread).
+  /// Shard index marking a thread outside any shard's execute phase
+  /// (setup / main thread).
   static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-  [[nodiscard]] static std::size_t current_shard();
 
   /// Run epochs until no foreground event remains on any shard (the
   /// parallel analog of Scheduler::run). Returns events processed.

@@ -128,14 +128,6 @@ std::size_t Scheduler::run_until(TimePoint deadline) {
   return n;
 }
 
-std::size_t Scheduler::run_window(TimePoint end) {
-  std::size_t n = 0;
-  while (!heap_.empty() && heap_[0].t < end) {
-    if (pop_one()) ++n;
-  }
-  return n;
-}
-
 std::size_t Scheduler::run_window_dynamic(const TimePoint& end,
                                           bool stop_when_fg_idle) {
   std::size_t n = 0;

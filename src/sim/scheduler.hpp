@@ -88,13 +88,10 @@ class Scheduler {
   /// Process every event with timestamp strictly below `end` (one epoch
   /// window of a conservative parallel run). Does not advance now() past
   /// the last fired event, so the next window may start earlier than
-  /// `end`. Returns events processed.
-  std::size_t run_window(TimePoint end);
-
-  /// run_window with a window end that may shrink *while the window runs*:
-  /// `end` is read afresh before each event, so the parallel driver can
-  /// cap the window the moment the shard's own cross-shard send creates a
-  /// reflection hazard (adaptive lookahead, DESIGN.md §15). With
+  /// `end`. Returns events processed. The window end may shrink *while the
+  /// window runs*: `end` is read afresh before each event, so the parallel
+  /// driver can cap the window the moment the shard's own cross-shard send
+  /// creates a reflection hazard (adaptive lookahead, DESIGN.md §15). With
   /// `stop_when_fg_idle` the window also ends once no foreground event
   /// remains on this scheduler — the shard-local analog of run()'s stop
   /// condition, used for unbounded grants so self-rescheduling background
@@ -117,9 +114,6 @@ class Scheduler {
   std::size_t run_steps(std::size_t n);
 
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
-  /// Slab slots ever allocated — the high-water mark of concurrent pending
-  /// events (the slab reuses slots and only grows). Footprint diagnostics.
-  [[nodiscard]] std::size_t slab_slots() const { return slab_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
  private:

@@ -71,15 +71,4 @@ class TimeSeries {
   std::vector<double> buckets_;
 };
 
-/// Windowed mean helper for gauges sampled at irregular times.
-struct RunningMean {
-  double sum = 0.0;
-  std::uint64_t n = 0;
-  void add(double v) {
-    sum += v;
-    ++n;
-  }
-  [[nodiscard]] double mean() const { return n == 0 ? 0.0 : sum / static_cast<double>(n); }
-};
-
 }  // namespace pd::sim

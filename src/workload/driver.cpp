@@ -80,7 +80,6 @@ void ChainDriver::on_response(const mem::BufferDescriptor& d) {
     latencies_.record(now - start);
     completions_.increment(now);
     ++completed_;
-    if (hook_) hook_(h.request_id, now - start);
   }
   send_one();  // closed loop: immediately issue the next request
 }

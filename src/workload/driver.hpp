@@ -3,7 +3,6 @@
 // microbenchmarks and the bursty open-loop tenants of Fig. 15.
 #pragma once
 
-#include <functional>
 #include <unordered_map>
 
 #include "runtime/cluster.hpp"
@@ -36,13 +35,6 @@ class ChainDriver {
   [[nodiscard]] std::uint64_t failed() const { return failed_; }
   [[nodiscard]] sim::Core& core() { return core_; }
 
-  /// Optional per-completion callback (request id, RTT) — used by harnesses
-  /// that need raw completion streams (e.g. burstiness analysis).
-  void set_completion_hook(
-      std::function<void(std::uint64_t, sim::Duration)> hook) {
-    hook_ = std::move(hook);
-  }
-
   /// Completed requests per second over the measured window.
   [[nodiscard]] double rps(sim::TimePoint from, sim::TimePoint until) const;
 
@@ -62,7 +54,6 @@ class ChainDriver {
   sim::TimeSeries completions_;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
-  std::function<void(std::uint64_t, sim::Duration)> hook_;
 };
 
 /// Open-loop driver with an on/off schedule: tenant load for Fig. 15.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/hub.hpp"
 #include "runtime/function.hpp"
 #include "workload/http_client.hpp"
 
@@ -206,6 +207,58 @@ TEST(PalladiumIngressTest, AutoscalerAddsWorkersUnderLoad) {
 
   EXPECT_GT(ing.scale_events(), 0u);
   EXPECT_GT(ing.active_workers(), 1);
+}
+
+TEST(PalladiumIngressTest, UsefulCpuSeriesKeepsWorkOfScaledDownWorker) {
+  // Fig. 14's useful-CPU series must account for every busy nanosecond of
+  // every ingress worker, including the work a worker did in the second
+  // it was scaled down.
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  runtime::ClusterConfig ccfg;
+  ccfg.system = runtime::SystemKind::kPalladiumDne;
+  ccfg.cpu_cores_per_node = 8;
+  auto cluster = std::make_unique<runtime::Cluster>(psim, ccfg);
+  cluster->enable_shard_profiling();
+  cluster->add_worker(kNode1);
+  cluster->add_worker(kNode2);
+  cluster->add_tenant(kTenant, 1);
+  cluster->deploy(runtime::FunctionSpec{kFnA, "echo", kTenant}, kNode1);
+  cluster->add_chain(runtime::Chain{kChain, "echo", kTenant, 64,
+                                    {{kFnA, 1'000, 64}}});
+  PalladiumIngress::Config icfg;
+  icfg.initial_workers = 2;
+  PalladiumIngress ing(*cluster, icfg);
+  ing.expose_chain("/echo", kChain);
+  ing.finish_setup();
+  cluster->finish_setup();
+
+  workload::HttpLoadGen::Config wcfg;
+  wcfg.target = "/echo";
+  workload::HttpLoadGen wrk(sched, ing, wcfg);
+  wrk.add_clients(8);
+  const sim::TimePoint start = sched.now();
+  psim.run_until(start + 1'500'000'000);
+  ing.scale_to(1);  // mid-second, with both workers busy
+  psim.run_until(start + 2'500'000'000);
+  wrk.stop();
+  psim.run();
+  // Idle past two more sampling ticks so the series covers all work.
+  psim.run_until(sched.now() + 2'000'000'000);
+
+  obs::Hub hub;
+  cluster->merge_observability(hub);
+  const double busy_s =
+      static_cast<double>(hub.profiler.resource_prefix_ns("ingress/worker/")) /
+      1e9;
+  sim::TimeSeries& series = ing.useful_cpu_series();
+  double series_s = 0;
+  for (std::size_t i = 0; i < series.num_buckets(); ++i) {
+    series_s += series.bucket_value(i);
+  }
+  ASSERT_EQ(ing.active_workers(), 1);
+  ASSERT_GT(busy_s, 0.5);
+  EXPECT_NEAR(series_s, busy_s, 1e-6);
 }
 
 }  // namespace

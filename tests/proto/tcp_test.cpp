@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace pd::proto {
@@ -44,6 +47,24 @@ TEST_F(TcpTest, HandshakeThenEcho) {
   EXPECT_EQ(client_got, "response-bytes");
   EXPECT_EQ(conn.messages(), 2u);
   EXPECT_EQ(conn.bytes_transferred(), 13u + 14u);
+}
+
+TEST_F(TcpTest, SendsDuringHandshakeArriveInOrder) {
+  sim::Core client_core(sched, "client"), server_core(sched, "server");
+  std::vector<std::string> server_got;
+  TcpEndpoint a{kClient, StackKind::kKernel, &client_core, nullptr, nullptr};
+  TcpEndpoint b{kServer, StackKind::kKernel, &server_core, nullptr,
+                [&](std::string_view m) { server_got.emplace_back(m); }};
+  TcpConnection conn(sched, eth, a, b);
+
+  conn.connect(nullptr);
+  conn.send_a_to_b("first");
+  conn.send_a_to_b("second");
+  EXPECT_FALSE(conn.established());
+  sched.run();
+  ASSERT_TRUE(conn.established());
+  EXPECT_EQ(server_got, (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(conn.messages(), 2u);
 }
 
 TEST_F(TcpTest, KernelStackCostsMoreThanFstack) {

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full verification run: build, tests, every figure bench. Produces
-# test_output.txt and bench_output.txt at the repo root.
+# test_output.txt and bench_output.txt at the repo root. Every build
+# configures with -DPALLADIUM_WERROR=ON, so any compiler warning fails it.
 #
 # Modes:
 #   tools/run_all.sh         build + tier-1 tests + all benches
@@ -58,7 +59,7 @@ set -e
 cd "$(dirname "$0")/.."
 
 if [ "$1" = "chaos" ]; then
-  cmake -B build -G Ninja
+  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
   ctest --test-dir build -L chaos --output-on-failure 2>&1 | tee chaos_output.txt
   for seed in 1 2 3 4 5 6 7 8 9 10; do
@@ -74,7 +75,7 @@ if [ "$1" = "chaos" ]; then
 fi
 
 if [ "$1" = "tsan" ]; then
-  cmake -B build-tsan -G Ninja -DPD_SANITIZE=thread \
+  cmake -B build-tsan -G Ninja -DPALLADIUM_WERROR=ON -DPD_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan --target pdes_test fig16_boutique
   TSAN_OPTIONS=halt_on_error=1 \
@@ -92,7 +93,7 @@ if [ "$1" = "tsan" ]; then
 fi
 
 if [ "$1" = "overload" ]; then
-  cmake -B build -G Ninja
+  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
   ctest --test-dir build -L overload --output-on-failure 2>&1 \
     | tee overload_output.txt
@@ -131,7 +132,7 @@ if [ "$1" = "overload" ]; then
 fi
 
 if [ "$1" = "ledger" ]; then
-  cmake -B build -G Ninja
+  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
   ctest --test-dir build -L ledger --output-on-failure 2>&1 \
     | tee ledger_output.txt
@@ -183,7 +184,7 @@ if [ "$1" = "ledger" ]; then
 fi
 
 if [ "$1" = "cartstore" ]; then
-  cmake -B build -G Ninja
+  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
   ctest --test-dir build -L onesided --output-on-failure 2>&1 \
     | tee cartstore_output.txt
@@ -220,7 +221,7 @@ if [ "$1" = "cartstore" ]; then
 fi
 
 if [ "$1" = "scale" ]; then
-  cmake -B build -G Ninja
+  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
   ctest --test-dir build -L pdes --output-on-failure 2>&1 | tee scale_output.txt
   rm -rf scale_report && mkdir -p scale_report
@@ -262,7 +263,7 @@ if [ "$1" = "scale" ]; then
 fi
 
 if [ "$1" = "obs" ]; then
-  cmake -B build -G Ninja
+  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
   ctest --test-dir build -L "obs-report|obs-ts" --output-on-failure 2>&1 \
     | tee obs_output.txt
@@ -311,7 +312,8 @@ if [ "$1" = "obs" ]; then
 fi
 
 if [ "$1" = "asan" ]; then
-  cmake -B build-asan -G Ninja -DPD_SANITIZE=address,undefined \
+  cmake -B build-asan -G Ninja -DPALLADIUM_WERROR=ON \
+    -DPD_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
@@ -319,7 +321,7 @@ if [ "$1" = "asan" ]; then
   exit 0
 fi
 
-cmake -B build -G Ninja
+cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do
