@@ -19,7 +19,11 @@
 // --json writes one row per client count with only simulated-time leaves
 // (requests, events, sim latencies, pdes_* protocol counters), so the file
 // is byte-identical for every --threads value; tools/run_all.sh scale diffs
-// it against tools/golden/pdes_scale.json. Wall clock stays in the table.
+// it against tools/golden/pdes_scale.json. Wall clock and memory (process
+// peak RSS; buffer-pool bytes touched vs reserved, workers plus gateway)
+// stay in the table.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -198,7 +202,15 @@ struct ScaleResult {
   std::uint64_t skip_ahead_epochs = 0;
   std::uint64_t mailbox_msgs = 0;
   double wall_sec = 0;
+  Bytes pool_touched = 0;
+  Bytes pool_reserved = 0;
 };
+
+double peak_rss_mib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+}
 
 ScaleResult run_scale(const ScaleSpec& spec, int clients) {
   constexpr sim::Duration kWarm = 500'000'000;   // 0.5 s
@@ -285,6 +297,12 @@ ScaleResult run_scale(const ScaleSpec& spec, int clients) {
   r.p99_ms = static_cast<double>(merged.quantile(0.99)) / 1e6;
   for (auto& g : gens) g->stop();
   psim.run();
+  const auto add_pools = [&r](const mem::MemoryDomain& m) {
+    r.pool_touched += m.touched_bytes();
+    r.pool_reserved += m.footprint();
+  };
+  add_pools(ing.memory());
+  for (const auto& w : cluster->workers()) add_pools(w->memory());
   return r;
 }
 
@@ -316,6 +334,7 @@ std::string scale_json(const ScaleSpec& spec,
 
 int scale_main(const ScaleSpec& spec, const char* json_path) {
   using namespace pd::bench;
+  constexpr double kMiB = 1024.0 * 1024.0;
   const std::size_t leaves =
       (static_cast<std::size_t>(spec.nodes) + spec.nodes_per_switch - 1) /
       spec.nodes_per_switch;
@@ -325,7 +344,7 @@ int scale_main(const ScaleSpec& spec, const char* json_path) {
               std::to_string(spec.cells) + " cells, sharded across " +
               std::to_string(spec.threads) + " thread(s)");
   Table t({"clients", "RPS", "mean ms", "p99 ms", "epochs/sim-s",
-           "wall Mevents/s"});
+           "wall Mevents/s", "peak RSS MiB", "pool touched / reserved MiB"});
   std::vector<ScaleResult> rows;
   for (int clients : spec.loads) {
     const ScaleResult& r = rows.emplace_back(run_scale(spec, clients));
@@ -339,7 +358,10 @@ int scale_main(const ScaleSpec& spec, const char* json_path) {
                fmt(r.wall_sec > 0
                        ? static_cast<double>(r.events) / r.wall_sec / 1e6
                        : 0,
-                   2)});
+                   2),
+               fmt(peak_rss_mib()),
+               fmt(static_cast<double>(r.pool_touched) / kMiB) + " / " +
+                   fmt(static_cast<double>(r.pool_reserved) / kMiB)});
   }
   t.print();
   print_note("one shard per leaf switch; per-pair lookahead batches every "

@@ -91,6 +91,9 @@ class PalladiumIngress : public IngressFrontend {
   /// recorder. No-op unless Cluster::start_flight_recorder() ran first.
   void start_flight_probes();
 
+  /// The gateway's own per-tenant pools (memory reporting).
+  [[nodiscard]] const mem::MemoryDomain& memory() const { return mem_; }
+
   /// Resource-ledger wiring (ISSUE 10): attach the edge scheduler's clock
   /// to the gateway's pools so slot-ns occupancy integrals accrue.
   void attach_pool_clock();

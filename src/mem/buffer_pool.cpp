@@ -1,6 +1,8 @@
 #include "mem/buffer_pool.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 
 #include "common/check.hpp"
 
@@ -24,7 +26,18 @@ BufferPool::BufferPool(PoolId id, TenantId tenant, std::size_t buf_count,
     : id_(id), tenant_(tenant), buf_size_(buf_size) {
   PD_CHECK(id.valid() && tenant.valid(), "pool needs valid ids");
   PD_CHECK(buf_count > 0 && buf_size > 0, "empty pool");
-  backing_.resize(buf_count * buf_size);
+  // Descriptors and the freelist index slots with 32 bits.
+  PD_CHECK(buf_count <= UINT32_MAX,
+           "pool of " << buf_count << " slots exceeds 32-bit indices");
+  // Checked here rather than left to calloc: sanitizer allocators abort on
+  // an overflowing calloc instead of returning null.
+  PD_CHECK(buf_size <= SIZE_MAX / buf_count,
+           "pool of " << buf_count << " x " << buf_size << " bytes overflows");
+  // calloc keeps fresh slots zero without writing them, so pages stay
+  // uncommitted until a slot is first written.
+  backing_.reset(static_cast<std::byte*>(std::calloc(buf_count, buf_size)));
+  PD_CHECK(backing_, "cannot reserve " << buf_count << " x " << buf_size
+                                       << " bytes");
   slots_.resize(buf_count);
   free_.reserve(buf_count);
   // Push in reverse so allocation order starts at slot 0 (LIFO freelist).
@@ -95,7 +108,7 @@ std::span<std::byte> BufferPool::access(const BufferDescriptor& d,
   Slot& s = checked_slot(d);
   PD_CHECK(s.owner == owner, "access by non-owner " << to_string(owner.kind)
                                                     << "/" << owner.id);
-  return {backing_.data() + static_cast<std::size_t>(d.index) * buf_size_,
+  return {backing_.get() + static_cast<std::size_t>(d.index) * buf_size_,
           buf_size_};
 }
 

@@ -10,7 +10,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -25,9 +27,10 @@ namespace pd::mem {
 
 class BufferPool {
  public:
-  /// `buf_count` buffers of `buf_size` bytes each. Backing store is one
-  /// contiguous allocation, mimicking a hugepage region (2 MiB pages reduce
-  /// RNIC MTT pressure per §3.4).
+  /// `buf_count` buffers of `buf_size` bytes each. The backing store is
+  /// reserved as one contiguous zeroed region, the model of a hugepage
+  /// region (2 MiB pages reduce RNIC MTT pressure per §3.4), and its pages
+  /// are committed on first write: an idle slot costs no resident memory.
   BufferPool(PoolId id, TenantId tenant, std::size_t buf_count, Bytes buf_size);
 
   BufferPool(const BufferPool&) = delete;
@@ -63,11 +66,18 @@ class BufferPool {
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
   [[nodiscard]] std::size_t available() const { return free_.size(); }
   [[nodiscard]] std::size_t in_use() const { return capacity() - available(); }
-  /// Total bytes of backing memory (for footprint reporting).
+  /// Reserved bytes of backing memory, which equal the bytes registered
+  /// with the RNIC.
   [[nodiscard]] Bytes footprint() const { return capacity() * buf_size_; }
 
   /// Peak simultaneous in-use buffers (high-water mark, for sizing).
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
+  /// Bytes of backing memory ever handed out. The LIFO freelist hands out
+  /// slot 0 first and recycles the latest release, so the slots ever
+  /// allocated, the only ones that can have been written, are exactly
+  /// {0 .. high_water-1}. A whole slot counts, so this bounds the committed
+  /// pool memory from above.
+  [[nodiscard]] Bytes touched_bytes() const { return high_water_ * buf_size_; }
 
   /// Attach a simulated-time clock. While attached, the pool maintains an
   /// exact running integral of in-use slots over time (slot-ns), updated at
@@ -85,6 +95,9 @@ class BufferPool {
   }
 
  private:
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
   struct Slot {
     Actor owner{};   // kNone when free
     bool in_use = false;
@@ -99,7 +112,7 @@ class BufferPool {
   PoolId id_;
   TenantId tenant_;
   Bytes buf_size_;
-  std::vector<std::byte> backing_;
+  std::unique_ptr<std::byte, Free> backing_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // LIFO freelist: hot buffers stay cached
   std::size_t high_water_ = 0;

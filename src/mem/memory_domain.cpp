@@ -69,4 +69,10 @@ Bytes MemoryDomain::footprint() const {
   return total;
 }
 
+Bytes MemoryDomain::touched_bytes() const {
+  Bytes total = 0;
+  for (const auto& p : pools_) total += p->pool().touched_bytes();
+  return total;
+}
+
 }  // namespace pd::mem

@@ -65,8 +65,10 @@ class MemoryDomain {
   [[nodiscard]] const std::vector<std::unique_ptr<TenantMemory>>& pools() const {
     return pools_;
   }
-  /// Total backing memory across tenants.
+  /// Reserved (registered) backing memory across tenants.
   [[nodiscard]] Bytes footprint() const;
+  /// Backing memory ever handed out across tenants (BufferPool::touched_bytes).
+  [[nodiscard]] Bytes touched_bytes() const;
 
   /// Attach a simulated-time clock to every pool in the domain — existing
   /// and future — enabling the exact slot-ns occupancy integral the

@@ -166,9 +166,11 @@ class Cluster {
 
   /// Scoped variant: provision the tenant only on `hosts` (the nodes that
   /// will run its functions). On a 16–64-node cluster the all-nodes default
-  /// is quadratic in memory — nodes × tenants buffer pools plus the RC
-  /// connections finish_setup() builds for every (peer, tenant) pair — and
-  /// nearly all of it idle when each tenant's cell spans two nodes. The
+  /// is quadratic — nodes × tenants buffer pools (reserved, committed only
+  /// on first write) plus the RC connections finish_setup() builds for
+  /// every (peer, tenant) pair — and nearly all of it idle when each
+  /// tenant's cell spans two nodes. It also gives every worker pair a
+  /// shared tenant, which leaves the PDES communication graph dense. The
   /// ingress keeps its own per-tenant pools and connections either way.
   void add_tenant(TenantId tenant, std::uint32_t weight,
                   const std::vector<NodeId>& hosts);

@@ -4,7 +4,12 @@
 
 #include "common/check.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace pd::mem {
 namespace {
@@ -132,6 +137,72 @@ TEST(BufferPool, HighWaterMarkTracksPeak) {
 TEST(BufferPool, FootprintReportsBackingBytes) {
   auto pool = make_pool(8, 1024);
   EXPECT_EQ(pool.footprint(), 8u * 1024u);
+}
+
+TEST(BufferPool, FreshSlotsReadZero) {
+  // Every slot is zero before its first write, so a fresh buffer never
+  // exposes stale heap contents, even where a dirtied pool was just freed.
+  {
+    auto dirty = make_pool(4, 256);
+    for (int i = 0; i < 4; ++i) {
+      auto span = dirty.access(*dirty.allocate(kFnA), kFnA);
+      std::memset(span.data(), 0xff, span.size());
+    }
+  }
+  auto pool = make_pool(4, 256);
+  for (int i = 0; i < 4; ++i) {
+    auto d = pool.allocate(kFnA);
+    ASSERT_TRUE(d.has_value());
+    for (std::byte b : pool.access(*d, kFnA)) ASSERT_EQ(b, std::byte{0});
+  }
+}
+
+TEST(BufferPool, TouchedBytesFollowHighWater) {
+  auto pool = make_pool(8, 1024);
+  EXPECT_EQ(pool.touched_bytes(), 0u);
+  auto a = pool.allocate(kFnA);
+  auto b = pool.allocate(kFnA);
+  auto c = pool.allocate(kFnA);
+  ASSERT_TRUE(a && b && c);
+  EXPECT_EQ(pool.touched_bytes(), 3u * 1024u);
+  // A release and reallocation recycles the same slot: nothing new touched.
+  pool.release(*b, kFnA);
+  auto again = pool.allocate(kFnA);
+  EXPECT_EQ(again->index, b->index);
+  EXPECT_EQ(pool.touched_bytes(), 3u * 1024u);
+  EXPECT_EQ(pool.footprint(), 8u * 1024u);
+}
+
+TEST(BufferPool, BackingCommittedOnFirstWrite) {
+  // 2048 x 16 KiB: the last slot lies 32 MiB past slot 0, further than one
+  // transparent huge page, so writing slot 0 cannot commit it.
+  constexpr std::size_t kCount = 2048;
+  auto pool = make_pool(kCount, 16_KiB);
+  std::vector<BufferDescriptor> all;
+  for (std::size_t i = 0; i < kCount; ++i) all.push_back(*pool.allocate(kFnA));
+  auto first = pool.access(all.front(), kFnA);
+  std::memset(first.data(), 0xab, first.size());
+
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  auto last = pool.access(all.back(), kFnA);
+  const auto begin = reinterpret_cast<std::uintptr_t>(last.data());
+  const std::uintptr_t lo = (begin + page - 1) / page * page;
+  const std::uintptr_t hi = (begin + last.size()) / page * page;
+  ASSERT_LT(lo, hi);
+  std::vector<unsigned char> resident((hi - lo) / page);
+  ASSERT_EQ(0, mincore(reinterpret_cast<void*>(lo), hi - lo, resident.data()));
+  for (unsigned char r : resident) EXPECT_EQ(r & 1u, 0u);
+}
+
+TEST(BufferPool, OversizedPoolRejectedBeforeAllocating) {
+  // Descriptors carry 32-bit indices, so 2^32 slots would alias.
+  EXPECT_THROW(
+      (void)BufferPool(kPool, kTenant, std::size_t{UINT32_MAX} + 1, 1),
+      CheckFailure);
+  // count x size overflows: rejected before anything is reserved.
+  EXPECT_THROW(
+      (void)BufferPool(kPool, kTenant, std::size_t{1} << 20, Bytes{1} << 50),
+      CheckFailure);
 }
 
 TEST(BufferPool, AllocationRequiresOwner) {

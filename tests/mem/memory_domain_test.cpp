@@ -72,5 +72,18 @@ TEST(MemoryDomain, FootprintSumsPools) {
   EXPECT_EQ(dom.num_pools(), 2u);
 }
 
+TEST(MemoryDomain, TouchedBytesSumPools) {
+  MemoryDomain dom(NodeId{1});
+  auto& t1 = dom.create_tenant_pool(TenantId{1}, "t1", 4, 1_KiB);
+  auto& t2 = dom.create_tenant_pool(TenantId{2}, "t2", 2, 2_KiB);
+  EXPECT_EQ(dom.touched_bytes(), 0u);
+  const Actor f = actor_function(FunctionId{1});
+  (void)t1.pool().allocate(f);
+  (void)t1.pool().allocate(f);
+  (void)t2.pool().allocate(f);
+  EXPECT_EQ(dom.touched_bytes(), 2 * 1_KiB + 1 * 2_KiB);
+  EXPECT_EQ(dom.footprint(), 4 * 1_KiB + 2 * 2_KiB);
+}
+
 }  // namespace
 }  // namespace pd::mem

@@ -48,7 +48,9 @@
 #                            leaves (sim latencies, events, requests, pdes_*
 #                            protocol counters) differ across thread counts,
 #                            drift from the committed golden, or if
-#                            report_diff passes a perturbed artifact
+#                            report_diff passes a perturbed artifact; then a
+#                            64-worker point (256 clients) at --threads 1/4
+#                            whose deterministic leaves must match
 #   tools/run_all.sh obs     build, run the obs-report + obs-ts ctest labels,
 #                            then an observability boutique sweep: critical-
 #                            path + flamegraph + SLO + flight-recorder
@@ -232,23 +234,28 @@ if [ "$1" = "scale" ]; then
     ./build/bench/fig16_boutique --scale --clients "128" --threads "$t" \
       --json "scale_report/t$t.json"
   done 2>&1 | tee -a scale_output.txt
-  # Determinism gate: every simulated-time leaf — latencies, event counts,
-  # and the pdes_* protocol counters — must be identical across thread
-  # counts (any wall-clock field is machine noise and stays out).
+  # Diff the simulated-time leaves (latencies, event counts, pdes_*
+  # protocol counters; no wall clock) of $2 against $1. The exit status is
+  # checked directly: piped into tee, a mismatch would be masked.
+  scale_diff() {
+    if ./build/tools/report_diff --only sim_ --only .events --only .requests \
+        --only pdes_epochs --only pdes_skip_ahead --only pdes_mailbox \
+        "$1" "$2" >> scale_output.txt 2>&1; then
+      echo "$2: deterministic leaves match $1" | tee -a scale_output.txt
+    else
+      tail -20 scale_output.txt
+      echo "scale sweep FAILED: $2 differs from $1" >&2
+      exit 1
+    fi
+  }
+  # Determinism gate: identical across thread counts.
   for t in 2 4; do
-    ./build/tools/report_diff --only sim_ --only .events --only .requests \
-      --only pdes_epochs --only pdes_skip_ahead --only pdes_mailbox \
-      scale_report/t1.json "scale_report/t$t.json" || exit 1
-    echo "scale_report/t$t.json deterministic leaves match t1"
-  done 2>&1 | tee -a scale_output.txt
+    scale_diff scale_report/t1.json "scale_report/t$t.json"
+  done
   # Golden gate: drift from the committed scale-point artifact means the
   # model or the epoch protocol changed and the golden must be re-recorded
   # deliberately (tools/README.md, "Re-recording a golden").
-  ./build/tools/report_diff --only sim_ --only .events --only .requests \
-    --only pdes_epochs --only pdes_skip_ahead --only pdes_mailbox \
-    tools/golden/pdes_scale.json scale_report/t1.json \
-    2>&1 | tee -a scale_output.txt
-  grep -q "report_diff: OK" scale_output.txt || exit 1
+  scale_diff tools/golden/pdes_scale.json scale_report/t1.json
   # ...and report_diff itself must fail loudly on a perturbed artifact.
   sed 's/"pdes_epochs": /"pdes_epochs": 9/' scale_report/t1.json \
     > scale_report/perturbed.json
@@ -258,7 +265,17 @@ if [ "$1" = "scale" ]; then
     exit 1
   fi
   echo "report_diff: perturbed artifact rejected (as it must be)"
-  echo "scale sweep passed: 32-node epoch protocol deterministic across threads"
+  # Threading stress: 64 workers / 8 leaf switches / 32 cells at 256
+  # clients, t1 vs t4. The single gateway bounds this point (same RPS as
+  # the 32-worker point at twice the mean latency), so it stresses the
+  # epoch protocol, not the data plane. No golden: only thread identity.
+  for t in 1 4; do
+    echo "=== fig16_boutique --scale --nodes 64 --cells 32 --clients 256 --threads $t ==="
+    ./build/bench/fig16_boutique --scale --nodes 64 --cells 32 \
+      --clients "256" --threads "$t" --json "scale_report/n64_t$t.json"
+  done 2>&1 | tee -a scale_output.txt
+  scale_diff scale_report/n64_t1.json scale_report/n64_t4.json
+  echo "scale sweep passed: 32- and 64-node epoch protocol deterministic across threads"
   exit 0
 fi
 
