@@ -1,9 +1,12 @@
 #include "sim/parallel.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "common/check.hpp"
 
@@ -25,6 +28,89 @@ Duration dur_sat_add(Duration a, Duration b) {
   return a + b;
 }
 
+using Clock = std::chrono::steady_clock;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Weight of the newest wait in a waiter's moving average of late waits
+/// (those that outlast the spin budget), and the share of late waits at
+/// which it stops spinning.
+constexpr double kLateWeight = 1.0 / 16;
+constexpr double kMaxLateShare = 1.0 / 8;
+
+/// Sense-reversing barrier whose completion step runs on the last thread
+/// to arrive, before any thread is released. A waiter spins for
+/// ParallelSim::kBarrierSpin, then parks on the sense word; the releaser
+/// notifies only when some thread has parked.
+class EpochBarrier {
+ public:
+  /// Per-thread state; each thread passes its own to every arrival.
+  struct Waiter {
+    unsigned sense = 0;
+    /// Moving share of this thread's waits that outlasted the spin budget.
+    /// Spinning pays only while that is rare. When peers keep arriving
+    /// late because the host has more runnable threads than cores, a
+    /// spinner holds a core a late peer could run on, so it parks at once.
+    double late = 0;
+    /// Wall time spent in arrive_and_wait, the completion step included.
+    std::uint64_t waited_ns = 0;
+  };
+
+  /// Spinning pays only when every thread has a hardware thread of its
+  /// own; with more threads, a spinner holds the core its peer needs.
+  explicit EpochBarrier(unsigned n)
+      : n_(n), spin_(n <= std::thread::hardware_concurrency()), left_(n) {}
+
+  template <class Completion>
+  void arrive_and_wait(Waiter& w, Completion&& complete) {
+    const auto t0 = Clock::now();
+    w.sense ^= 1;
+    if (left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      left_.store(n_, std::memory_order_relaxed);
+      complete();
+      // seq_cst store + seq_cst load of parked_, against the waiter's
+      // seq_cst increment + reload of sense_: either the waiter sees the
+      // flip or the releaser sees the waiter, so no wake-up is lost.
+      sense_.store(w.sense);
+      if (parked_.load() != 0) sense_.notify_all();
+    } else {
+      wait(w);
+    }
+    const auto waited = Clock::now() - t0;
+    const double was_late = waited > ParallelSim::kBarrierSpin ? 1.0 : 0.0;
+    w.late += kLateWeight * (was_late - w.late);
+    w.waited_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count());
+  }
+
+ private:
+  void wait(const Waiter& w) {
+    if (spin_ && w.late < kMaxLateShare) {
+      const auto give_up = Clock::now() + ParallelSim::kBarrierSpin;
+      for (unsigned i = 1;; ++i) {
+        if (sense_.load(std::memory_order_acquire) == w.sense) return;
+        cpu_relax();
+        if (i % 64 == 0 && Clock::now() >= give_up) break;
+      }
+    }
+    parked_.fetch_add(1);
+    while (sense_.load() != w.sense) sense_.wait(w.sense ^ 1);
+    parked_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  const unsigned n_;
+  const bool spin_;
+  std::atomic<unsigned> left_;
+  std::atomic<unsigned> sense_{0};
+  std::atomic<unsigned> parked_{0};
+};
+
 }  // namespace
 
 ParallelSim::ParallelSim(std::size_t shards, unsigned os_threads) {
@@ -32,10 +118,7 @@ ParallelSim::ParallelSim(std::size_t shards, unsigned os_threads) {
   shards_.resize(shards);
   for (Shard& s : shards_) {
     s.sched = std::make_unique<Scheduler>();
-    s.inbox.reserve(shards);
-    for (std::size_t src = 0; src < shards; ++src) {
-      s.inbox.push_back(std::make_unique<Mailbox>());
-    }
+    s.outbox.resize(shards);
   }
   d_in_.assign(shards, std::vector<Duration>(shards, lookahead_));
   for (std::size_t k = 0; k < shards; ++k) d_in_[k][k] = 0;
@@ -126,41 +209,23 @@ void ParallelSim::post(std::size_t dst, TimePoint t, EventFn fn,
   // > now (t >= now + D[src][dst] and D[dst][src] >= 1), so the event
   // currently executing is never invalidated.
   sender.window_cap = std::min(sender.window_cap, sat_add(t, d_in_[src][dst]));
-  if (foreground) in_flight_fg_.fetch_add(1, std::memory_order_relaxed);
-  Mailbox& mb = *shards_[dst].inbox[src];
-  CrossEvent e{t, foreground, std::move(fn)};
-  if (!mb.spilling && !mb.ring.full()) {
-    const bool ok = mb.ring.try_push(std::move(e));
-    PD_CHECK(ok, "SPSC mailbox push raced its own producer");
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mb.mu);
-  mb.spilling = true;
-  mb.spill.push_back(std::move(e));
+  sender.outbox[dst].push_back(CrossEvent{t, foreground, std::move(fn)});
 }
 
 void ParallelSim::drain(std::size_t k) {
-  Shard& s = shards_[k];
-  Scheduler& sched = *s.sched;
-  auto deliver = [&](CrossEvent&& e) {
-    if (e.foreground) {
-      sched.schedule_at(e.t, std::move(e.fn));
-      in_flight_fg_.fetch_sub(1, std::memory_order_relaxed);
-    } else {
-      sched.schedule_background_at(e.t, std::move(e.fn));
+  Scheduler& sched = *shards_[k].sched;
+  for (Shard& src : shards_) {
+    Mailbox& mb = src.outbox[k];
+    for (CrossEvent& e : mb) {
+      if (e.foreground) {
+        sched.schedule_at(e.t, std::move(e.fn));
+      } else {
+        sched.schedule_background_at(e.t, std::move(e.fn));
+      }
     }
-  };
-  for (std::size_t src = 0; src < shards_.size(); ++src) {
-    Mailbox& mb = *s.inbox[src];
-    while (auto e = mb.ring.try_pop()) deliver(std::move(*e));
-    if (mb.spilling) {
-      std::lock_guard<std::mutex> lock(mb.mu);
-      for (CrossEvent& e : mb.spill) deliver(std::move(e));
-      mb.spill.clear();
-      mb.spilling = false;
-    }
+    mb.clear();
   }
-  s.next = sched.next_event_time();
+  shards_[k].next = sched.next_event_time();
 }
 
 bool ParallelSim::plan(TimePoint deadline, bool until_mode) {
@@ -181,7 +246,8 @@ bool ParallelSim::plan(TimePoint deadline, bool until_mode) {
   if (until_mode) {
     if (min1 > deadline) return true;  // every remaining event is later
   } else {
-    std::uint64_t fg = in_flight_fg_.load(std::memory_order_relaxed);
+    // Every mailbox was just drained, so nothing is in flight.
+    std::uint64_t fg = 0;
     for (const Shard& s : shards_) fg += s.sched->foreground_live();
     if (fg == 0 || min1 == Scheduler::kNoEvent) return true;
   }
@@ -233,48 +299,32 @@ void ParallelSim::execute(std::size_t k) {
   tl_shard = kNoShard;
 }
 
+bool ParallelSim::drain_and_plan(TimePoint deadline, bool until_mode) {
+  for (std::size_t k = 0; k < shards_.size(); ++k) drain(k);
+  return plan(deadline, until_mode);
+}
+
 void ParallelSim::drive_serial(TimePoint deadline, bool until_mode) {
-  for (;;) {
-    for (std::size_t k = 0; k < shards_.size(); ++k) drain(k);
-    if (plan(deadline, until_mode)) return;
+  while (!drain_and_plan(deadline, until_mode)) {
     for (std::size_t k = 0; k < shards_.size(); ++k) execute(k);
   }
 }
 
 void ParallelSim::drive_threaded(TimePoint deadline, bool until_mode) {
-  struct Sync {
-    int phase = 0;
-    bool stop = false;
-  };
-  Sync sync;
-  // Completion runs exactly once per barrier cycle, after every thread
-  // arrives and before any is released — the serial plan slice.
-  std::barrier bar(static_cast<std::ptrdiff_t>(threads_),
-                   [this, &sync, deadline, until_mode]() noexcept {
-                     if (sync.phase == 0) {
-                       sync.stop = plan(deadline, until_mode);
-                     }
-                     sync.phase ^= 1;
-                   });
-  auto worker = [this, &sync, &bar](unsigned ti) {
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t waited = 0;
-    auto arrive = [&bar, &waited] {
-      const auto t0 = Clock::now();
-      bar.arrive_and_wait();
-      waited += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               t0)
-              .count());
-    };
-    for (;;) {
-      for (std::size_t k = ti; k < shards_.size(); k += threads_) drain(k);
-      arrive();  // -> plan
-      if (sync.stop) break;
+  if (drain_and_plan(deadline, until_mode)) return;
+  // One meeting per epoch: each thread executes its shards and arrives;
+  // the last to arrive drains and plans the next epoch before releasing
+  // the others.
+  EpochBarrier bar(threads_);
+  bool stop = false;
+  auto worker = [this, &bar, &stop, deadline, until_mode](unsigned ti) {
+    EpochBarrier::Waiter w;
+    do {
       for (std::size_t k = ti; k < shards_.size(); k += threads_) execute(k);
-      arrive();  // posts visible before the next drain
-    }
-    barrier_wait_ns_.fetch_add(waited, std::memory_order_relaxed);
+      bar.arrive_and_wait(
+          w, [&] { stop = drain_and_plan(deadline, until_mode); });
+    } while (!stop);
+    barrier_wait_ns_.fetch_add(w.waited_ns, std::memory_order_relaxed);
   };
   std::vector<std::thread> pool;
   pool.reserve(threads_ - 1);

@@ -5,7 +5,7 @@
 // per simulated node (plus shard 0 for the "edge": client, ingress, and
 // everything else control-plane) — and advances them in lockstep epochs.
 // Shards never touch each other's state directly: every cross-shard
-// effect is an absolute-time event posted through a per-(src,dst) SPSC
+// effect is an absolute-time event posted through a per-(src,dst)
 // mailbox and drained into the destination's scheduler at the next epoch
 // boundary, in deterministic (src shard, post order) order.
 //
@@ -36,22 +36,23 @@
 // other shard to bound the horizon, so run_until() executes in a single
 // window and run() drains in one, with no mailbox traffic.
 //
-// Determinism across worker-thread counts is structural: phases are
-// barrier-separated (drain | plan | execute), mailboxes are drained in
-// fixed shard order, and each shard's execution touches only its own
-// state — so the merged event order is a pure function of the model, not
-// of the OS schedule. One OS thread, four OS threads, or the serial
-// fallback all produce bit-identical simulations.
+// Determinism across worker-thread counts is structural. An epoch is
+// execute | barrier, and the barrier's completion step — run by the last
+// thread to arrive, before any thread is released — drains every mailbox
+// in fixed shard order and then plans the next epoch's horizons (the
+// first drain + plan runs once on the calling thread before the workers
+// start). Each shard's execution touches only its own state, so the
+// merged event order is a pure function of the model, not of the OS
+// schedule. One OS thread or four produce bit-identical simulations.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "ipc/spsc_ring.hpp"
 #include "sim/scheduler.hpp"
 
 namespace pd::sim {
@@ -98,6 +99,16 @@ class ParallelSim {
   /// mirrors Scheduler::schedule_at vs schedule_background_at.
   void post(std::size_t dst, TimePoint t, EventFn fn, bool foreground = true);
 
+  /// How long a thread waiting at the epoch barrier spins before it parks.
+  /// An epoch of a few hundred events executes in tens of µs, so an early
+  /// finisher usually sees the release within the budget and never pays a
+  /// futex sleep + wake; a longer wait (a straggler shard, a descheduled
+  /// peer) parks instead of burning its core. A thread parks at once when
+  /// there are more threads than hardware threads, or while more than an
+  /// eighth of its recent waits outlasted the budget (other processes
+  /// compete for the cores).
+  static constexpr std::chrono::microseconds kBarrierSpin{50};
+
   /// Shard index marking a thread outside any shard's execute phase
   /// (setup / main thread).
   static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
@@ -129,8 +140,10 @@ class ParallelSim {
   /// Cross-shard events posted through the mailboxes.
   [[nodiscard]] std::uint64_t mailbox_msgs() const;
   /// Wall-clock ns worker threads spent inside epoch barriers, summed over
-  /// threads (0 for single-threaded drives). Machine-dependent — kept out
-  /// of deterministic artifact diffs.
+  /// threads (0 for single-threaded drives). It includes the serial drain
+  /// + plan that the last thread to arrive runs as the barrier's completion
+  /// step, so it is all of the epoch that is not shard execution.
+  /// Machine-dependent — kept out of deterministic artifact diffs.
   [[nodiscard]] std::uint64_t barrier_wait_ns() const {
     return barrier_wait_ns_.load(std::memory_order_relaxed);
   }
@@ -142,23 +155,15 @@ class ParallelSim {
     EventFn fn;
   };
 
-  /// Single-producer (src shard, execute phase) / single-consumer (dst
-  /// shard, drain phase) channel. The phases never overlap, so the ring's
-  /// SPSC contract holds with room to spare; `spill` absorbs bursts past
-  /// the ring capacity without blocking (order is preserved: once an epoch
-  /// spills, the rest of its pushes spill too, and the drain empties the
-  /// ring before the spill).
-  struct Mailbox {
-    ipc::SpscRing<CrossEvent> ring{256};
-    std::mutex mu;
-    std::vector<CrossEvent> spill;
-    bool spilling = false;
-  };
+  /// One (src, dst) channel. Only src's thread appends (execute) and only
+  /// the barrier's completion step drains (between epochs), so the
+  /// barrier orders every access and no lock is needed.
+  using Mailbox = std::vector<CrossEvent>;
 
   struct Shard {
     std::unique_ptr<Scheduler> sched;
-    /// Inbound mailboxes, indexed by source shard.
-    std::vector<std::unique_ptr<Mailbox>> inbox;
+    /// Outbound mailboxes, indexed by destination shard.
+    std::vector<Mailbox> outbox;
     TimePoint next = Scheduler::kNoEvent;  ///< after drain, for planning
     TimePoint horizon = 0;                 ///< H_k for the current epoch
     /// Dynamic window end during execute: starts at `horizon`, shrinks on
@@ -177,6 +182,9 @@ class ParallelSim {
   /// Serial section between the drain and execute phases: computes the
   /// epoch horizons and the stop condition. Returns true to stop.
   bool plan(TimePoint deadline, bool until_mode);
+  /// Drains every shard in fixed shard order, then plans. Returns true to
+  /// stop.
+  bool drain_and_plan(TimePoint deadline, bool until_mode);
   std::size_t drive(TimePoint deadline, bool until_mode);
   void drive_serial(TimePoint deadline, bool until_mode);
   void drive_threaded(TimePoint deadline, bool until_mode);
@@ -190,7 +198,6 @@ class ParallelSim {
   ShardHook enter_shard_;
   ShardHook leave_shard_;
   bool running_ = false;
-  std::atomic<std::uint64_t> in_flight_fg_{0};
   std::uint64_t epochs_ = 0;
   std::uint64_t skip_ahead_epochs_ = 0;
   std::atomic<std::uint64_t> barrier_wait_ns_{0};

@@ -11,8 +11,11 @@
 // without --threads, baselines included.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -181,6 +184,109 @@ TEST(Pdes, CrossShardPostBelowPairLookaheadThrows) {
     });
     EXPECT_NO_THROW(psim->run());
     EXPECT_TRUE(delivered);
+  }
+}
+
+// Epoch barrier stress: a ring of cross-shard hop chains on a bare
+// 5-shard ParallelSim. Threaded, two hops on shard 2 busy-wait 400 spin
+// budgets of wall time, so the other threads exhaust their spin and sleep
+// on the barrier's sense word, and only the release's wake-up lets the run
+// end. The busy-wait costs wall time only, so the 1-thread reference skips
+// it.
+struct RingRun {
+  /// Per shard: (virtual time, hops left) of every event, in run order.
+  std::vector<std::vector<std::pair<sim::TimePoint, int>>> log;
+  std::uint64_t events = 0;
+  std::uint64_t epochs = 0;
+  std::uint64_t mailbox_msgs = 0;
+  std::uint64_t barrier_wait_ns = 0;
+};
+
+RingRun run_ring(unsigned os_threads) {
+  constexpr std::size_t kShards = 5;
+  constexpr sim::Duration kD = 1'000;
+  constexpr int kHops = 200;
+  sim::ParallelSim psim(kShards, os_threads);
+  psim.set_lookahead_matrix(std::vector<std::vector<sim::Duration>>(
+      kShards, std::vector<sim::Duration>(kShards, kD)));
+  RingRun r;
+  r.log.resize(kShards);
+  std::function<void(std::size_t, int)> hop = [&](std::size_t k, int left) {
+    sim::Scheduler& sched = psim.shard(k);
+    const sim::TimePoint now = sched.now();
+    r.log[k].emplace_back(now, left);
+    if (os_threads > 1 && k == 2 && left % 100 == 50) {
+      const auto until = std::chrono::steady_clock::now() +
+                         400 * sim::ParallelSim::kBarrierSpin;
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+    if (left == 0) return;
+    // A local background echo and a foreground hop to the next shard,
+    // with a per-hop jitter so arrivals interleave across the ring.
+    sched.schedule_background_at(now + 300, [&r, &sched, k] {
+      r.log[k].emplace_back(sched.now(), -1);
+    });
+    const std::size_t next = (k + 1) % kShards;
+    psim.post(next, now + kD + static_cast<sim::Duration>(left % 7),
+              [&hop, next, left] { hop(next, left - 1); });
+  };
+  for (std::size_t k = 0; k < kShards; ++k) {
+    psim.shard(k).schedule_at(10 * k, [&hop, k] { hop(k, kHops); });
+  }
+  psim.run_until(50'000);
+  psim.run();
+  r.events = psim.events_processed();
+  r.epochs = psim.epochs();
+  r.mailbox_msgs = psim.mailbox_msgs();
+  r.barrier_wait_ns = psim.barrier_wait_ns();
+  return r;
+}
+
+TEST(PdesBarrier, ParkedThreadsKeepEventOrderBitIdentical) {
+  const RingRun ref = run_ring(1);
+  ASSERT_GT(ref.events, 1000u);
+  ASSERT_GT(ref.mailbox_msgs, 0u);
+  EXPECT_EQ(ref.barrier_wait_ns, 0u);
+  for (unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("os_threads=" + std::to_string(threads));
+    const RingRun got = run_ring(threads);
+    for (std::size_t k = 0; k < ref.log.size(); ++k) {
+      EXPECT_EQ(got.log[k].size(), ref.log[k].size()) << "shard " << k;
+      EXPECT_EQ(got.log[k], ref.log[k]) << "shard " << k;
+    }
+    EXPECT_EQ(got.events, ref.events);
+    EXPECT_EQ(got.epochs, ref.epochs);
+    EXPECT_EQ(got.mailbox_msgs, ref.mailbox_msgs);
+    EXPECT_GT(got.barrier_wait_ns, 0u);
+  }
+}
+
+// The first drain + plan runs on the calling thread before any worker
+// starts; when it already stops, run() and run_until() return at once.
+TEST(PdesBarrier, FirstPlanStopReturnsWithoutAnEpoch) {
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("os_threads=" + std::to_string(threads));
+    sim::ParallelSim psim(/*shards=*/5, threads);
+    EXPECT_EQ(psim.run(), 0u);  // nothing scheduled
+
+    bool background_ran = false;
+    psim.shard(3).schedule_background_at(
+        100, [&background_ran] { background_ran = true; });
+    EXPECT_EQ(psim.run(), 0u);  // no foreground work to drive
+    EXPECT_FALSE(background_ran);
+
+    bool fired = false;
+    psim.shard(1).schedule_at(5'000, [&fired] { fired = true; });
+    EXPECT_EQ(psim.run_until(50), 0u);  // deadline before every event
+    for (std::size_t k = 0; k < psim.shard_count(); ++k) {
+      EXPECT_EQ(psim.shard(k).now(), 50u) << "shard " << k;
+    }
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(psim.barrier_wait_ns(), 0u);  // no worker ever started
+
+    EXPECT_GE(psim.run(), 1u);
+    EXPECT_TRUE(fired);
   }
 }
 

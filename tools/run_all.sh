@@ -60,14 +60,32 @@
 set -e
 cd "$(dirname "$0")/.."
 
+# gate LOG CMD...: run CMD, show its output and append it to LOG; a
+# non-zero exit fails the mode. /bin/sh is dash, which has no pipefail, so
+# a plain `CMD | tee LOG` would report tee's status and hide CMD's failure:
+# the status travels through a file instead and is checked directly.
+gate() {
+  log=$1
+  shift
+  { if "$@"; then st=0; else st=$?; fi; echo "$st" > "$log.status"; } 2>&1 \
+    | tee -a "$log"
+  st=$(cat "$log.status")
+  rm -f "$log.status"
+  if [ "$st" -ne 0 ]; then
+    echo "FAILED (exit $st): $*" >&2
+    exit 1
+  fi
+}
+
 if [ "$1" = "chaos" ]; then
   cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
-  ctest --test-dir build -L chaos --output-on-failure 2>&1 | tee chaos_output.txt
+  : > chaos_output.txt
+  gate chaos_output.txt ctest --test-dir build -L chaos --output-on-failure
   for seed in 1 2 3 4 5 6 7 8 9 10; do
-    echo "=== boutique_demo --chaos $seed ==="
-    ./build/examples/boutique_demo --chaos "$seed" | tail -4
-  done 2>&1 | tee -a chaos_output.txt
+    echo "=== boutique_demo --chaos $seed ===" | tee -a chaos_output.txt
+    gate chaos_output.txt ./build/examples/boutique_demo --chaos "$seed"
+  done
   if grep -q "LOST REQUESTS" chaos_output.txt; then
     echo "chaos sweep FAILED: a seed lost requests silently" >&2
     exit 1
@@ -80,9 +98,9 @@ if [ "$1" = "tsan" ]; then
   cmake -B build-tsan -G Ninja -DPALLADIUM_WERROR=ON -DPD_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan --target pdes_test fig16_boutique
-  TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-tsan -L pdes --output-on-failure 2>&1 \
-    | tee tsan_output.txt
+  : > tsan_output.txt
+  gate tsan_output.txt env TSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-tsan -L pdes --output-on-failure
   # The determinism suite runs the sharded boutique at 1/2/4 worker
   # threads; a tiny multi-switch leaf-sharded point adds the run_until +
   # drain path and the adaptive-horizon skip-ahead under TSan too.
@@ -97,18 +115,20 @@ fi
 if [ "$1" = "overload" ]; then
   cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
-  ctest --test-dir build -L overload --output-on-failure 2>&1 \
-    | tee overload_output.txt
+  : > overload_output.txt
+  gate overload_output.txt \
+    ctest --test-dir build -L overload --output-on-failure
   rm -rf overload_report && mkdir -p overload_report
   # One full scenario sweep (flash_crowd, noisy_neighbor, diurnal, chaos_2x;
   # control off then on) per worker-thread count. The bench exits non-zero
   # if any run loses a request silently.
   for t in 1 2 4; do
-    echo "=== overload_scenarios --threads $t (all scenarios, off+on) ==="
-    ./build/bench/overload_scenarios --scenario all --control both \
-      --seconds 2 --threads "$t" --json "overload_report/t$t.json" \
-      | tail -12
-  done 2>&1 | tee -a overload_output.txt
+    echo "=== overload_scenarios --threads $t (all scenarios, off+on) ===" \
+      | tee -a overload_output.txt
+    gate overload_output.txt ./build/bench/overload_scenarios \
+      --scenario all --control both --seconds 2 --threads "$t" \
+      --json "overload_report/t$t.json"
+  done
   # Determinism gate: the per-tenant SLO tables must be byte-identical for
   # every thread count.
   cmp overload_report/t1.json overload_report/t2.json
@@ -118,8 +138,8 @@ if [ "$1" = "overload" ]; then
   # Run-diff gate: the artifact is fully deterministic (simulated time
   # only), so any drift from the committed golden means control-loop
   # behavior changed and the golden must be re-recorded deliberately.
-  ./build/tools/report_diff tools/golden/overload_slo.json \
-    overload_report/t1.json 2>&1 | tee -a overload_output.txt
+  gate overload_output.txt ./build/tools/report_diff \
+    tools/golden/overload_slo.json overload_report/t1.json
   # ...and report_diff itself must fail loudly on a perturbed artifact.
   sed 's/"shed_admission": /"shed_admission": 9/' overload_report/t1.json \
     > overload_report/perturbed.json
@@ -136,19 +156,20 @@ fi
 if [ "$1" = "ledger" ]; then
   cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
-  ctest --test-dir build -L ledger --output-on-failure 2>&1 \
-    | tee ledger_output.txt
+  : > ledger_output.txt
+  gate ledger_output.txt ctest --test-dir build -L ledger --output-on-failure
   rm -rf ledger_report && mkdir -p ledger_report
   # The noisy-neighbor scenario (control off then on, blame-driven
   # shedding) per worker-thread count, emitting both the SLO artifact and
   # the resource-ledger artifact (blame matrix included).
   for t in 1 2 4; do
-    echo "=== overload_scenarios noisy_neighbor --policy blame --threads $t ==="
-    ./build/bench/overload_scenarios --scenario noisy_neighbor \
-      --control both --policy blame --seconds 2 --threads "$t" \
-      --json "ledger_report/t$t.json" \
-      --ledger-json "ledger_report/t${t}_ledger.json" | tail -16
-  done 2>&1 | tee -a ledger_output.txt
+    echo "=== overload_scenarios noisy_neighbor --policy blame --threads $t ===" \
+      | tee -a ledger_output.txt
+    gate ledger_output.txt ./build/bench/overload_scenarios \
+      --scenario noisy_neighbor --control both --policy blame --seconds 2 \
+      --threads "$t" --json "ledger_report/t$t.json" \
+      --ledger-json "ledger_report/t${t}_ledger.json"
+  done
   # Determinism gate: both artifacts must be byte-identical for every
   # thread count — the ledger merges per-shard maps in sorted-key order,
   # independent of how shards map to workers.
@@ -162,8 +183,8 @@ if [ "$1" = "ledger" ]; then
   # only), so any drift from the committed golden means attribution or
   # control behavior changed and the golden must be re-recorded
   # deliberately (tools/README.md, "Re-recording a golden").
-  ./build/tools/report_diff tools/golden/ledger.json \
-    ledger_report/t1_ledger.json 2>&1 | tee -a ledger_output.txt
+  gate ledger_output.txt ./build/tools/report_diff tools/golden/ledger.json \
+    ledger_report/t1_ledger.json
   # ...and report_diff itself must fail loudly on a perturbed artifact.
   sed 's/"busy_ns":/"busy_ns":9/' ledger_report/t1_ledger.json \
     > ledger_report/perturbed.json
@@ -188,16 +209,18 @@ fi
 if [ "$1" = "cartstore" ]; then
   cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
-  ctest --test-dir build -L onesided --output-on-failure 2>&1 \
-    | tee cartstore_output.txt
+  : > cartstore_output.txt
+  gate cartstore_output.txt \
+    ctest --test-dir build -L onesided --output-on-failure
   rm -rf cart_report && mkdir -p cart_report
   # One full RPC-vs-remote-READ cart ablation (home / viewcart / addtocart
   # chains, both modes) per worker-thread count.
   for t in 1 2 4; do
-    echo "=== fig12_rdma_primitives --cart-store --threads $t (rpc vs store) ==="
-    ./build/bench/fig12_rdma_primitives --cart-store --seconds 2 \
-      --threads "$t" --json "cart_report/t$t.json" | tail -16
-  done 2>&1 | tee -a cartstore_output.txt
+    echo "=== fig12_rdma_primitives --cart-store --threads $t (rpc vs store) ===" \
+      | tee -a cartstore_output.txt
+    gate cartstore_output.txt ./build/bench/fig12_rdma_primitives \
+      --cart-store --seconds 2 --threads "$t" --json "cart_report/t$t.json"
+  done
   # Determinism gate: the ablation tables must be byte-identical for every
   # thread count.
   cmp cart_report/t1.json cart_report/t2.json
@@ -207,8 +230,8 @@ if [ "$1" = "cartstore" ]; then
   # Run-diff gate: the artifact is fully deterministic (simulated time
   # only), so any drift from the committed golden means the one-sided data
   # path changed and the golden must be re-recorded deliberately.
-  ./build/tools/report_diff tools/golden/cart_store.json \
-    cart_report/t1.json 2>&1 | tee -a cartstore_output.txt
+  gate cartstore_output.txt ./build/tools/report_diff \
+    tools/golden/cart_store.json cart_report/t1.json
   # ...and report_diff itself must fail loudly on a perturbed artifact.
   sed 's/"cart_invocations": /"cart_invocations": 9/' cart_report/t1.json \
     > cart_report/perturbed.json
@@ -225,15 +248,17 @@ fi
 if [ "$1" = "scale" ]; then
   cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
-  ctest --test-dir build -L pdes --output-on-failure 2>&1 | tee scale_output.txt
+  : > scale_output.txt
+  gate scale_output.txt ctest --test-dir build -L pdes --output-on-failure
   rm -rf scale_report && mkdir -p scale_report
   # The ISSUE 9 scale point (32 workers / 4 leaf switches / 16 cells, one
   # shard per leaf) per worker-thread count.
   for t in 1 2 4; do
-    echo "=== fig16_boutique --scale --clients 128 --threads $t ==="
-    ./build/bench/fig16_boutique --scale --clients "128" --threads "$t" \
-      --json "scale_report/t$t.json"
-  done 2>&1 | tee -a scale_output.txt
+    echo "=== fig16_boutique --scale --clients 128 --threads $t ===" \
+      | tee -a scale_output.txt
+    gate scale_output.txt ./build/bench/fig16_boutique --scale \
+      --clients "128" --threads "$t" --json "scale_report/t$t.json"
+  done
   # Diff the simulated-time leaves (latencies, event counts, pdes_*
   # protocol counters; no wall clock) of $2 against $1. The exit status is
   # checked directly: piped into tee, a mismatch would be masked.
@@ -270,10 +295,12 @@ if [ "$1" = "scale" ]; then
   # the 32-worker point at twice the mean latency), so it stresses the
   # epoch protocol, not the data plane. No golden: only thread identity.
   for t in 1 4; do
-    echo "=== fig16_boutique --scale --nodes 64 --cells 32 --clients 256 --threads $t ==="
-    ./build/bench/fig16_boutique --scale --nodes 64 --cells 32 \
-      --clients "256" --threads "$t" --json "scale_report/n64_t$t.json"
-  done 2>&1 | tee -a scale_output.txt
+    echo "=== fig16_boutique --scale --nodes 64 --cells 32 --clients 256 --threads $t ===" \
+      | tee -a scale_output.txt
+    gate scale_output.txt ./build/bench/fig16_boutique --scale --nodes 64 \
+      --cells 32 --clients "256" --threads "$t" \
+      --json "scale_report/n64_t$t.json"
+  done
   scale_diff scale_report/n64_t1.json scale_report/n64_t4.json
   echo "scale sweep passed: 32- and 64-node epoch protocol deterministic across threads"
   exit 0
@@ -282,8 +309,9 @@ fi
 if [ "$1" = "obs" ]; then
   cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
   cmake --build build
-  ctest --test-dir build -L "obs-report|obs-ts" --output-on-failure 2>&1 \
-    | tee obs_output.txt
+  : > obs_output.txt
+  gate obs_output.txt \
+    ctest --test-dir build -L "obs-report|obs-ts" --output-on-failure
   rm -rf obs_report && mkdir -p obs_report
   # One boutique sweep per worker-thread count, each emitting the full
   # artifact set: critical-path attribution JSON, collapsed-stack
@@ -291,24 +319,26 @@ if [ "$1" = "obs" ]; then
   # recorder's gauge timeline. --strict promotes healthy-run invariants
   # (open spans, routeless drops) to hard failures.
   for t in 1 2 4; do
-    echo "=== boutique_demo --threads $t (critpath + flame + slo + timeline) ==="
-    ./build/examples/boutique_demo --threads "$t" --seconds 2 --strict \
-      --trace --critpath --flame --slo --timeline \
-      --prefix "obs_report/t$t" | tail -8
-  done 2>&1 | tee -a obs_output.txt
+    echo "=== boutique_demo --threads $t (critpath + flame + slo + timeline) ===" \
+      | tee -a obs_output.txt
+    gate obs_output.txt ./build/examples/boutique_demo --threads "$t" \
+      --seconds 2 --strict --trace --critpath --flame --slo --timeline \
+      --prefix "obs_report/t$t"
+  done
   # Determinism gate: the simulated-time observability artifacts must be
   # byte-identical for every thread count.
   for f in critpath.json flame.folded metrics.json timeseries.json \
            timeseries.csv; do
     cmp obs_report/t1_$f obs_report/t2_$f
     cmp obs_report/t1_$f obs_report/t4_$f
-    echo "obs_report/*_$f identical across --threads 1/2/4"
-  done 2>&1 | tee -a obs_output.txt
+    echo "obs_report/*_$f identical across --threads 1/2/4" \
+      | tee -a obs_output.txt
+  done
   # Run-diff gate: the timeline must structurally match the committed
   # golden (same workload, same seed — any drift means behavior changed),
   # and report_diff itself must fail loudly on a perturbed artifact.
-  ./build/tools/report_diff tools/golden/boutique_timeseries.json \
-    obs_report/t1_timeseries.json 2>&1 | tee -a obs_output.txt
+  gate obs_output.txt ./build/tools/report_diff \
+    tools/golden/boutique_timeseries.json obs_report/t1_timeseries.json
   sed 's/"samples": /"samples": 9/' obs_report/t1_timeseries.json \
     > obs_report/perturbed.json
   if ./build/tools/report_diff --quiet obs_report/t1_timeseries.json \
@@ -319,11 +349,14 @@ if [ "$1" = "obs" ]; then
   echo "report_diff: perturbed artifact rejected (as it must be)"
   # The CLI path over the same artifacts: summary + critpath table, the
   # timeline dashboard, and loud failure on an empty input.
-  ./build/tools/trace_inspect --summary obs_report/t1_trace.json | head -20
-  ./build/tools/trace_inspect --critpath obs_report/t1_trace.json \
-    | tee -a obs_output.txt
+  ./build/tools/trace_inspect --summary obs_report/t1_trace.json \
+    > obs_report/summary.txt
+  head -20 obs_report/summary.txt
+  gate obs_output.txt \
+    ./build/tools/trace_inspect --critpath obs_report/t1_trace.json
   ./build/tools/trace_inspect --timeline obs_report/t1_timeseries.json \
-    | head -20
+    > obs_report/timeline.txt
+  head -20 obs_report/timeline.txt
   echo "obs sweep passed: attribution exact and thread-count independent"
   exit 0
 fi
@@ -333,14 +366,18 @@ if [ "$1" = "asan" ]; then
     -DPD_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan
-  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-asan --output-on-failure 2>&1 | tee test_output.txt
+  : > test_output.txt
+  gate test_output.txt env ASAN_OPTIONS=detect_leaks=1 \
+    UBSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir build-asan --output-on-failure
   exit 0
 fi
 
 cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
 cmake --build build
-ctest --test-dir build 2>&1 | tee test_output.txt
+: > test_output.txt
+gate test_output.txt ctest --test-dir build
+: > bench_output.txt
 for b in build/bench/*; do
-  [ -x "$b" ] && [ -f "$b" ] && "$b"
-done 2>&1 | tee bench_output.txt
+  if [ -x "$b" ] && [ -f "$b" ]; then gate bench_output.txt "$b"; fi
+done
