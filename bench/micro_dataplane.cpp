@@ -1,15 +1,14 @@
 // Hot-path microbenchmarks (google-benchmark): the real data-plane
-// structures Palladium's engines execute per message — SPSC ring ops,
-// DWRR scheduling decisions, pool allocate/release, RBR bookkeeping,
-// routing lookups, HTTP parsing, histogram recording, and a full
-// simulated two-sided echo per iteration.
+// structures Palladium's engines execute per message — DWRR scheduling
+// decisions, pool allocate/release, RBR bookkeeping, routing lookups, HTTP
+// parsing, histogram recording, and a full simulated two-sided echo per
+// iteration.
 #include <benchmark/benchmark.h>
 
 #include "core/dwrr.hpp"
 #include "core/message.hpp"
 #include "core/rbr.hpp"
 #include "core/routing.hpp"
-#include "ipc/spsc_ring.hpp"
 #include "mem/buffer_pool.hpp"
 #include "proto/http.hpp"
 #include "sim/scheduler.hpp"
@@ -18,17 +17,6 @@
 namespace {
 
 using namespace pd;
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  ipc::SpscRing<mem::BufferDescriptor> ring(1024);
-  mem::BufferDescriptor d{PoolId{1}, 7, 64, TenantId{1}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.try_push(d));
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_DwrrEnqueueDequeue(benchmark::State& state) {
   const int tenants = static_cast<int>(state.range(0));

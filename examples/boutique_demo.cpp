@@ -330,11 +330,11 @@ int main(int argc, char** argv) {
   }
 
   if (flame) {
-    hub.profiler.write_collapsed(prefix + "_flame.folded");
+    hub.ledger.write_collapsed(prefix + "_flame.folded");
     std::printf(
         "\nexact profile: %llu busy-ns folded -> %s_flame.folded "
         "(feed to flamegraph.pl / speedscope)\n",
-        static_cast<unsigned long long>(hub.profiler.total_ns()),
+        static_cast<unsigned long long>(hub.ledger.profile_total_ns()),
         prefix.c_str());
   }
 
@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
     hub.ledger.export_metrics(hub.registry);
   }
   if (observing) {
-    if (flame) hub.profiler.export_folded(hub.registry);
+    if (flame) hub.ledger.export_profile(hub.registry);
     runtime::export_metrics(*cluster, hub.registry);
     hub.registry.write_json(prefix + "_metrics.json");
     std::printf("metrics snapshot -> %s_metrics.json\n", prefix.c_str());

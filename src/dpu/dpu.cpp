@@ -16,9 +16,7 @@ void SocDmaEngine::transfer(Bytes bytes, sim::EventFn done) {
   const sim::TimePoint now = sched_.now();
   const sim::TimePoint begin = std::max(busy_until_, now);
   if (sim::BusyObserver* o = sim::busy_observer()) {
-    o->on_busy(name_, sim::current_profile_frame(), op_ns);
-    o->on_busy_interval(name_, sim::current_profile_frame(), now, begin, op_ns,
-                        bytes);
+    o->on_busy(name_, sim::current_profile_frame(), now, begin, op_ns, bytes);
   }
   busy_until_ = begin + op_ns;
   ++transfers_;

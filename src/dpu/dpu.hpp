@@ -23,7 +23,7 @@ class SocDmaEngine {
   /// Transfers queue FIFO behind each other (kSocDmaParallelism == 1).
   void transfer(Bytes bytes, sim::EventFn done);
 
-  /// Resource name reported to the busy-time profiler ("nodeN/dma").
+  /// Resource name reported to the busy-time observer ("nodeN/dma").
   void set_name(std::string name) { name_ = std::move(name); }
   [[nodiscard]] const std::string& name() const { return name_; }
 

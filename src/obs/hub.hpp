@@ -1,11 +1,13 @@
 // Per-thread observability hub.
 //
 // Instrumentation sites deep in the data plane (engine, RNIC, function
-// runtime) reach the tracer and metrics registry through obs::hub() rather
-// than through constructor plumbing. A runtime::Cluster owns one hub per
-// simulator shard and installs it on the thread executing that shard, so
-// recording never crosses threads; a null hub (outside any run) makes every
-// instrumentation site a single-branch no-op.
+// runtime) reach the tracer, metrics registry and ledger through obs::hub()
+// rather than through constructor plumbing. A runtime::Cluster owns one hub
+// per simulator shard and installs it on the thread executing that shard,
+// so recording never crosses threads; a null hub (outside any run) makes
+// every instrumentation site a single-branch no-op. The hub's ledger is the
+// one busy-time instrument: the exact profile (flamegraph) and the
+// per-tenant resource accounting fold into the same cells.
 //
 // Usage:
 //   runtime::Cluster cluster(psim, cfg);
@@ -18,7 +20,6 @@
 
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -28,7 +29,6 @@ namespace pd::obs {
 struct Hub {
   Registry registry;
   Tracer tracer{&registry};
-  Profiler profiler;
   SloWatchdog slo{&registry};
   FlightRecorder timeseries;
   Ledger ledger;

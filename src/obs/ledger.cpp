@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 
+#include "common/check.hpp"
 #include "obs/metrics.hpp"
 
 namespace pd::obs {
@@ -49,38 +51,50 @@ const char* to_string(LedgerKind kind) {
 }
 
 void Ledger::on_busy(std::string_view resource, const sim::ProfileFrame& frame,
-                     sim::Duration scaled_ns) {
-  if (next_ != nullptr) next_->on_busy(resource, frame, scaled_ns);
-}
-
-void Ledger::on_busy_interval(std::string_view resource,
-                              const sim::ProfileFrame& frame,
-                              sim::TimePoint submitted, sim::TimePoint begin,
-                              sim::Duration scaled_ns, std::uint64_t bytes) {
-  if (next_ != nullptr) {
-    next_->on_busy_interval(resource, frame, submitted, begin, scaled_ns,
-                            bytes);
-  }
-  if (!enabled_) return;
+                     sim::TimePoint submitted, sim::TimePoint begin,
+                     sim::Duration scaled_ns, std::uint64_t bytes) {
   // DMA engines are the only byte-denominated BusyObserver sources; they
   // are named "<node>/dma" by the DPU model.
-  const bool is_dma = resource.size() >= 4 &&
-                      resource.substr(resource.size() - 4) == "/dma";
-  const LedgerKind kind = is_dma ? LedgerKind::kDma : LedgerKind::kCore;
+  const LedgerKind kind =
+      resource.ends_with("/dma") ? LedgerKind::kDma : LedgerKind::kCore;
+  const bool waited = enabled_ && begin > submitted;
+  if (scaled_ns <= 0 && !waited) return;
+  // The queue wait lands in the same framed cell; the profile reads only
+  // busy time, the reports sum the frame away.
+  Totals& c =
+      cell(kind, resource, frame.tenant, frame.component, frame.detail);
+  c.busy_ns += static_cast<std::uint64_t>(scaled_ns);
+  c.bytes += bytes;
+  if (!enabled_) return;
   // The submit event is the earliest origin any future wait at this
-  // resource can have: advance the prune clock before charging.
-  if (begin > submitted) wait(kind, resource, frame.tenant, submitted, begin);
-  // ref_now = submitted: a later job can still be submitted (and start
-  // waiting) before this one's start time, so the prune clock must not
-  // run ahead to `begin`.
-  occupy(kind, resource, frame.tenant, begin, begin + scaled_ns, submitted);
-  if (bytes > 0) add_bytes(kind, resource, frame.tenant, bytes);
+  // resource can have, and the latest the prune clock may advance to: a
+  // later job can still be submitted (and start waiting) before this one's
+  // start time, so the clock must not run ahead to `begin`.
+  Live& lv = live(kind, resource);
+  lv.clock = std::max(lv.clock, submitted);
+  if (waited) {
+    c.wait_ns += static_cast<std::uint64_t>(begin - submitted);
+    blame(lv, kind, resource, frame.tenant, submitted, begin);
+  }
+  if (scaled_ns > 0) {
+    lv.segments.push_back(Segment{begin, begin + scaled_ns, frame.tenant});
+  }
+  prune(lv);
 }
 
 Ledger::Totals& Ledger::cell(LedgerKind kind, std::string_view resource,
-                             std::int64_t tenant) {
-  return cells_[CellKey{static_cast<std::uint8_t>(kind),
-                        std::string(resource), tenant}];
+                             std::int64_t tenant, std::string_view component,
+                             std::string_view detail) {
+  const CellView key{static_cast<std::uint8_t>(kind), resource, tenant,
+                     component, detail};
+  auto it = cells_.lower_bound(key);
+  if (it == cells_.end() || cells_.key_comp()(key, it->first)) {
+    it = cells_.emplace_hint(
+        it, CellKey{key.kind, std::string(resource), tenant,
+                    std::string(component), std::string(detail)},
+        Totals{});
+  }
+  return it->second;
 }
 
 Ledger::Live& Ledger::live(LedgerKind kind, std::string_view resource) {
@@ -123,16 +137,23 @@ void Ledger::wait(LedgerKind kind, std::string_view resource,
                   std::int64_t tenant, sim::TimePoint begin,
                   sim::TimePoint end) {
   if (!enabled_ || end <= begin) return;
-  const auto total = static_cast<std::uint64_t>(end - begin);
-  cell(kind, resource, tenant).wait_ns += total;
+  cell(kind, resource, tenant).wait_ns +=
+      static_cast<std::uint64_t>(end - begin);
   Live& lv = live(kind, resource);
   lv.clock = std::max(lv.clock, begin);
+  blame(lv, kind, resource, tenant, begin, end);
+  prune(lv);
+}
+
+void Ledger::blame(const Live& lv, LedgerKind kind, std::string_view resource,
+                   std::int64_t tenant, sim::TimePoint begin,
+                   sim::TimePoint end) {
   const auto k = static_cast<std::uint8_t>(kind);
   // Walk the occupancy timeline in event order, charging overlap with the
   // wait window until the whole wait is covered. For serializing FIFO
   // resources the segments tile the window exactly; the cap and the
   // self-blamed remainder make the attribution exact regardless.
-  std::uint64_t remaining = total;
+  auto remaining = static_cast<std::uint64_t>(end - begin);
   for (const Segment& s : lv.segments) {
     if (remaining == 0) break;
     if (s.end <= begin || s.begin >= end) continue;
@@ -146,7 +167,6 @@ void Ledger::wait(LedgerKind kind, std::string_view resource,
   if (remaining > 0) {
     blame_[BlameKey{k, std::string(resource), tenant, tenant}] += remaining;
   }
-  prune(lv);
 }
 
 void Ledger::queue_enter(LedgerKind kind, std::string_view resource,
@@ -178,11 +198,7 @@ void Ledger::add_slot_ns(std::string_view resource, std::int64_t tenant,
 
 Ledger::Totals Ledger::totals() const {
   Totals t;
-  for (const auto& [key, c] : cells_) {
-    t.busy_ns += c.busy_ns;
-    t.wait_ns += c.wait_ns;
-    t.bytes += c.bytes;
-  }
+  for (const auto& [key, c] : cells_) t.add(c);
   return t;
 }
 
@@ -190,10 +206,7 @@ Ledger::Totals Ledger::totals(LedgerKind kind) const {
   Totals t;
   const auto k = static_cast<std::uint8_t>(kind);
   for (const auto& [key, c] : cells_) {
-    if (key.kind != k) continue;
-    t.busy_ns += c.busy_ns;
-    t.wait_ns += c.wait_ns;
-    t.bytes += c.bytes;
+    if (key.kind == k) t.add(c);
   }
   return t;
 }
@@ -273,14 +286,85 @@ std::int64_t Ledger::top_aggressor(std::int64_t victim) const {
   return best;
 }
 
+template <class Fn>
+void Ledger::for_each_row(Fn&& fn) const {
+  for (auto it = cells_.begin(); it != cells_.end();) {
+    const CellKey& row = it->first;
+    Totals t;
+    for (; it != cells_.end() && it->first.kind == row.kind &&
+           it->first.resource == row.resource &&
+           it->first.tenant == row.tenant;
+         ++it) {
+      t.add(it->second);
+    }
+    fn(row, t);
+  }
+}
+
+template <class Fn>
+void Ledger::for_each_profile_cell(Fn&& fn) const {
+  for (const auto& [key, c] : cells_) {
+    if (!key.component.empty() && c.busy_ns > 0) fn(key, c.busy_ns);
+  }
+}
+
+std::uint64_t Ledger::profile_total_ns() const {
+  return profile_prefix_ns("");
+}
+
+std::uint64_t Ledger::profile_ns(std::string_view resource) const {
+  std::uint64_t total = 0;
+  for_each_profile_cell([&](const CellKey& key, std::uint64_t ns) {
+    if (key.resource == resource) total += ns;
+  });
+  return total;
+}
+
+std::uint64_t Ledger::profile_prefix_ns(std::string_view prefix) const {
+  std::uint64_t total = 0;
+  for_each_profile_cell([&](const CellKey& key, std::uint64_t ns) {
+    if (key.resource.starts_with(prefix)) total += ns;
+  });
+  return total;
+}
+
+void Ledger::write_collapsed(const std::string& path) const {
+  // Stacks sort as whole strings ("cpu/10;..." before "cpu/1;..."), which
+  // is not cell-key order: fold into a string-keyed map first.
+  std::map<std::string, std::uint64_t> stacks;
+  for_each_profile_cell([&](const CellKey& key, std::uint64_t ns) {
+    std::string stack = key.resource;
+    stack += ';';
+    stack += key.component;
+    stack += ";tenant:";
+    stack += key.tenant < 0 ? "-" : std::to_string(key.tenant);
+    stack += ';';
+    stack += key.detail.empty() ? "-" : key.detail;
+    stacks[stack] += ns;
+  });
+  std::ofstream f(path);
+  PD_CHECK(f.good(), "cannot open " << path << " for writing");
+  for (const auto& [stack, ns] : stacks) f << stack << ' ' << ns << '\n';
+}
+
+void Ledger::export_profile(Registry& registry) const {
+  // Resources aggregate away: the registry summary answers "who burned the
+  // CPU" per (component, tenant); the per-core split stays in the
+  // collapsed-stack export.
+  std::map<std::string, std::uint64_t> by_frame;
+  for_each_profile_cell([&](const CellKey& key, std::uint64_t ns) {
+    by_frame["component=" + key.component + ",tenant=" +
+             (key.tenant < 0 ? "-" : std::to_string(key.tenant))] += ns;
+  });
+  for (const auto& [labels, ns] : by_frame) {
+    registry.counter("profile.busy_ns", labels).set(ns);
+  }
+  registry.counter("profile.total_busy_ns").set(profile_total_ns());
+}
+
 void Ledger::export_metrics(Registry& registry) const {
   std::map<std::pair<std::uint8_t, std::int64_t>, Totals> rollup;
-  for (const auto& [key, c] : cells_) {
-    Totals& t = rollup[{key.kind, key.tenant}];
-    t.busy_ns += c.busy_ns;
-    t.wait_ns += c.wait_ns;
-    t.bytes += c.bytes;
-  }
+  for (const auto& [key, c] : cells_) rollup[{key.kind, key.tenant}].add(c);
   for (const auto& [key, t] : rollup) {
     const std::string labels =
         std::string("kind=") + kKindNames[key.first] +
@@ -315,12 +399,7 @@ std::string Ledger::to_json() const {
   }
   {
     std::map<std::pair<std::uint8_t, std::int64_t>, Totals> rollup;
-    for (const auto& [key, c] : cells_) {
-      Totals& t = rollup[{key.kind, key.tenant}];
-      t.busy_ns += c.busy_ns;
-      t.wait_ns += c.wait_ns;
-      t.bytes += c.bytes;
-    }
+    for (const auto& [key, c] : cells_) rollup[{key.kind, key.tenant}].add(c);
     out += "\"tenants\":[";
     bool first_row = true;
     for (const auto& [key, t] : rollup) {
@@ -340,7 +419,7 @@ std::string Ledger::to_json() const {
   {
     out += "\"resources\":[";
     bool first_row = true;
-    for (const auto& [key, c] : cells_) {
+    for_each_row([&](const CellKey& key, const Totals& c) {
       if (!first_row) out += ',';
       first_row = false;
       out += '{';
@@ -352,7 +431,7 @@ std::string Ledger::to_json() const {
       append_kv(out, "wait_ns", c.wait_ns, &first);
       append_kv(out, "bytes", c.bytes, &first);
       out += '}';
-    }
+    });
     out += "],";
   }
   {
@@ -399,7 +478,7 @@ std::string Ledger::to_csv() const {
   std::string out =
       "record,kind,resource,tenant,aggressor,victim,busy_ns,wait_ns,bytes\n";
   char buf[128];
-  for (const auto& [key, c] : cells_) {
+  for_each_row([&](const CellKey& key, const Totals& c) {
     std::snprintf(buf, sizeof(buf),
                   ",%" PRId64 ",,,%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
                   key.tenant, c.busy_ns, c.wait_ns, c.bytes);
@@ -408,7 +487,7 @@ std::string Ledger::to_csv() const {
     out += ',';
     out += key.resource;
     out += buf;
-  }
+  });
   for (const auto& [key, ns] : blame_) {
     std::snprintf(buf, sizeof(buf),
                   ",,%" PRId64 ",%" PRId64 ",,%" PRIu64 ",\n", key.aggressor,
@@ -442,12 +521,7 @@ std::string Ledger::table() const {
 }
 
 void Ledger::absorb(const Ledger& other) {
-  for (const auto& [key, c] : other.cells_) {
-    Totals& t = cells_[key];
-    t.busy_ns += c.busy_ns;
-    t.wait_ns += c.wait_ns;
-    t.bytes += c.bytes;
-  }
+  for (const auto& [key, c] : other.cells_) cells_[key].add(c);
   for (const auto& [key, ns] : other.blame_) blame_[key] += ns;
 }
 

@@ -1,5 +1,5 @@
-// Per-tenant resource-accounting ledger and cross-tenant interference
-// attribution (ISSUE 10 tentpole).
+// Per-tenant resource-accounting ledger, busy-time profile, and
+// cross-tenant interference attribution.
 //
 // The ledger attributes every occupancy interval on every shared resource
 // — core busy-ns, NIC serialization-ns, SoC DMA bytes, fabric link byte-ns
@@ -7,8 +7,17 @@
 // DWRR queue wait — to the owning tenant, with *exact conservation*: the
 // per-tenant sums equal the measured totals with zero residual, the same
 // discipline as critpath's exact-sum rule. Core and DMA intervals arrive
-// through the BusyObserver channel (on_busy_interval); the NIC, fabric,
-// queue, and pool sites call the primitives directly.
+// through the BusyObserver channel (on_busy); the NIC, fabric, queue, and
+// pool sites call the primitives directly.
+//
+// It is also the exact busy-time profile. A busy cell is keyed by (kind,
+// resource, tenant, component, detail): the last two come from the
+// charge's ProfileFrame (empty for the primitives). The collapsed-stack
+// flamegraph, the profile.* counters and the per-resource busy queries
+// read the framed cells; the ledger reports sum the same cells over the
+// frame. Busy cells fold whenever the ledger is the installed observer
+// (profiling or the ledger on); everything else — waits, blame, the
+// primitives — records only while the ledger is enabled.
 //
 // On top of the occupancy timelines the ledger computes a cross-tenant
 // interference matrix: for each wait interval a tenant's message spends
@@ -20,9 +29,8 @@
 // measured wait. All state is integer nanoseconds and merged in sorted-key
 // order, so reports are byte-identical across --threads 1/2/4.
 //
-// Like the profiler, the ledger only records — it never schedules events —
-// so enabling it can never perturb simulation results. It chains to a
-// `next` BusyObserver (the profiler) so both fold the same charge stream.
+// The ledger only records — it never schedules events — so enabling it
+// can never perturb simulation results.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +68,11 @@ class Ledger final : public sim::BusyObserver {
     std::uint64_t busy_ns = 0;
     std::uint64_t wait_ns = 0;
     std::uint64_t bytes = 0;
+    void add(const Totals& o) {
+      busy_ns += o.busy_ns;
+      wait_ns += o.wait_ns;
+      bytes += o.bytes;
+    }
   };
 
   /// One aggregated interference-matrix row: `aggressor` imposed `ns` of
@@ -76,23 +89,17 @@ class Ledger final : public sim::BusyObserver {
   Ledger& operator=(const Ledger&) = delete;
 
   /// Recording gate: every primitive is a no-op while disabled, so the
-  /// hook sites cost one predicted branch in non-ledger runs.
+  /// hook sites cost one predicted branch in non-ledger runs. on_busy
+  /// folds busy cells regardless; the gate holds back its wait and blame.
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Chain to the next BusyObserver (the profiler): on_busy forwards so a
-  /// single installed observer feeds both, and conservation tests can
-  /// compare ledger core sums against profile.busy_ns from the same
-  /// charge stream.
-  void set_next(sim::BusyObserver* next) { next_ = next; }
-
-  // --- BusyObserver ---------------------------------------------------------
+  /// BusyObserver: charges the frame's busy cell (kCore, or kDma for
+  /// "<node>/dma" engines, which also carry bytes); when enabled, also the
+  /// queue wait begin - submitted and the occupancy segment.
   void on_busy(std::string_view resource, const sim::ProfileFrame& frame,
-               sim::Duration scaled_ns) override;
-  void on_busy_interval(std::string_view resource,
-                        const sim::ProfileFrame& frame,
-                        sim::TimePoint submitted, sim::TimePoint begin,
-                        sim::Duration scaled_ns, std::uint64_t bytes) override;
+               sim::TimePoint submitted, sim::TimePoint begin,
+               sim::Duration scaled_ns, std::uint64_t bytes) override;
 
   // --- recording primitives -------------------------------------------------
 
@@ -163,7 +170,23 @@ class Ledger final : public sim::BusyObserver {
   /// the signal the blame-driven shedding policy targets.
   [[nodiscard]] std::int64_t top_aggressor(std::int64_t victim) const;
 
-  [[nodiscard]] bool empty() const { return cells_.empty() && blame_.empty(); }
+  // --- the busy-time profile (the framed cells on_busy folded) -------------
+
+  [[nodiscard]] std::uint64_t profile_total_ns() const;
+  /// Busy ns folded on one resource (exact core name).
+  [[nodiscard]] std::uint64_t profile_ns(std::string_view resource) const;
+  /// Busy ns summed over resources whose name starts with `prefix`
+  /// (e.g. "node1/cpu/" covers a whole CoreSet).
+  [[nodiscard]] std::uint64_t profile_prefix_ns(std::string_view prefix) const;
+
+  /// Collapsed-stack file (flamegraph.pl / speedscope): one
+  /// "resource;component;tenant:T;detail ns" line per frame, in
+  /// lexicographic stack order (deterministic).
+  void write_collapsed(const std::string& path) const;
+
+  /// Busy ns per (component, tenant) as profile.busy_ns{component,tenant}
+  /// counters plus the profile.total_busy_ns rollup.
+  void export_profile(Registry& registry) const;
 
   // --- export ---------------------------------------------------------------
 
@@ -187,14 +210,37 @@ class Ledger final : public sim::BusyObserver {
   void reset();
 
  private:
+  /// (kind, resource, tenant) leads, so the report rows — the cells
+  /// summed over the frame — are runs of adjacent cells.
   struct CellKey {
     std::uint8_t kind;
     std::string resource;
     std::int64_t tenant;
-    bool operator<(const CellKey& o) const {
-      if (kind != o.kind) return kind < o.kind;
-      if (resource != o.resource) return resource < o.resource;
-      return tenant < o.tenant;
+    std::string component;  ///< profile frame; empty for the primitives
+    std::string detail;
+  };
+  struct CellView {
+    std::uint8_t kind;
+    std::string_view resource;
+    std::int64_t tenant;
+    std::string_view component;
+    std::string_view detail;
+  };
+  /// Transparent, so hot-path lookups probe with views and allocate only
+  /// when a cell is new.
+  struct CellLess {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      if (a.kind != b.kind) return a.kind < b.kind;
+      if (const int r = std::string_view(a.resource).compare(b.resource)) {
+        return r < 0;
+      }
+      if (a.tenant != b.tenant) return a.tenant < b.tenant;
+      if (const int c = std::string_view(a.component).compare(b.component)) {
+        return c < 0;
+      }
+      return std::string_view(a.detail) < std::string_view(b.detail);
     }
   };
   struct BlameKey {
@@ -225,13 +271,24 @@ class Ledger final : public sim::BusyObserver {
   };
 
   Totals& cell(LedgerKind kind, std::string_view resource,
-               std::int64_t tenant);
+               std::int64_t tenant, std::string_view component = {},
+               std::string_view detail = {});
   Live& live(LedgerKind kind, std::string_view resource);
   void prune(Live& lv);
+  /// Blame the wait [begin, end) of `tenant` on the occupancy segments
+  /// overlapping it (the caller charges the wait itself).
+  void blame(const Live& lv, LedgerKind kind, std::string_view resource,
+             std::int64_t tenant, sim::TimePoint begin, sim::TimePoint end);
+  /// Calls fn(key, totals) once per (kind, resource, tenant), summed over
+  /// the profile frame, in key order: the rows the reports print.
+  template <class Fn>
+  void for_each_row(Fn&& fn) const;
+  /// Calls fn(key, busy_ns) for every framed cell with busy time.
+  template <class Fn>
+  void for_each_profile_cell(Fn&& fn) const;
 
   bool enabled_ = false;
-  sim::BusyObserver* next_ = nullptr;
-  std::map<CellKey, Totals> cells_;
+  std::map<CellKey, Totals, CellLess> cells_;
   std::map<BlameKey, std::uint64_t> blame_;
   std::map<std::pair<std::uint8_t, std::string>, Live> live_;
 };

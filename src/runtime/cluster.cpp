@@ -157,31 +157,24 @@ Cluster::Cluster(sim::ParallelSim& psim, ClusterConfig config)
   psim.set_shard_hooks(
       [this](std::size_t k) {
         obs::install_thread_hub(shard_hubs_[k].get());
-        if (ledger_enabled_) {
-          // The ledger fronts the busy-observer chain so it sees the exact
-          // interval stream; it forwards to the profiler so both fold the
-          // same charges (the conservation tests compare the two).
-          obs::Ledger& led = shard_hubs_[k]->ledger;
-          led.set_next(shard_profiling_ ? &shard_hubs_[k]->profiler : nullptr);
-          sim::install_thread_busy_observer(&led);
-        } else if (shard_profiling_) {
-          sim::install_thread_busy_observer(&shard_hubs_[k]->profiler);
+        if (ledger_enabled_ || shard_profiling_) {
+          sim::install_thread_busy_observer(&shard_hubs_[k]->ledger);
         }
       },
       [this](std::size_t) {
         obs::install_thread_hub(nullptr);
+        // Outside runs only profiling observes, into the edge shard's
+        // ledger: busy cells merge by key, so which shard holds them does
+        // not matter.
         if (ledger_enabled_ || shard_profiling_) {
-          sim::install_thread_busy_observer(outside_run_observer());
+          sim::install_thread_busy_observer(
+              shard_profiling_ ? &shard_hubs_[0]->ledger : nullptr);
         }
       });
 }
 
 Cluster::~Cluster() {
   if (shard_profiling_) sim::install_thread_busy_observer(nullptr);
-}
-
-sim::BusyObserver* Cluster::outside_run_observer() {
-  return shard_profiling_ ? &shard_hubs_[0]->profiler : nullptr;
 }
 
 sim::Scheduler& Cluster::scheduler_for(NodeId node) {
@@ -200,7 +193,7 @@ void Cluster::enable_shard_tracing(std::uint64_t n) {
 
 void Cluster::enable_shard_profiling() {
   shard_profiling_ = true;
-  sim::install_thread_busy_observer(outside_run_observer());
+  sim::install_thread_busy_observer(&shard_hubs_[0]->ledger);
 }
 
 void Cluster::enable_ledger() {
@@ -244,7 +237,6 @@ void Cluster::merge_observability(obs::Hub& into) {
     hub.slo.finish(psim_.shard(k).now());
     into.registry.merge_from(hub.registry);
     into.tracer.absorb(hub.tracer);
-    into.profiler.absorb(hub.profiler);
     into.ledger.absorb(hub.ledger);
     into.slo.absorb(hub.slo);
     // Flight series fold in shard order; the donor recorder is emptied

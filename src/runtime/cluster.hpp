@@ -265,18 +265,17 @@ class Cluster {
   /// every `n`th trace, 0 disables again).
   void enable_shard_tracing(std::uint64_t n);
   /// Enable exact busy-time profiling on the per-shard hubs: each shard
-  /// worker thread attributes its cores' busy intervals into its own
-  /// obs::Profiler, folded together by merge_observability. Work submitted
+  /// worker thread folds its cores' busy intervals into its own hub's
+  /// obs::Ledger cells, merged by merge_observability. Work submitted
   /// from the calling thread outside any run (setup-era SRQ fills, for
-  /// one) folds into the edge shard's profiler, so call it before the
+  /// one) folds into the edge shard's ledger, so call it before the
   /// cluster's setup to account for every busy nanosecond.
   void enable_shard_profiling();
-  /// Enable the per-tenant resource ledger: each shard worker
-  /// thread records occupancy / wait / blame into its own obs::Ledger
-  /// (chained in front of the shard profiler when profiling is also on),
-  /// folded together by merge_observability. Also attaches simulated-time
-  /// clocks to every buffer pool so the exact slot-ns occupancy integrals
-  /// accrue.
+  /// Enable the per-tenant resource ledger: each shard worker thread's
+  /// obs::Ledger (the same busy observer profiling installs) also records
+  /// waits, blame and the NIC / link / pool / queue primitives, folded
+  /// together by merge_observability. Also attaches simulated-time clocks
+  /// to every buffer pool so the exact slot-ns occupancy integrals accrue.
   void enable_ledger();
   /// Fold every pool's slot-ns integral (through its node's final simulated
   /// time) into the owning shard's ledger. Call once, after the run drains
@@ -338,11 +337,6 @@ class Cluster {
   /// tenant is hosted everywhere). Such pairs get RC pools at
   /// finish_setup() and a direct edge in the lookahead matrix.
   [[nodiscard]] bool tenants_shared(NodeId a, NodeId b) const;
-
-  /// Busy observer for work submitted outside any shard's execute phase:
-  /// the edge shard's profiler while profiling (profiles merge by
-  /// resource, so which shard holds it does not matter), else none.
-  [[nodiscard]] sim::BusyObserver* outside_run_observer();
 
   sim::ParallelSim& psim_;
   sim::Scheduler& sched_;  ///< shard 0: the edge

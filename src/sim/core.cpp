@@ -45,8 +45,7 @@ void Core::submit(Duration ref_work, EventFn done) {
   const TimePoint now = sched_.now();
   const TimePoint begin = std::max(free_at_, now);
   if (BusyObserver* o = busy_observer()) {
-    o->on_busy(name_, current_profile_frame(), scaled);
-    o->on_busy_interval(name_, current_profile_frame(), now, begin, scaled, 0);
+    o->on_busy(name_, current_profile_frame(), now, begin, scaled, 0);
   }
   free_at_ = begin + scaled;
   // Jobs complete FIFO (completion times are monotone and the scheduler

@@ -1,4 +1,4 @@
-// Exact busy-time attribution hook (ISSUE 5 tentpole, profiler half).
+// Exact busy-time attribution hook.
 //
 // Every Core::submit (and SoC-DMA transfer) reports the scaled busy time it
 // charges to an installed BusyObserver, tagged with the thread-current
@@ -6,7 +6,8 @@
 // innermost ProfileScope on the call stack. Because simulated work is
 // charged in whole jobs at submit time, summing the reported durations
 // reconstructs each core's busy_ns() exactly once the run drains — a
-// sampling-free profiler with zero statistical error.
+// sampling-free profile with zero statistical error. The one observer is
+// obs::Ledger, which folds the charges into its per-frame busy cells.
 //
 // The observer is a single thread-local pointer, installed per shard by
 // the cluster's shard hooks: a null observer makes the hook one predicted
@@ -30,35 +31,20 @@ struct ProfileFrame {
 };
 
 /// Receives one callback per charged busy interval. `resource` is the name
-/// of the core (or DMA engine) doing the work; `scaled_ns` is the busy time
-/// in that resource's own nanoseconds.
+/// of the core (or DMA engine) doing the work. The job was submitted at
+/// `submitted`, starts at `begin` (= max(free_at, now), so begin - submitted
+/// is the queue wait behind earlier jobs), and occupies the resource for
+/// `scaled_ns` of its own nanoseconds. `bytes` is the payload size for
+/// byte-denominated resources (DMA), 0 otherwise.
 class BusyObserver {
  public:
   virtual ~BusyObserver() = default;
   virtual void on_busy(std::string_view resource, const ProfileFrame& frame,
-                       Duration scaled_ns) = 0;
-  /// Interval-resolved companion to on_busy (ISSUE 10 ledger). FIFO
-  /// resources (cores, the SoC DMA engine) also report *when* the charged
-  /// work runs: it was submitted at `submitted`, starts at `begin`
-  /// (= max(free_at, now), so begin - submitted is the queue wait behind
-  /// earlier jobs), and occupies the resource for `scaled_ns`. `bytes` is
-  /// the payload size for byte-denominated resources (DMA), 0 otherwise.
-  /// Default no-op so observers that only fold totals (the profiler) pay
-  /// nothing.
-  virtual void on_busy_interval(std::string_view resource,
-                                const ProfileFrame& frame, TimePoint submitted,
-                                TimePoint begin, Duration scaled_ns,
-                                std::uint64_t bytes) {
-    (void)resource;
-    (void)frame;
-    (void)submitted;
-    (void)begin;
-    (void)scaled_ns;
-    (void)bytes;
-  }
+                       TimePoint submitted, TimePoint begin,
+                       Duration scaled_ns, std::uint64_t bytes) = 0;
 };
 
-/// This thread's installed observer, or nullptr when profiling is off.
+/// This thread's installed observer, or nullptr when no instrument is on.
 [[nodiscard]] BusyObserver* busy_observer();
 
 /// Install `o` for THIS thread (parallel shard enter/leave hooks).

@@ -249,7 +249,7 @@ TEST(PalladiumIngressTest, UsefulCpuSeriesKeepsWorkOfScaledDownWorker) {
   obs::Hub hub;
   cluster->merge_observability(hub);
   const double busy_s =
-      static_cast<double>(hub.profiler.resource_prefix_ns("ingress/worker/")) /
+      static_cast<double>(hub.ledger.profile_prefix_ns("ingress/worker/")) /
       1e9;
   sim::TimeSeries& series = ing.useful_cpu_series();
   double series_s = 0;

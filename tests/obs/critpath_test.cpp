@@ -11,11 +11,13 @@
 // sum to the end-to-end quantile latency exactly, a seeded chaos replay
 // (with engine stalls in the plan) must surface "retransmit" hops and trip
 // the SLO burn-rate alert identically on every replay, and the exact
-// profiler must account for 100% of every core's busy time.
+// busy-time profile must account for 100% of every core's busy time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -349,8 +351,25 @@ TEST(CritPathBoutique, ChaosSeedSurfacesRetransmitHopsAndTripsSlo) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact profiler: 100% busy-time accounting on a one-shard boutique run.
+// Exact profile: 100% busy-time accounting on a one-shard boutique run.
 // ---------------------------------------------------------------------------
+
+// Busy ns per resource from the ledger's CSV "cell" rows of one kind
+// (record,kind,resource,tenant,aggressor,victim,busy_ns,wait_ns,bytes).
+std::map<std::string, std::uint64_t> ledger_busy_by_resource(
+    const std::string& csv, const std::string& kind) {
+  std::map<std::string, std::uint64_t> out;
+  std::istringstream lines(csv);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::vector<std::string> f;
+    std::istringstream fields(line);
+    for (std::string v; std::getline(fields, v, ',');) f.push_back(v);
+    if (f.size() < 7 || f[0] != "cell" || f[1] != kind) continue;
+    out[f[2]] += std::stoull(f[6]);
+  }
+  return out;
+}
 
 TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
   sim::ParallelSim psim(1);
@@ -374,6 +393,9 @@ TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
   ing.expose_chain("/run", runtime::OnlineBoutique::kHomeQuery);
   ing.finish_setup();
   cluster.finish_setup();
+  // The ledger switched on after setup still reports the busy cells the
+  // profile folded from the start: one instrument, one set of cells.
+  cluster.enable_ledger();
 
   workload::HttpLoadGen::Config wcfg;
   wcfg.target = "/run";
@@ -387,10 +409,10 @@ TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
   psim.run();  // drain: busy_ns() is credited at completion
   obs::Hub hub;
   cluster.merge_observability(hub);
-  const obs::Profiler& prof = hub.profiler;
+  const obs::Ledger& prof = hub.ledger;
 
   ASSERT_GT(wrk.latencies().count(), 0u);
-  ASSERT_FALSE(prof.empty());
+  ASSERT_GT(prof.profile_total_ns(), 0u);
 
   // Acceptance: the folded profile accounts for 100% of every worker
   // CoreSet's busy time and of each engine core, exactly.
@@ -399,10 +421,34 @@ TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
     runtime::WorkerNode& node = cluster.worker(id);
     const std::string cpu_prefix =
         "node" + std::to_string(id.value()) + "/cpu/";
-    EXPECT_EQ(prof.resource_prefix_ns(cpu_prefix),
+    EXPECT_EQ(prof.profile_prefix_ns(cpu_prefix),
               static_cast<std::uint64_t>(node.cpu().total_busy_ns()));
-    EXPECT_EQ(prof.resource_ns(node.engine_core().name()),
+    EXPECT_EQ(prof.profile_ns(node.engine_core().name()),
               static_cast<std::uint64_t>(node.engine_core().busy_ns()));
+  }
+
+  // The ledger report's per-resource core busy equals the profile's, and
+  // both equal each core's busy_ns(), exactly.
+  const auto ledger_core = ledger_busy_by_resource(prof.to_csv(), "core");
+  ASSERT_FALSE(ledger_core.empty());
+  for (const auto& [resource, ns] : ledger_core) {
+    SCOPED_TRACE(resource);
+    EXPECT_EQ(ns, prof.profile_ns(resource));
+  }
+  for (NodeId id : {kNode1, kNode2}) {
+    runtime::WorkerNode& node = cluster.worker(id);
+    std::vector<const sim::Core*> cores{&node.engine_core()};
+    for (std::size_t i = 0; i < node.cpu().size(); ++i) {
+      cores.push_back(&node.cpu().core(i));
+    }
+    for (const sim::Core* core : cores) {
+      SCOPED_TRACE(core->name());
+      const auto it = ledger_core.find(core->name());
+      const std::uint64_t ledger_ns = it == ledger_core.end() ? 0 : it->second;
+      EXPECT_EQ(ledger_ns, static_cast<std::uint64_t>(core->busy_ns()));
+      EXPECT_EQ(prof.profile_ns(core->name()),
+                static_cast<std::uint64_t>(core->busy_ns()));
+    }
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // The tentpole's acceptance criteria, as tests: blame conserves exactly
 // (per victim, the blame rows sum to the measured wait with zero
-// residual), the ledger chained in front of the profiler folds the same
-// busy stream to the same total, shard merges are order-independent down
+// residual), one on_busy charge folds both the ledger's busy cells and the
+// busy-time profile to the same total, shard merges are order-independent down
 // to the exported report bytes, the noisy-neighbor overload run produces
 // byte-identical ledger artifacts across worker thread counts and across
 // seeded chaos replays, and the blame-driven shedding policy targets the
@@ -20,7 +20,6 @@
 
 #include "control/scenario.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/runcompare.hpp"
 #include "sim/profile.hpp"
 
@@ -63,36 +62,32 @@ TEST(Ledger, WaitBlameConservesExactly) {
   EXPECT_EQ(led.top_aggressor(1), -1);
 }
 
-TEST(Ledger, BusyIntervalChainsToProfiler) {
-  // The ledger fronts the observer chain; the profiler behind it must see
-  // the identical charge stream, so the two totals agree exactly — the
-  // same conservation discipline the full runs assert via profile.busy_ns.
+TEST(Ledger, OnBusyFoldsLedgerAndProfile) {
+  // One charge stream, one set of cells: the ledger's busy totals and the
+  // busy-time profile read the same framed cells, so they agree exactly —
+  // the same conservation discipline the full runs assert via
+  // profile.busy_ns.
   Ledger led;
   led.set_enabled(true);
-  Profiler prof;
-  led.set_next(&prof);
 
   const sim::ProfileFrame f1{"fn", "work", 1};
   const sim::ProfileFrame f2{"fn", "work", 2};
-  // Mirror the Core::submit call site: on_busy for totals, then the
-  // interval-resolved companion.
-  led.on_busy("node0/core0", f1, 1000);
-  led.on_busy_interval("node0/core0", f1, 0, 0, 1000, 0);
+  // Mirror the Core::submit call site: one on_busy per charged job.
+  led.on_busy("node0/core0", f1, 0, 0, 1000, 0);
   // Second job submitted at 500 but starts at 1000 (behind tenant 1's
   // job): the 500 ns queue wait is charged to tenant 2 and blamed on
   // tenant 1, whose occupancy covers the whole window.
-  led.on_busy("node0/core0", f2, 2000);
-  led.on_busy_interval("node0/core0", f2, 500, 1000, 2000, 0);
+  led.on_busy("node0/core0", f2, 500, 1000, 2000, 0);
 
   EXPECT_EQ(led.totals(LedgerKind::kCore).busy_ns, 3000u);
-  EXPECT_EQ(prof.total_ns(), 3000u);
+  EXPECT_EQ(led.profile_total_ns(), 3000u);
   EXPECT_EQ(led.busy_ns(LedgerKind::kCore, 1), 1000u);
   EXPECT_EQ(led.busy_ns(LedgerKind::kCore, 2), 2000u);
   EXPECT_EQ(led.wait_ns(LedgerKind::kCore, 2), 500u);
   EXPECT_EQ(led.blame_ns(1, 2), 500u);
 
   // DMA engines ("<node>/dma") classify as kDma and carry bytes.
-  led.on_busy_interval("node0/dma", f1, 0, 0, 700, 4096);
+  led.on_busy("node0/dma", f1, 0, 0, 700, 4096);
   EXPECT_EQ(led.totals(LedgerKind::kDma).busy_ns, 700u);
   EXPECT_EQ(led.bytes(LedgerKind::kDma, 1), 4096u);
 }

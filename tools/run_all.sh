@@ -55,8 +55,10 @@
 #                            then an observability boutique sweep: critical-
 #                            path + flamegraph + SLO + flight-recorder
 #                            timeline artifacts into obs_report/, byte-
-#                            compared across --threads 1/2/4 and diffed
-#                            against the committed golden via report_diff
+#                            compared across --threads 1/2/4; the flame
+#                            graph is cmp'd and the timeline and metrics
+#                            snapshot are diffed (report_diff) against
+#                            their committed goldens
 set -e
 cd "$(dirname "$0")/.."
 
@@ -334,9 +336,16 @@ if [ "$1" = "obs" ]; then
     echo "obs_report/*_$f identical across --threads 1/2/4" \
       | tee -a obs_output.txt
   done
-  # Run-diff gate: the timeline must structurally match the committed
-  # golden (same workload, same seed — any drift means behavior changed),
-  # and report_diff itself must fail loudly on a perturbed artifact.
+  # Golden gates (same workload, same seed — any drift means behavior
+  # changed): the collapsed-stack profile must match its golden byte for
+  # byte, and the timeline and metrics snapshot must match theirs
+  # structurally. The cross-thread cmp above cannot catch a change that
+  # moves every thread count alike. report_diff itself must fail loudly
+  # on a perturbed artifact.
+  gate obs_output.txt cmp tools/golden/boutique_flame.folded \
+    obs_report/t1_flame.folded
+  gate obs_output.txt ./build/tools/report_diff \
+    tools/golden/boutique_metrics.json obs_report/t1_metrics.json
   gate obs_output.txt ./build/tools/report_diff \
     tools/golden/boutique_timeseries.json obs_report/t1_timeseries.json
   sed 's/"samples": /"samples": 9/' obs_report/t1_timeseries.json \
