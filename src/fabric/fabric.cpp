@@ -20,17 +20,15 @@ sim::Duration Link::backlog() const {
   return std::max<sim::Duration>(0, busy_until_ - sched_.now());
 }
 
-bool Link::transmit(Bytes bytes, sim::EventFn delivered) {
-  PD_CHECK(delivered, "link delivery callback required");
+std::optional<sim::TimePoint> Link::transmit(Bytes bytes) {
   if (down_ || (loss_ > 0.0 && fault_rng_ != nullptr && fault_rng_->chance(loss_))) {
     ++frames_dropped_;
-    return false;  // the frame dies on the wire; `delivered` never fires
+    return std::nullopt;  // the frame dies on the wire
   }
   const sim::Duration serialization = sim::transfer_time(bytes, bandwidth_);
   busy_until_ = std::max(busy_until_, sched_.now()) + serialization;
   bytes_sent_ += bytes;
-  sched_.schedule_at(busy_until_ + propagation_, std::move(delivered));
-  return true;
+  return busy_until_ + propagation_;
 }
 
 void Switch::attach(NodeId node) { attach(node, sched_); }
@@ -79,6 +77,14 @@ Switch::Port& Switch::port(NodeId node) {
   auto it = ports_.find(node);
   PD_CHECK(it != ports_.end(), "node " << node << " not attached to fabric");
   return it->second;
+}
+
+void Switch::post(Port& dst, sim::TimePoint t, sim::EventFn fn) {
+  if (remote_post_) {
+    remote_post_(dst.node, t, std::move(fn));
+  } else {
+    dst.sched->schedule_at(t, std::move(fn));
+  }
 }
 
 void Switch::set_node_down(NodeId node, bool down) {
@@ -167,56 +173,26 @@ void Switch::send(NodeId from, NodeId to, Bytes bytes,
            ? topo_->extra_latency(from, to, wire_bytes, port_bandwidth_)
            : 0);
 
-  if (src.sched != dst.sched) {
-    // Cross-shard path: the drop decision and the egress
-    // serialization queue are sender-owned state, so the frame's arrival
-    // time at the receiver's port is already known here at send time.
-    // Post it across NOW, while the whole egress serialization +
-    // propagation + switch hop (>= cross_node_lookahead()) still lies
-    // ahead — deferring the post into the egress-delivered callback would
-    // shrink the remaining horizon to the switch hop alone and break the
-    // epoch lookahead bound.
-    const sim::TimePoint deliver = src.tx->delivery_time(wire_bytes);
-    const sim::Duration tx_backlog = src.tx->backlog();
-    if (!src.tx->transmit(wire_bytes, [] {})) return;  // dropped at egress
-    charge_tx(src, to, wire_bytes, tx_backlog, lt);
-    ++src.frames;
-    remote_post_(dst.node, deliver + hop,
-                 [this, dstp = &dst, wire_bytes, lt,
-                  done = std::move(delivered)]() mutable {
-                   const sim::Duration rx_backlog = dstp->rx->backlog();
-                   if (dstp->rx->transmit(wire_bytes, std::move(done))) {
-                     charge_rx(*dstp, wire_bytes, rx_backlog, lt);
-                   }
-                 });
-    return;
-  }
-
-  sim::Scheduler& sched = *src.sched;
-  ++src.frames;
-  // Egress serialization -> switch hop -> ingress serialization. The final
-  // callback rides src.in_flight (FIFO, see Port) so the two relay events
-  // stay small enough for EventFn's inline buffer.
-  src.in_flight.push_back(std::move(delivered));
+  // The drop decision and the egress serialization queue are sender-owned
+  // state, so the frame's arrival at the receiver's port is known here at
+  // send time. Post it NOW, while the whole egress serialization +
+  // propagation + switch hop (>= cross_node_lookahead()) still lies ahead:
+  // that is the lookahead bound the parallel simulation's epochs rely on
+  // when the receiver lives on another shard.
   const sim::Duration tx_backlog = src.tx->backlog();
-  const bool accepted =
-      src.tx->transmit(wire_bytes, [this, &sched, &src, &dst, wire_bytes, hop,
-                                    lt] {
-        sched.schedule_after(hop, [this, &src, &dst, wire_bytes, lt] {
-          PD_CHECK(!src.in_flight.empty(), "fabric relay with no callback");
-          sim::EventFn done = std::move(src.in_flight.front());
-          src.in_flight.pop_front();
-          const sim::Duration rx_backlog = dst.rx->backlog();
-          if (dst.rx->transmit(wire_bytes, std::move(done))) {
-            charge_rx(dst, wire_bytes, rx_backlog, lt);
-          }
-        });
-      });
-  if (!accepted) {
-    src.in_flight.pop_back();  // dropped at egress: unwind
-    return;
-  }
+  const auto egress_exit = src.tx->transmit(wire_bytes);
+  if (!egress_exit) return;  // dropped at egress
   charge_tx(src, to, wire_bytes, tx_backlog, lt);
+  ++src.frames;
+  post(dst, *egress_exit + hop,
+       [this, dstp = &dst, wire_bytes, lt,
+        done = std::move(delivered)]() mutable {
+         const sim::Duration rx_backlog = dstp->rx->backlog();
+         const auto at = dstp->rx->transmit(wire_bytes);
+         if (!at) return;  // dropped at ingress
+         dstp->sched->schedule_at(*at, std::move(done));
+         charge_rx(*dstp, wire_bytes, rx_backlog, lt);
+       });
 }
 
 }  // namespace pd::fabric

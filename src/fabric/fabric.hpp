@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "common/ids.hpp"
@@ -16,14 +17,15 @@
 #include "fabric/topology.hpp"
 #include "proto/cost_model.hpp"
 #include "sim/event_fn.hpp"
-#include "sim/fifo_ring.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
 namespace pd::fabric {
 
 /// A unidirectional serializing link: frames queue behind each other at
-/// `bandwidth` and arrive `propagation` later.
+/// `bandwidth` and exit the far end `propagation` later. The link is only
+/// the serialization queue; whoever transmits schedules what happens at
+/// the exit.
 ///
 /// Fault hooks (driven by the chaos controller): a link can be
 /// administratively down (every frame dropped) or lossy (each frame
@@ -33,26 +35,17 @@ class Link {
  public:
   Link(sim::Scheduler& sched, BitsPerSec bandwidth, sim::Duration propagation);
 
-  /// Transmit `bytes`; `delivered` fires when the last bit exits the far
-  /// end of the link. Dropped frames (down/lossy link) never fire
-  /// `delivered` — loss is silent at this layer, exactly like a wire.
-  /// Returns false when the frame was dropped (callback destroyed unfired).
-  bool transmit(Bytes bytes, sim::EventFn delivered);
+  /// Enqueue `bytes` now and return the absolute time its last bit exits
+  /// the far end (queue + transfer + propagation), or nullopt when the
+  /// frame was dropped by a down/lossy link — loss is silent at this
+  /// layer, exactly like a wire.
+  [[nodiscard]] std::optional<sim::TimePoint> transmit(Bytes bytes);
 
   void set_down(bool down) { down_ = down; }
   [[nodiscard]] bool down() const { return down_; }
   void set_loss(double p, sim::Rng* rng) {
     loss_ = p;
     fault_rng_ = rng;
-  }
-
-  /// Absolute time at which a frame enqueued right now would exit the far
-  /// end (serialization queue + transfer + propagation). Pure query: the
-  /// sharded fabric uses it to learn the cross-shard arrival time at send
-  /// time, before the matching transmit() consumes queue capacity.
-  [[nodiscard]] sim::TimePoint delivery_time(Bytes bytes) const {
-    return std::max(busy_until_, sched_.now()) +
-           sim::transfer_time(bytes, bandwidth_) + propagation_;
   }
 
   [[nodiscard]] Bytes bytes_sent() const { return bytes_sent_; }
@@ -92,19 +85,25 @@ class Switch {
 
   /// Attach a node; creates its full-duplex port.
   void attach(NodeId node);
-  /// Shard-aware attach: the port's links (and their events) belong to
-  /// `sched` — the scheduler shard owning the node. With the default
-  /// overload every port shares the switch's scheduler.
+  /// Shard-aware attach: the port's links (and the frame arrivals at it)
+  /// belong to `sched` — the scheduler shard owning the node. With the
+  /// default overload every port shares the switch's scheduler.
   void attach(NodeId node, sim::Scheduler& sched);
   [[nodiscard]] bool attached(NodeId node) const;
 
-  /// Cross-shard delivery hook for the parallel simulation: posts `fn` to
-  /// the shard owning `dst` at absolute time `t`. send() uses it whenever
-  /// the two ports live on different schedulers (which requires it to be
-  /// installed); port state stays owner-shard-local throughout.
+  /// Delivery hook for the parallel simulation: posts `fn` to the shard
+  /// owning `dst` at absolute time `t`. Every frame's arrival at the
+  /// receiver's port goes through it (ParallelSim::post turns a post to
+  /// the running shard into a local event). Without a hook, arrivals are
+  /// scheduled on the `dst` port's own scheduler.
   using RemotePost =
       std::function<void(NodeId dst, sim::TimePoint t, sim::EventFn fn)>;
   void set_remote_post(RemotePost post) { remote_post_ = std::move(post); }
+  /// Run `fn` at absolute time `t` on the scheduler owning `dst`'s port,
+  /// through the delivery hook.
+  void post(NodeId dst, sim::TimePoint t, sim::EventFn fn) {
+    post(port(dst), t, std::move(fn));
+  }
 
   /// Multi-switch topology (ISSUE 9). Not owned; must outlive the switch.
   /// Null (the default) keeps the flat single-switch fabric byte-identical
@@ -125,7 +124,8 @@ class Switch {
   }
 
   /// Deliver `bytes` (payload; wire overhead added internally) from one
-  /// attached node to another. `delivered` fires at the receiver.
+  /// attached node to another. `delivered` fires at the receiver when the
+  /// frame's last bit exits its ingress link.
   void send(NodeId from, NodeId to, Bytes bytes, sim::EventFn delivered);
 
   // --- fault hooks ----------------------------------------------------------
@@ -145,6 +145,7 @@ class Switch {
   /// for a given seed.
   void set_fault_seed(std::uint64_t seed);
 
+  /// Frames accepted by their egress link (dropped frames not counted).
   [[nodiscard]] std::uint64_t frames() const;
   /// Frames dropped by down/lossy ports, summed over all links.
   [[nodiscard]] std::uint64_t frames_dropped() const;
@@ -153,18 +154,13 @@ class Switch {
   struct Port {
     NodeId node{};
     /// Scheduler shard owning this port; all of the port's state (links,
-    /// in_flight, rng, frames) is only ever touched from it.
+    /// rng, frames) is only ever touched from it.
     sim::Scheduler* sched = nullptr;
     std::unique_ptr<Link> tx;
     std::unique_ptr<Link> rx;
-    /// Delivery callbacks for frames in flight from this port, FIFO. The
-    /// egress link and the constant switch hop preserve per-port order, so
-    /// the relay events need only capture `this` + port pointers (staying
-    /// inside EventFn's inline buffer) and pop their callback here.
-    sim::FifoRing<sim::EventFn> in_flight;
     /// Per-port loss-draw stream.
     sim::Rng rng{0};
-    std::uint64_t frames = 0;  ///< egress frames
+    std::uint64_t frames = 0;  ///< frames accepted at egress
     /// Resource-ledger names, e.g. "fabric/node1/tx" (cached: the ledger
     /// charge sites run per frame).
     std::string tx_res;
@@ -172,6 +168,7 @@ class Switch {
   };
 
   Port& port(NodeId node);
+  void post(Port& dst, sim::TimePoint t, sim::EventFn fn);
   [[nodiscard]] sim::Rng port_fault_stream(NodeId node) const;
   /// Resource-ledger charges (ISSUE 10): serialization occupancy + queue
   /// wait + wire bytes on a port link, attributed to the tenant carried by

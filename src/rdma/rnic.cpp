@@ -100,15 +100,6 @@ sim::Scheduler& RdmaNetwork::scheduler_for(NodeId node) {
   return it == node_scheds_.end() ? sched_ : *it->second;
 }
 
-void RdmaNetwork::set_remote_post(fabric::Switch::RemotePost post) {
-  remote_post_ = post;
-  switch_.set_remote_post(std::move(post));
-}
-
-void RdmaNetwork::post_to_node(NodeId node, sim::TimePoint t, sim::EventFn fn) {
-  remote_post_(node, t, std::move(fn));
-}
-
 std::vector<NodeId> RdmaNetwork::rnic_nodes() const {
   std::vector<NodeId> nodes;
   nodes.reserve(rnics_.size());

@@ -42,14 +42,7 @@ inline constexpr Bytes kDatagramBytes = 16;
 /// cluster; owning it per-experiment keeps tests isolated.
 class RdmaNetwork {
  public:
-  /// Until set_remote_post() installs the parallel simulator's hook,
-  /// post_to_node() schedules directly on the node's scheduler.
-  explicit RdmaNetwork(sim::Scheduler& sched)
-      : sched_(sched),
-        switch_(sched),
-        remote_post_([this](NodeId node, sim::TimePoint t, sim::EventFn fn) {
-          scheduler_for(node).schedule_at(t, std::move(fn));
-        }) {}
+  explicit RdmaNetwork(sim::Scheduler& sched) : sched_(sched), switch_(sched) {}
   RdmaNetwork(const RdmaNetwork&) = delete;
   RdmaNetwork& operator=(const RdmaNetwork&) = delete;
 
@@ -70,11 +63,11 @@ class RdmaNetwork {
   /// Scheduler owning `node` (the shared scheduler unless pinned).
   [[nodiscard]] sim::Scheduler& scheduler_for(NodeId node);
 
-  /// Install the cross-shard delivery hook (forwarded to the fabric switch;
-  /// see fabric::Switch::set_remote_post).
-  void set_remote_post(fabric::Switch::RemotePost post);
-  /// Run `fn` at absolute simulated time `t` on the shard owning `node`.
-  void post_to_node(NodeId node, sim::TimePoint t, sim::EventFn fn);
+  /// Run `fn` at absolute simulated time `t` on the shard owning `node`,
+  /// through the fabric's delivery hook (fabric::Switch::set_remote_post).
+  void post_to_node(NodeId node, sim::TimePoint t, sim::EventFn fn) {
+    switch_.post(node, t, std::move(fn));
+  }
 
   /// Nodes with a registered RNIC, sorted by id — a deterministic
   /// iteration order for fault plans regardless of hash-map layout.
@@ -106,7 +99,6 @@ class RdmaNetwork {
   std::unordered_map<NodeId, Rnic*> rnics_;
   std::unordered_map<NodeId, DatagramHandler> datagram_handlers_;
   std::unordered_map<NodeId, sim::Scheduler*> node_scheds_;
-  fabric::Switch::RemotePost remote_post_;
 };
 
 struct RnicCounters {

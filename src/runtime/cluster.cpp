@@ -136,7 +136,7 @@ Cluster::Cluster(sim::ParallelSim& psim, ClusterConfig config)
   if (uses_rdma(config_.system)) {
     rdma_net_ = std::make_unique<rdma::RdmaNetwork>(sched_);
     rdma_net_->fabric().set_topology(&topo_);
-    rdma_net_->set_remote_post(
+    rdma_net_->fabric().set_remote_post(
         [this](NodeId dst, sim::TimePoint t, sim::EventFn fn) {
           psim_.post(shard_of(dst), t, std::move(fn));
         });

@@ -23,7 +23,9 @@ namespace pd::runtime {
 ///   conn.{establishments,activations,deactivations,sends,reestablishments}
 ///   dma.{transfers,bytes_moved}             (DPU-equipped nodes only)
 ///   pool.{in_use,capacity} (gauges)
-///   fabric.frames                           (unlabelled, cluster-wide)
+///   fabric.{frames,frames_dropped}          (unlabelled, cluster-wide;
+///                                            frames counts the frames
+///                                            their egress link accepted)
 void export_metrics(Cluster& cluster, obs::Registry& reg);
 
 }  // namespace pd::runtime

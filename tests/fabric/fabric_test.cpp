@@ -8,30 +8,25 @@ namespace {
 TEST(Link, TransferTimeMatchesBandwidthPlusPropagation) {
   sim::Scheduler s;
   Link link(s, 1e9, 500);  // 1 Gbps, 500 ns propagation
-  sim::TimePoint at = -1;
-  link.transmit(1000, [&] { at = s.now(); });  // 1000 B = 8000 ns at 1 Gbps
-  s.run();
-  EXPECT_EQ(at, 8000 + 500);
+  // 1000 B = 8000 ns at 1 Gbps.
+  EXPECT_EQ(link.transmit(1000), std::optional<sim::TimePoint>(8000 + 500));
   EXPECT_EQ(link.bytes_sent(), 1000u);
 }
 
 TEST(Link, BackToBackFramesSerialize) {
   sim::Scheduler s;
   Link link(s, 1e9, 0);
-  std::vector<sim::TimePoint> arrivals;
-  link.transmit(1000, [&] { arrivals.push_back(s.now()); });
-  link.transmit(1000, [&] { arrivals.push_back(s.now()); });
-  s.run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0], 8000);
-  EXPECT_EQ(arrivals[1], 16000);  // queued behind the first frame
+  EXPECT_EQ(link.transmit(1000), std::optional<sim::TimePoint>(8000));
+  // Queued behind the first frame.
+  EXPECT_EQ(link.transmit(1000), std::optional<sim::TimePoint>(16000));
 }
 
 TEST(Link, BacklogReflectsQueuedBytes) {
   sim::Scheduler s;
   Link link(s, 1e9, 0);
-  link.transmit(1000, [] {});
+  ASSERT_TRUE(link.transmit(1000));
   EXPECT_EQ(link.backlog(), 8000);
+  s.schedule_at(8000, [] {});
   s.run();
   EXPECT_EQ(link.backlog(), 0);
 }
@@ -39,10 +34,16 @@ TEST(Link, BacklogReflectsQueuedBytes) {
 TEST(Link, TinyFrameTakesAtLeastOneNs) {
   sim::Scheduler s;
   Link link(s, 1e18, 0);  // absurdly fast
-  sim::TimePoint at = -1;
-  link.transmit(1, [&] { at = s.now(); });
-  s.run();
-  EXPECT_EQ(at, 1);
+  EXPECT_EQ(link.transmit(1), std::optional<sim::TimePoint>(1));
+}
+
+TEST(Link, DownLinkDropsFrame) {
+  sim::Scheduler s;
+  Link link(s, 1e9, 0);
+  link.set_down(true);
+  EXPECT_FALSE(link.transmit(1000));
+  EXPECT_EQ(link.frames_dropped(), 1u);
+  EXPECT_EQ(link.backlog(), 0);  // a dropped frame reserves no slot
 }
 
 TEST(Switch, EndToEndDelivery) {
@@ -142,6 +143,35 @@ TEST(Switch, LossyPortDropsDeterministically) {
   // deterministic replay, not ambient randomness.
   EXPECT_EQ(run(7), a);
   EXPECT_NE(run(8), a);
+}
+
+TEST(Switch, MixedHopFramesKeepTheirOwnCallbacks) {
+  // Leaves {1, 2 | 3}: a cross-leaf frame pays the spine detour, so a
+  // same-leaf frame sent right after it from the same port arrives first.
+  // Each arrival must still fire its own frame's callback.
+  sim::Scheduler s;
+  Topology topo(TopologyConfig{.nodes_per_switch = 1});
+  topo.assign(NodeId{1}, 0);
+  topo.assign(NodeId{2}, 0);
+  topo.assign(NodeId{3}, 1);
+  Switch sw(s);
+  sw.set_topology(&topo);
+  for (std::uint32_t n = 1; n <= 3; ++n) sw.attach(NodeId{n});
+  sim::TimePoint cross_leaf = -1;
+  sim::TimePoint same_leaf = -1;
+  std::vector<int> order;
+  sw.send(NodeId{1}, NodeId{3}, 4096, [&] {
+    cross_leaf = s.now();
+    order.push_back(3);
+  });
+  sw.send(NodeId{1}, NodeId{2}, 64, [&] {
+    same_leaf = s.now();
+    order.push_back(2);
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  EXPECT_GE(cross_leaf - same_leaf, 2 * cost::kSwitchLatencyNs +
+                                        2 * cost::kInterSwitchPropagationNs);
 }
 
 TEST(Switch, IncastContentionSharesReceiverPort) {
