@@ -271,7 +271,6 @@ OverloadResult run_overload(const OverloadOptions& opts) {
   // hubs; `hub` holds the merged end state.
   obs::Hub hub;
   cluster->merge_observability(hub);
-  hub.slo.finish(sched.now());
 
   OverloadResult r;
   r.scenario = to_string(opts.scenario);

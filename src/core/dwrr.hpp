@@ -8,7 +8,6 @@
 // backlogged — exactly Fig. 15's property.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -37,44 +36,6 @@ class DwrrScheduler {
              "tenant " << tenant << " already registered");
     queues_.emplace(tenant, Queue{weight, 0, {}});
     order_.push_back(tenant);
-  }
-
-  void remove_tenant(TenantId tenant) {
-    auto it = queues_.find(tenant);
-    PD_CHECK(it != queues_.end(), "unknown tenant " << tenant);
-    PD_CHECK(it->second.items.empty(), "removing tenant with queued items");
-    queues_.erase(it);
-    const auto pos = static_cast<std::size_t>(
-        std::find(order_.begin(), order_.end(), tenant) - order_.begin());
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
-    // Keep the cursor on the tenant it was pointing at: erasing an entry
-    // ordered before it shifts every later index left by one, and leaving
-    // cursor_ unadjusted would silently skip that tenant's turn (with its
-    // visited_this_round flag going stale — it would also miss its next
-    // quantum top-up).
-    if (pos < cursor_) --cursor_;
-    if (cursor_ >= order_.size()) cursor_ = 0;
-  }
-
-  [[nodiscard]] bool has_tenant(TenantId tenant) const {
-    return queues_.find(tenant) != queues_.end();
-  }
-
-  /// Deregister `tenant` mid-round, handing back whatever it still has
-  /// queued so the caller can complete each item explicitly (never silent
-  /// loss). Items come back in FIFO order; unspent deficit credit is
-  /// discarded with the queue and the cursor keeps pointing at the tenant
-  /// it was on (the PR 3 remove_tenant fix does the index surgery).
-  [[nodiscard]] std::vector<Item> drain_tenant(TenantId tenant) {
-    auto it = queues_.find(tenant);
-    PD_CHECK(it != queues_.end(), "unknown tenant " << tenant);
-    std::vector<Item> out;
-    out.reserve(it->second.items.size());
-    for (Entry& e : it->second.items) out.push_back(std::move(e.item));
-    pending_ -= it->second.items.size();
-    it->second.items.clear();
-    remove_tenant(tenant);
-    return out;
   }
 
   /// Enqueue an item with `size` cost units (1 = per-request fairness).
@@ -174,7 +135,6 @@ class DwrrScheduler {
 template <typename Item>
 class FcfsScheduler {
  public:
-  void add_tenant(TenantId, std::uint32_t) {}
   void enqueue(TenantId, Item item, std::uint32_t = 1) {
     items_.push_back(std::move(item));
   }

@@ -83,19 +83,16 @@ void NetworkEngine::ledger_queue_enter(TenantId tenant) {
                         tenant.value(), sched_.now());
 }
 
-void NetworkEngine::ledger_queue_exit(TenantId tenant, bool serviced) {
+void NetworkEngine::ledger_queue_exit(TenantId tenant) {
   auto* h = obs::hub();
   if (h == nullptr || !h->ledger.enabled()) return;
   const sim::TimePoint now = sched_.now();
   h->ledger.queue_exit(obs::LedgerKind::kQueue, ledger_queue_, tenant.value(),
                        now);
-  if (!serviced) return;  // teardown drain: no TX slice was spent
-  // The dequeued message's share of the TX slice, in engine-core time —
-  // the occupancy later waiters at this queue are blamed against.
-  const sim::Duration per_msg = engine_core_.scale(
-      cost::kDneSchedNs + cost::kDneTxStageNs + config_.extra_per_msg_ns);
+  // The dequeued message's TX slice, in engine-core time — the occupancy
+  // later waiters at this queue are blamed against.
   h->ledger.occupy(obs::LedgerKind::kQueue, ledger_queue_, tenant.value(), now,
-                   now + per_msg);
+                   now + engine_core_.scale(tx_slice_ns()));
 }
 
 // ---------------------------------------------------------------------------
@@ -126,25 +123,6 @@ void NetworkEngine::add_tenant(TenantId tenant, std::uint32_t weight) {
   for (NodeId peer : peers_) {
     conn_mgr_.establish(peer, tenant, config_.rc_connections, nullptr);
   }
-}
-
-std::size_t NetworkEngine::remove_tenant(TenantId tenant) {
-  auto it = tenants_.find(tenant);
-  PD_CHECK(it != tenants_.end(), "removing unknown tenant " << tenant);
-  PD_CHECK(config_.use_dwrr,
-           "remove_tenant needs per-tenant queues (DWRR scheduling)");
-  // Drain first, deregister second: complete_with_error on each drained
-  // message must not find the tenant still schedulable (an error completion
-  // for a remote submitter would otherwise re-enter the queue being torn
-  // down — the guard in complete_with_error routes it to errors_dropped).
-  std::vector<mem::BufferDescriptor> queued = dwrr_.drain_tenant(tenant);
-  for (const mem::BufferDescriptor& d : queued) {
-    ledger_queue_exit(d.tenant, /*serviced=*/false);
-  }
-  tenants_.erase(it);
-  recompute_credit_caps();
-  for (const mem::BufferDescriptor& d : queued) complete_with_error(d);
-  return queued.size();
 }
 
 void NetworkEngine::recompute_credit_caps() {
@@ -179,15 +157,6 @@ void NetworkEngine::register_local_function(FunctionId fn, TenantId tenant,
     comch_->connect(fn, host_core, std::move(deliver));
   } else {
     sockmap_->register_socket(fn, host_core, std::move(deliver));
-  }
-}
-
-void NetworkEngine::unregister_local_function(FunctionId fn) {
-  PD_CHECK(local_fns_.erase(fn) == 1, "function " << fn << " not registered");
-  if (comch_) {
-    comch_->disconnect(fn);
-  } else {
-    sockmap_->unregister_socket(fn);
   }
 }
 
@@ -252,6 +221,10 @@ void NetworkEngine::on_ingest(const mem::BufferDescriptor& d) {
     return;
   }
   trace_stage(d, "engine_tx");
+  enqueue_tx(d);
+}
+
+void NetworkEngine::enqueue_tx(const mem::BufferDescriptor& d) {
   if (config_.use_dwrr) {
     dwrr_.enqueue(d.tenant, d);
   } else {
@@ -271,36 +244,32 @@ void NetworkEngine::kick_tx() {
   tx_iteration();
 }
 
+sim::Duration NetworkEngine::tx_slice_ns() const {
+  return cost::kDneSchedNs + cost::kDneTxStageNs + config_.extra_per_msg_ns;
+}
+
 void NetworkEngine::tx_iteration() {
   // One run-to-completion TX slice: scheduling decision + routing lookup +
-  // WR wrap + doorbell for the next queued message (§3.2).
-  const auto batch = std::min<std::size_t>(1, tx_backlog());
-  const sim::Duration work =
-      static_cast<sim::Duration>(batch) *
-      (cost::kDneSchedNs + cost::kDneTxStageNs + config_.extra_per_msg_ns);
+  // WR wrap + doorbell for one queued message (§3.2). It runs only with a
+  // non-empty backlog, and nothing else dequeues, so the message is still
+  // there when the slice's core time has been charged.
   sim::ProfileScope scope{"engine", "tx"};
-  engine_core_.submit(work, [this, batch] {
-    // A tenant teardown (remove_tenant) may have drained the queues while
-    // this slice's core time was being charged: transmit only what is
-    // still there. The scheduling work was genuinely spent either way.
-    const std::size_t avail = std::min<std::size_t>(batch, tx_backlog());
-    for (std::size_t i = 0; i < avail; ++i) {
-      auto item = config_.use_dwrr ? dwrr_.dequeue() : fcfs_.dequeue();
-      PD_CHECK(item.has_value(), "TX iteration with empty queues");
-      ledger_queue_exit(item->tenant, /*serviced=*/true);
-      if (kind_ == EngineKind::kDneOnPath) {
-        // On-path: stage the payload through SoC memory first (slow DMA).
-        const auto bytes = item->length;
-        const std::uint32_t dma_span = begin_soc_dma_span(*item);
-        const sim::TimePoint t0 = sched_.now();
-        sim::ProfileScope dma_scope{"dma", "tx", item->tenant.value()};
-        dpu_->dma().transfer(bytes, [this, d = *item, dma_span, t0] {
-          end_soc_dma(dma_span, "tx", t0);
-          transmit(d);
-        });
-      } else {
-        transmit(*item);
-      }
+  engine_core_.submit(tx_slice_ns(), [this] {
+    auto item = config_.use_dwrr ? dwrr_.dequeue() : fcfs_.dequeue();
+    PD_CHECK(item.has_value(), "TX iteration with empty queues");
+    ledger_queue_exit(item->tenant);
+    if (kind_ == EngineKind::kDneOnPath) {
+      // On-path: stage the payload through SoC memory first (slow DMA).
+      const auto bytes = item->length;
+      const std::uint32_t dma_span = begin_soc_dma_span(*item);
+      const sim::TimePoint t0 = sched_.now();
+      sim::ProfileScope dma_scope{"dma", "tx", item->tenant.value()};
+      dpu_->dma().transfer(bytes, [this, d = *item, dma_span, t0] {
+        end_soc_dma(dma_span, "tx", t0);
+        transmit(d);
+      });
+    } else {
+      transmit(*item);
     }
     if (tx_backlog() > 0) {
       tx_iteration();
@@ -332,7 +301,7 @@ void NetworkEngine::transmit(const mem::BufferDescriptor& d) {
 
   pool_of(d).transfer(d, actor(), mem::actor_rnic(node()));
   rdma::WorkRequest wr;
-  wr.wr_id = next_wr_id_++;
+  wr.wr_id = seq;
   wr.opcode = rdma::Opcode::kSend;
   wr.local = d;
   UnackedMsg m;
@@ -342,7 +311,6 @@ void NetworkEngine::transmit(const mem::BufferDescriptor& d) {
                                   [this, seq] { on_retransmit_timeout(seq); });
   unacked_.emplace(seq, m);
   ++tenant_unacked_[d.tenant];
-  wr_seq_.emplace(wr.wr_id, seq);
   conn_mgr_.send(dest, d.tenant, wr);
   ++counters_.tx_msgs;
 }
@@ -457,18 +425,11 @@ void NetworkEngine::handle_send_done(const rdma::Completion& c) {
   auto& pool = pool_of(c.buffer);
   pool.transfer(c.buffer, mem::actor_rnic(node()), actor());
 
-  auto wit = wr_seq_.find(c.wr_id);
-  PD_CHECK(wit != wr_seq_.end(), "send completion for untracked WR "
+  // The WR's id is the message's seq. A message's state is retired only
+  // once its buffer is back from the RNIC, so it is still here.
+  auto it = unacked_.find(c.wr_id);
+  PD_CHECK(it != unacked_.end(), "send completion for untracked WR "
                                      << c.wr_id);
-  const std::uint64_t seq = wit->second;
-  wr_seq_.erase(wit);
-  auto it = unacked_.find(seq);
-  if (it == unacked_.end()) {
-    // Resolved while in flight with its state already retired.
-    pool.release(c.buffer, actor());
-    ++counters_.recycled;
-    return;
-  }
   UnackedMsg& m = it->second;
   m.in_flight = false;
   switch (m.outcome) {
@@ -585,10 +546,9 @@ void NetworkEngine::on_retransmit_timeout(std::uint64_t seq) {
   }
   pool_of(m.d).transfer(m.d, actor(), mem::actor_rnic(node()));
   rdma::WorkRequest wr;
-  wr.wr_id = next_wr_id_++;
+  wr.wr_id = seq;
   wr.opcode = rdma::Opcode::kSend;
   wr.local = m.d;
-  wr_seq_.emplace(wr.wr_id, seq);
   m.in_flight = true;
   m.timer = sched_.schedule_after(config_.retransmit_timeout,
                                   [this, seq] { on_retransmit_timeout(seq); });
@@ -652,21 +612,8 @@ void NetworkEngine::complete_with_error(const mem::BufferDescriptor& d) {
   if (routes_.has_route(FunctionId{e.dst_fn})) {
     // The failed message came from a remote submitter (RX-side no-route):
     // ship the error completion back across the fabric like any message.
-    // A tenant mid-teardown (remove_tenant drained its queue) no longer has
-    // a scheduler slot — its error falls through to the terminal drop.
-    if (config_.use_dwrr) {
-      if (dwrr_.has_tenant(sized.tenant)) {
-        dwrr_.enqueue(sized.tenant, sized);
-        ledger_queue_enter(sized.tenant);
-        kick_tx();
-        return;
-      }
-    } else {
-      fcfs_.enqueue(sized.tenant, sized);
-      ledger_queue_enter(sized.tenant);
-      kick_tx();
-      return;
-    }
+    enqueue_tx(sized);
+    return;
   }
   ++counters_.errors_dropped;
   pool.release(sized, actor());

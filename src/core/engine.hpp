@@ -10,10 +10,10 @@
 //  - kCne        — apples-to-apples CPU variant (§4.3): same logic on a
 //    host core, SK_MSG instead of Comch.
 //
-// Data plane: a non-blocking run-to-completion loop (§3.2). TX consumes
-// descriptors from tenant queues under DWRR (§3.3), resolves the
-// destination node, and posts two-sided SENDs on the least-congested RC
-// connection. RX polls CQEs, resolves the destination function via the
+// Data plane: a non-blocking run-to-completion loop (§3.2). Each TX slice
+// takes one descriptor from the tenant queues under DWRR (§3.3), resolves
+// the destination node, and posts a two-sided SEND on the least-congested
+// RC connection. RX polls CQEs, resolves the destination function via the
 // receive-buffer registry and message header, and forwards descriptors
 // over the cross-processor channel. A core-thread task replenishes each
 // tenant's shared RQ to match consumption (§3.5.2).
@@ -122,13 +122,6 @@ class NetworkEngine : public DataPlane {
   /// establishes RC connections to all known peers.
   void add_tenant(TenantId tenant, std::uint32_t weight) override;
 
-  /// Deregister a tenant (autoscaler-driven scale-down). Drains whatever
-  /// the tenant still has queued in the scheduler into explicit error
-  /// completions — never silent loss — and returns how many were drained.
-  /// The tenant's local functions must be unregistered first. In-flight
-  /// sequenced messages keep their reliability state and resolve normally.
-  std::size_t remove_tenant(TenantId tenant);
-
   /// Make `remote` reachable (establishes per-tenant RC connection pools).
   void connect_peer(NodeId remote) override;
 
@@ -137,7 +130,6 @@ class NetworkEngine : public DataPlane {
   void register_local_function(FunctionId fn, TenantId tenant,
                                sim::Core& host_core,
                                ipc::DescriptorHandler deliver) override;
-  void unregister_local_function(FunctionId fn);
 
   /// Coordinator-synchronized placement of remote functions.
   InterNodeRoutingTable& routes() override { return routes_; }
@@ -179,18 +171,14 @@ class NetworkEngine : public DataPlane {
     auto it = tenant_unacked_.find(t);
     return it == tenant_unacked_.end() ? 0 : it->second;
   }
-  [[nodiscard]] bool has_tenant(TenantId t) const {
-    return tenants_.find(t) != tenants_.end();
-  }
-
   [[nodiscard]] mem::Actor actor() const {
     return mem::actor_engine(rnic_.node());
   }
 
   /// Interception hook for one-sided completions (READ/CAS/FAA and the
   /// store client's tagged WRITEs). The engine is the sole CQ consumer on a
-  /// cluster node, and handle_send_done treats unknown wr_ids as orphaned
-  /// send buffers to recycle — so a one-sided user on the same node MUST
+  /// cluster node, and handle_send_done takes every other send completion's
+  /// wr_id for a message seq — so a one-sided user on the same node MUST
   /// claim its completions here. Return true to consume the completion.
   using OneSidedHandler = std::function<bool(const rdma::Completion&)>;
   void set_onesided_handler(OneSidedHandler handler) {
@@ -207,7 +195,11 @@ class NetworkEngine : public DataPlane {
   void recompute_credit_caps();
 
   void on_ingest(const mem::BufferDescriptor& d);
+  /// Queue `d` under its tenant (DWRR or FCFS) and kick the TX stage.
+  void enqueue_tx(const mem::BufferDescriptor& d);
   void kick_tx();
+  /// Engine-core work of one TX slice (one message).
+  [[nodiscard]] sim::Duration tx_slice_ns() const;
   void tx_iteration();
   void transmit(const mem::BufferDescriptor& d);
   void kick_rx();
@@ -222,7 +214,10 @@ class NetworkEngine : public DataPlane {
 
   /// Sender-side state of a sequenced message awaiting its ACK. The engine
   /// keeps the buffer (zero-copy retransmit: the payload never moves) until
-  /// the receiver acknowledges or the message is declared failed.
+  /// the receiver acknowledges or the message is declared failed. Every
+  /// send of the message posts wr_id = seq: a retransmit waits for the
+  /// previous send completion, so at most one WR per message is
+  /// outstanding, and the state is retired only while no WR is.
   struct UnackedMsg {
     mem::BufferDescriptor d;
     NodeId dest;
@@ -264,10 +259,10 @@ class NetworkEngine : public DataPlane {
   void end_soc_dma(std::uint32_t span, const char* dir, sim::TimePoint begin);
   /// Resource-ledger queue-wait bracketing (ISSUE 10): enter when a message
   /// joins the DWRR/FCFS scheduler, exit when it is dequeued for a TX slice
-  /// (serviced: also record the slice's service segment, the evidence later
-  /// waiters are blamed against) or drained by tenant teardown.
+  /// (also recording the slice's service segment, the evidence later
+  /// waiters are blamed against).
   void ledger_queue_enter(TenantId tenant);
-  void ledger_queue_exit(TenantId tenant, bool serviced);
+  void ledger_queue_exit(TenantId tenant);
 
   mem::BufferPool& pool_of(const mem::BufferDescriptor& d);
 
@@ -305,20 +300,17 @@ class NetworkEngine : public DataPlane {
   /// flight at a time — see rx_busy_).
   std::vector<rdma::Completion> rx_scratch_;
   OneSidedHandler onesided_;
-  std::uint64_t next_wr_id_ = 1;
   EngineCounters counters_;
 
   // Reliability state.
   std::unordered_map<std::uint64_t, UnackedMsg> unacked_;  ///< seq -> state
   /// Per-tenant slice of unacked_ (occupancy for the tenant credit gate).
   std::unordered_map<TenantId, std::size_t> tenant_unacked_;
-  std::unordered_map<std::uint64_t, std::uint64_t> wr_seq_;  ///< wr_id -> seq
   std::uint64_t next_seq_ = 1;
-  /// Receiver-side duplicate suppression: per sender node, a bounded FIFO
-  /// window of recently seen sequence numbers.
-  /// Replay-protection window per sender: a circular bitmap over the last
-  /// kBits sequence numbers ending at max_seq. O(1) and allocation-free
-  /// per arrival (a set+deque window costs several hash ops per message).
+  /// Receiver-side duplicate suppression, per sender node: a circular
+  /// bitmap over the last kBits sequence numbers ending at max_seq. O(1)
+  /// and allocation-free per arrival (a set+deque window costs several
+  /// hash ops per message).
   struct DedupWindow {
     static constexpr std::uint64_t kBits = 4096;
     std::uint64_t max_seq = 0;

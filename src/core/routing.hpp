@@ -19,9 +19,6 @@ class InterNodeRoutingTable {
     PD_CHECK(routes_.emplace(fn, node).second,
              "duplicate inter-node route for function " << fn);
   }
-  void remove_route(FunctionId fn) {
-    PD_CHECK(routes_.erase(fn) == 1, "no route for function " << fn);
-  }
   [[nodiscard]] bool has_route(FunctionId fn) const {
     return routes_.find(fn) != routes_.end();
   }
@@ -44,9 +41,6 @@ class IntraNodeRoutingTable {
   void add_local(FunctionId fn) {
     PD_CHECK(local_.emplace(fn).second,
              "function " << fn << " already local");
-  }
-  void remove_local(FunctionId fn) {
-    PD_CHECK(local_.erase(fn) == 1, "function " << fn << " not local");
   }
   [[nodiscard]] bool is_local(FunctionId fn) const {
     return local_.find(fn) != local_.end();

@@ -49,19 +49,6 @@ void ComchServer::connect(FunctionId client, sim::Core& host_core,
   clients_.emplace(client, Client{&host_core, std::move(host_handler)});
 }
 
-void ComchServer::disconnect(FunctionId client) {
-  auto it = clients_.find(client);
-  PD_CHECK(it != clients_.end(), "client " << client << " not connected");
-  if (variant_ == ComchVariant::kPolling) {
-    it->second.host_core->set_busy_poll(false);
-  }
-  clients_.erase(it);
-}
-
-bool ComchServer::connected(FunctionId client) const {
-  return clients_.find(client) != clients_.end();
-}
-
 void ComchServer::send_to_server(FunctionId client,
                                  const mem::BufferDescriptor& d,
                                  bool charge_host) {

@@ -38,10 +38,6 @@ class ComchServer {
   void connect(FunctionId client, sim::Core& host_core,
                ipc::DescriptorHandler host_handler);
 
-  /// Tear down a client (the DNE can disconnect misbehaving tenants).
-  void disconnect(FunctionId client);
-  [[nodiscard]] bool connected(FunctionId client) const;
-
   /// Host function -> DNE. `charge_host=false` when the caller already
   /// accounted the enqueue cost on its own core (run-to-completion send).
   void send_to_server(FunctionId client, const mem::BufferDescriptor& d,

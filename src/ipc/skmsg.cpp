@@ -14,10 +14,6 @@ void SockMap::register_socket(FunctionId fn, sim::Core& rx_core,
   sockets_.emplace(fn, Socket{&rx_core, std::move(handler)});
 }
 
-void SockMap::unregister_socket(FunctionId fn) {
-  PD_CHECK(sockets_.erase(fn) == 1, "function " << fn << " not in sockmap");
-}
-
 void SockMap::send(FunctionId dest, const mem::BufferDescriptor& d,
                    sim::Core* tx_core) {
   auto it = sockets_.find(dest);

@@ -25,12 +25,6 @@ class SockMap {
   void register_socket(FunctionId fn, sim::Core& rx_core,
                        DescriptorHandler handler);
 
-  void unregister_socket(FunctionId fn);
-
-  [[nodiscard]] bool has_socket(FunctionId fn) const {
-    return sockets_.find(fn) != sockets_.end();
-  }
-
   /// SK_MSG redirect: charge the send-side program to `tx_core` (may be
   /// nullptr when the sender's CPU time is accounted elsewhere) and deliver.
   void send(FunctionId dest, const mem::BufferDescriptor& d,

@@ -14,9 +14,6 @@ const char* to_string(ActorKind kind) {
     case ActorKind::kFunction: return "function";
     case ActorKind::kNetworkEngine: return "network-engine";
     case ActorKind::kRnic: return "rnic";
-    case ActorKind::kIngress: return "ingress";
-    case ActorKind::kClient: return "client";
-    case ActorKind::kAgent: return "agent";
   }
   return "?";
 }

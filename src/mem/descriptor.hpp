@@ -11,16 +11,13 @@
 namespace pd::mem {
 
 /// Actors are the entities that may own buffers: functions, network
-/// engines, RNICs, ingress workers, clients. Encoded into one 64-bit id so
-/// descriptors stay cheap to pass around.
+/// engines and RNICs. Encoded into one 64-bit id so descriptors stay cheap
+/// to pass around.
 enum class ActorKind : std::uint8_t {
   kNone = 0,
   kFunction,
   kNetworkEngine,  // DNE or CNE
   kRnic,           // posted to hardware (in-flight RDMA)
-  kIngress,
-  kClient,
-  kAgent,  // shared-memory agent (pool owner at rest)
 };
 
 struct Actor {
@@ -37,15 +34,6 @@ constexpr Actor actor_engine(NodeId n) {
   return {ActorKind::kNetworkEngine, n.value()};
 }
 constexpr Actor actor_rnic(NodeId n) { return {ActorKind::kRnic, n.value()}; }
-constexpr Actor actor_ingress(std::uint32_t worker) {
-  return {ActorKind::kIngress, worker};
-}
-constexpr Actor actor_client(std::uint32_t c) {
-  return {ActorKind::kClient, c};
-}
-constexpr Actor actor_agent(TenantId t) {
-  return {ActorKind::kAgent, t.value()};
-}
 
 const char* to_string(ActorKind kind);
 

@@ -130,10 +130,9 @@ class Ledger final : public sim::BusyObserver {
             sim::TimePoint begin, sim::TimePoint end);
 
   /// FIFO wait bracketing for scheduler queues, where dequeue order across
-  /// tenants is not arrival order: enter at enqueue, exit at dequeue (or
-  /// teardown drain). Exit pops the tenant's oldest open entry and charges
-  /// the wait; exits without a matching entry (ledger enabled mid-run) are
-  /// ignored.
+  /// tenants is not arrival order: enter at enqueue, exit at dequeue. Exit
+  /// pops the tenant's oldest open entry and charges the wait; exits
+  /// without a matching entry (ledger enabled mid-run) are ignored.
   void queue_enter(LedgerKind kind, std::string_view resource,
                    std::int64_t tenant, sim::TimePoint now);
   void queue_exit(LedgerKind kind, std::string_view resource,

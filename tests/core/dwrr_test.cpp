@@ -138,89 +138,6 @@ TEST(Dwrr, OversizedItemStillMakesProgress) {
   EXPECT_EQ(*v, 42);
 }
 
-TEST(Dwrr, RemoveTenant) {
-  DwrrScheduler<int> s;
-  s.add_tenant(TenantId{1}, 1);
-  s.add_tenant(TenantId{2}, 1);
-  s.enqueue(TenantId{2}, 2);
-  EXPECT_THROW(s.remove_tenant(TenantId{2}), CheckFailure);  // non-empty
-  s.dequeue();
-  s.remove_tenant(TenantId{2});
-  EXPECT_FALSE(s.has_tenant(TenantId{2}));
-  s.enqueue(TenantId{1}, 1);
-  EXPECT_EQ(*s.dequeue(), 1);
-}
-
-TEST(Dwrr, MidRoundRemovalKeepsRemainingSharesFair) {
-  // Regression: remove_tenant erased the tenant from the round-robin order
-  // without adjusting the cursor. Removing a tenant ordered *before* the
-  // cursor shifted every later index left, silently moving the cursor one
-  // tenant forward — the skipped tenant kept a stale visited_this_round
-  // flag and missed its next quantum top-up, skewing shares.
-  DwrrScheduler<int> s(/*quantum_base=*/2);
-  s.add_tenant(TenantId{1}, 1);  // A: drains early, then removed
-  s.add_tenant(TenantId{2}, 1);  // B: backlogged
-  s.add_tenant(TenantId{3}, 1);  // C: backlogged
-  s.enqueue(TenantId{1}, 1);
-  s.enqueue(TenantId{1}, 1);
-  for (int i = 0; i < 20; ++i) {
-    s.enqueue(TenantId{2}, 2);
-    s.enqueue(TenantId{3}, 3);
-  }
-  // Drain A's quantum, then serve B once so the cursor rests mid-round on B
-  // (B holds leftover deficit and visited_this_round == true).
-  EXPECT_EQ(*s.dequeue(), 1);
-  EXPECT_EQ(*s.dequeue(), 1);
-  EXPECT_EQ(*s.dequeue(), 2);
-  s.remove_tenant(TenantId{1});
-  // Equal weights -> the next 12 dequeues must split exactly 6:6.
-  std::map<int, int> served;
-  for (int i = 0; i < 12; ++i) ++served[*s.dequeue()];
-  EXPECT_EQ(served[2], 6);
-  EXPECT_EQ(served[3], 6);
-}
-
-TEST(Dwrr, DrainTenantReturnsFifoBacklogAndDeregisters) {
-  DwrrScheduler<int> s;
-  s.add_tenant(TenantId{1}, 1);
-  s.add_tenant(TenantId{2}, 1);
-  for (int i = 0; i < 4; ++i) s.enqueue(TenantId{2}, 10 + i);
-  s.enqueue(TenantId{1}, 1);
-  const std::vector<int> drained = s.drain_tenant(TenantId{2});
-  EXPECT_EQ(drained, (std::vector<int>{10, 11, 12, 13}));
-  EXPECT_FALSE(s.has_tenant(TenantId{2}));
-  EXPECT_EQ(s.pending(), 1u);
-  EXPECT_EQ(*s.dequeue(), 1);
-}
-
-TEST(Dwrr, MidRoundDrainKeepsRemainingSharesFair) {
-  // Scale-down regression (ISSUE 7): draining a tenant mid-round must not
-  // shift the round cursor onto the wrong survivor — same hazard as the
-  // remove_tenant cursor fix, but reached through the teardown path that
-  // still holds a backlog.
-  DwrrScheduler<int> s(/*quantum_base=*/2);
-  s.add_tenant(TenantId{1}, 1);  // A: drained mid-round with items queued
-  s.add_tenant(TenantId{2}, 1);  // B: backlogged
-  s.add_tenant(TenantId{3}, 1);  // C: backlogged
-  for (int i = 0; i < 20; ++i) {
-    s.enqueue(TenantId{2}, 2);
-    s.enqueue(TenantId{3}, 3);
-  }
-  for (int i = 0; i < 3; ++i) s.enqueue(TenantId{1}, 1);
-  // Serve A's quantum then B once so the cursor rests mid-round with A's
-  // queue still non-empty — exactly the state a live scale-down hits.
-  EXPECT_EQ(*s.dequeue(), 1);
-  EXPECT_EQ(*s.dequeue(), 1);
-  EXPECT_EQ(*s.dequeue(), 2);
-  EXPECT_EQ(s.drain_tenant(TenantId{1}).size(), 1u);
-  s.enqueue(TenantId{2}, 2);  // keep counts symmetric after B's head start
-  // Equal weights -> the next 12 dequeues must split exactly 6:6.
-  std::map<int, int> served;
-  for (int i = 0; i < 12; ++i) ++served[*s.dequeue()];
-  EXPECT_EQ(served[2], 6);
-  EXPECT_EQ(served[3], 6);
-}
-
 TEST(Fcfs, ServesInArrivalOrderAcrossTenants) {
   FcfsScheduler<int> s;
   s.enqueue(TenantId{1}, 1);

@@ -90,16 +90,6 @@ TEST(SockMap, DuplicateRegistrationRejected) {
       CheckFailure);
 }
 
-TEST(SockMap, UnregisterRemovesSocket) {
-  sim::Scheduler s;
-  sim::Core rx(s, "rx");
-  SockMap map(s);
-  map.register_socket(FunctionId{1}, rx, [](const mem::BufferDescriptor&) {});
-  map.unregister_socket(FunctionId{1});
-  EXPECT_FALSE(map.has_socket(FunctionId{1}));
-  EXPECT_THROW(map.unregister_socket(FunctionId{1}), CheckFailure);
-}
-
 TEST(SockMap, ManyMessagesSaturateReceiverCore) {
   // Interrupt-driven wakeups serialize on the receiving core — the effect
   // that throttles the CPU-resident network engine in §4.3.

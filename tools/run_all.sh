@@ -10,7 +10,9 @@
 #                            ASan/UBSan (no benches; sanitized runs are slow)
 #   tools/run_all.sh chaos   build, run the chaos-labeled ctest suite, then
 #                            sweep 10 fault-plan seeds through the boutique
-#                            demo; fails if any seed loses a request
+#                            demo; fails if any seed loses a request, if
+#                            seed 5's stdout differs from the committed
+#                            golden, or if cmp passes a perturbed copy
 #   tools/run_all.sh tsan    build with -DPD_SANITIZE=thread into build-tsan/
 #                            and smoke the parallel epoch-barrier loop (the
 #                            pdes determinism suite + a tiny threaded
@@ -84,15 +86,35 @@ if [ "$1" = "chaos" ]; then
   cmake --build build
   : > chaos_output.txt
   gate chaos_output.txt ctest --test-dir build -L chaos --output-on-failure
+  rm -rf chaos_report && mkdir -p chaos_report
+  # chaos_seed SEED: one seeded run, its stdout kept in chaos_report/.
+  chaos_seed() {
+    if ./build/examples/boutique_demo --chaos "$1" \
+        > "chaos_report/seed$1.txt"; then st=0; else st=$?; fi
+    cat "chaos_report/seed$1.txt"
+    return "$st"
+  }
   for seed in 1 2 3 4 5 6 7 8 9 10; do
     echo "=== boutique_demo --chaos $seed ===" | tee -a chaos_output.txt
-    gate chaos_output.txt ./build/examples/boutique_demo --chaos "$seed"
+    gate chaos_output.txt chaos_seed "$seed"
   done
   if grep -q "LOST REQUESTS" chaos_output.txt; then
     echo "chaos sweep FAILED: a seed lost requests silently" >&2
     exit 1
   fi
-  echo "chaos sweep passed: 10 seeds, no request silently lost"
+  # Golden gate: seed 5's stdout is simulated time only, so its retransmit,
+  # pool-rebuild and error counts must match the committed golden byte for
+  # byte; any drift means the reliability layer changed.
+  gate chaos_output.txt cmp tools/golden/chaos_seed5.txt chaos_report/seed5.txt
+  # ...and the gate must fail loudly on a copy with one count changed.
+  sed 's/\([0-9][0-9]*\) retransmits/9\1 retransmits/' chaos_report/seed5.txt \
+    > chaos_report/perturbed.txt
+  if cmp -s tools/golden/chaos_seed5.txt chaos_report/perturbed.txt; then
+    echo "chaos sweep FAILED: perturbed copy matched the golden" >&2
+    exit 1
+  fi
+  echo "cmp: perturbed copy rejected (as it must be)"
+  echo "chaos sweep passed: 10 seeds, no request silently lost, seed 5 golden"
   exit 0
 fi
 
