@@ -1,7 +1,8 @@
-// Generic modeled descriptor hop: the building block for every intra-node
-// IPC flavour (SK_MSG, Comch variants, loopback TCP). A hop charges CPU
-// work to the sender core, delays the descriptor in flight, charges the
-// receiver core, then invokes the receiver's handler.
+// Generic modeled descriptor hop: charges CPU work to the sender core,
+// delays the descriptor in flight, charges the receiver core, then invokes
+// the receiver's handler. Its one program user is the loopback-TCP hop of
+// the Fig. 9 bench (bench/fig09_comch_channels.cpp); SockMap (SK_MSG) and
+// ComchServer share only DescriptorHandler and model their own hops.
 #pragma once
 
 #include <functional>
@@ -45,7 +46,6 @@ class DescriptorHop {
 
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
-  [[nodiscard]] const HopParams& params() const { return params_; }
 
  private:
   void in_flight(const mem::BufferDescriptor& d) {

@@ -59,10 +59,6 @@ TenantMemory& MemoryDomain::by_pool(PoolId pool) {
   return *pools_[idx];
 }
 
-bool MemoryDomain::has_tenant(TenantId tenant) const {
-  return by_tenant_.find(tenant) != by_tenant_.end();
-}
-
 Bytes MemoryDomain::footprint() const {
   Bytes total = 0;
   for (const auto& p : pools_) total += p->pool().footprint();

@@ -57,7 +57,6 @@ class MemoryDomain {
 
   TenantMemory& by_tenant(TenantId tenant);
   TenantMemory& by_pool(PoolId pool);
-  [[nodiscard]] bool has_tenant(TenantId tenant) const;
 
   [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] std::size_t num_pools() const { return pools_.size(); }

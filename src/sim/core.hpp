@@ -4,10 +4,15 @@
 // relative to the reference host core (DPU Arm A72 cores run slower, per
 // §4.3.1 of the paper). Work is specified in *reference nanoseconds*: the
 // time the job would take on a speed-1.0 host core.
+//
+// A job's completion callback is built once, in place, in its slot of the
+// core's FIFO ring, and moved out exactly once when the job completes (the
+// callback may submit more jobs and grow the ring while it runs).
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fifo_ring.hpp"
@@ -23,9 +28,14 @@ class Core {
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
 
-  /// Enqueue `ref_work` reference-nanoseconds of work; `done` fires when it
-  /// completes (after all previously submitted work).
-  void submit(Duration ref_work, EventFn done = {});
+  /// Enqueue `ref_work` reference-nanoseconds of work; `done` (any void()
+  /// callable, or an EventFn passed with std::move) fires when it completes
+  /// (after all previously submitted work).
+  template <typename F>
+  void submit(Duration ref_work, F&& done) {
+    push_job(ref_work).emplace(std::forward<F>(done));
+  }
+  void submit(Duration ref_work) { push_job(ref_work); }
 
   /// Total busy time accumulated so far (scaled ns, credited at completion).
   [[nodiscard]] Duration busy_ns() const { return busy_ns_; }
@@ -53,12 +63,18 @@ class Core {
 
  private:
   struct Job {
+    // User-provided, or each `Job{}` FifoRing resets a slot to would
+    // zero `done`'s inline buffer (sim/event_fn.hpp).
+    Job() noexcept {}
     Duration scaled = 0;
     EventFn done;
   };
 
   /// scale() plus the per-core fractional-ns carry (mutates carry state).
   Duration consume_scaled(Duration ref_work);
+  /// Queue a job of `ref_work` and schedule its completion; returns the
+  /// job's (empty) callback slot for submit() to build `done` in.
+  EventFn& push_job(Duration ref_work);
   void complete_front();
 
   Scheduler& sched_;

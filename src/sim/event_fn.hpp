@@ -5,6 +5,15 @@
 // capture spills). EventFn stores callables up to kInlineBytes in place —
 // sized so the data plane's payload-carrying lambdas (descriptor + vector +
 // a few scalars) stay inline — and falls back to the heap only beyond that.
+//
+// The scheduler and Core build a callable straight into the EventFn that
+// will run it (emplace), so the hot path never relocates a capture. The
+// default constructor is user-provided on purpose: with `= default`,
+// value-initialisation (`EventFn{}`, `fn = {}`, a value-initialised
+// array or vector) would zero the whole inline buffer before anything is
+// built in it. A class that holds an EventFn and is value-initialised on a
+// hot path needs a user-provided default constructor of its own (GCC
+// zero-fills an aggregate `T{}` whole).
 #pragma once
 
 #include <cstddef>
@@ -20,22 +29,14 @@ class EventFn {
   /// so raising this trades slab footprint for fewer spills.
   static constexpr std::size_t kInlineBytes = 128;
 
-  EventFn() = default;
-  EventFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  EventFn() noexcept {}  // user-provided, not `= default`: see above
+  EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
                                         std::is_invocable_r_v<void, D&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   EventFn(EventFn&& other) noexcept { move_from(other); }
@@ -49,6 +50,30 @@ class EventFn {
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
   ~EventFn() { reset(); }
+
+  /// Replace the held callable with `f`, built in place: a callable is
+  /// constructed once, here, and an EventFn argument is relocated once.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, EventFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "EventFn is move-only: pass it with std::move");
+      *this = std::move(f);
+    } else {
+      reset();
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
+  /// Destroy the held callable (releasing its captured state) and become
+  /// empty.
+  void reset() {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
@@ -81,10 +106,16 @@ class EventFn {
       [](void* p) { delete *static_cast<D**>(p); },
   };
 
-  void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (sizeof(D) <= kInlineBytes &&
+                  alignof(D) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &kHeapOps<D>;
     }
   }
 

@@ -5,6 +5,10 @@
 // crosses chunk boundaries every few operations and allocates/frees a
 // 512-byte node each time. The ring reuses one flat allocation that only
 // grows (geometrically) to the high-water mark.
+//
+// Every slot always holds a live T, in its T{} state while free, so a
+// producer can fill the next slot in place (emplace_back) instead of
+// building a T and moving it in.
 #pragma once
 
 #include <cstddef>
@@ -26,11 +30,16 @@ class FifoRing {
     return buf_[head_];
   }
 
-  void push_back(T v) {
+  /// Append a slot and return it, in its T{} state, to be filled in
+  /// place. The reference is valid until the ring next grows.
+  T& emplace_back() {
     if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
+    T& slot = buf_[(head_ + size_) & (buf_.size() - 1)];
     ++size_;
+    return slot;
   }
+
+  void push_back(T v) { emplace_back() = std::move(v); }
 
   /// Popped slots are reset to T{} so captured state is released eagerly
   /// (the element types here hold callables and buffer descriptors).

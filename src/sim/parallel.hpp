@@ -88,7 +88,9 @@ class ParallelSim {
   }
 
   /// Hooks run around a shard's execute phase on whichever thread drives
-  /// it (the runtime installs the shard's observability hub here).
+  /// it (the runtime installs the shard's observability hub here). A shard
+  /// with no event before its window end is not entered that epoch, so
+  /// its hooks do not run.
   using ShardHook = std::function<void(std::size_t shard)>;
   void set_shard_hooks(ShardHook enter, ShardHook leave);
 

@@ -5,110 +5,123 @@
 
 namespace pd::sim {
 
-EventId Scheduler::schedule_impl(TimePoint t, EventFn fn, bool background) {
+std::uint32_t Scheduler::acquire_slot(TimePoint t) {
   PD_CHECK(t >= now_, "scheduling into the past: t=" << t << " now=" << now_);
-  PD_CHECK(static_cast<bool>(fn), "null event callback");
-  std::uint32_t slot;
   if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+    const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    PD_CHECK(slot != kNpos, "event slab exhausted");
-    slab_.emplace_back();
+    return slot;
   }
-  Node& n = slab_[slot];
-  n.fn = std::move(fn);
-  n.background = background;
-  n.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{t, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  PD_CHECK(slot <= kSlotMask,
+           "more than " << kSlotMask + 1 << " live events on one scheduler");
+  if ((slot & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique<EventFn[]>(std::size_t{1} << kChunkBits));
+  }
+  slots_.emplace_back();
+  return slot;
+}
+
+EventId Scheduler::enqueue(TimePoint t, std::uint32_t slot, bool background) {
+  PD_CHECK(next_seq_ < kMaxSeq, "event sequence numbers exhausted");
+  Slot& s = slots_[slot];
+  s.background = background;
+  const HeapEntry e{t, next_seq_++ << kSlotBits | slot};
+  heap_.push_back(e);
+  sift_up(heap_.size() - 1, e);
   if (!background) ++foreground_live_;
   // slot+1 keeps every valid id distinct from kInvalidEvent.
-  return (static_cast<EventId>(n.gen) << 32) | (slot + 1);
+  return (static_cast<EventId>(s.gen) << 32) | (slot + 1);
 }
 
 bool Scheduler::cancel(EventId id) {
   const auto lo = static_cast<std::uint32_t>(id);
   if (lo == 0) return false;
   const std::uint32_t slot = lo - 1;
-  if (slot >= slab_.size()) return false;
-  Node& n = slab_[slot];
-  if (n.heap_pos == kNpos || n.gen != static_cast<std::uint32_t>(id >> 32)) {
-    return false;  // already fired, already cancelled, or slot reused
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (s.heap_pos == kNpos || s.gen != static_cast<std::uint32_t>(id >> 32)) {
+    // Already fired, already cancelled, slot reused, or the event is the
+    // one running right now.
+    return false;
   }
-  if (!n.background) --foreground_live_;
-  heap_remove(n.heap_pos);
-  n.fn = {};  // release captured state eagerly
+  if (!s.background) --foreground_live_;
+  heap_remove(s.heap_pos);
+  fn_at(slot).reset();  // release captured state eagerly
   free_slot(slot);
   return true;
 }
 
-void Scheduler::sift_up(std::size_t pos) {
-  const HeapEntry entry = heap_[pos];
+void Scheduler::sift_up(std::size_t pos, HeapEntry e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    if (!entry.before(heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slab_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
+    const HeapEntry p = heap_[parent];
+    if (!e.before(p)) break;
+    heap_[pos] = p;
+    slots_[p.slot()].heap_pos = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
-  heap_[pos] = entry;
-  slab_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  heap_[pos] = e;
+  slots_[e.slot()].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-void Scheduler::sift_down(std::size_t pos) {
-  const HeapEntry entry = heap_[pos];
+void Scheduler::sift_down(std::size_t pos, HeapEntry e) {
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first = pos * 4 + 1;
     if (first >= n) break;
     std::size_t best = first;
+    HeapEntry b = heap_[first];
     const std::size_t end = std::min(first + 4, n);
     for (std::size_t c = first + 1; c < end; ++c) {
-      if (heap_[c].before(heap_[best])) best = c;
+      if (heap_[c].before(b)) {
+        best = c;
+        b = heap_[c];
+      }
     }
-    if (!heap_[best].before(entry)) break;
-    heap_[pos] = heap_[best];
-    slab_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
+    if (!b.before(e)) break;
+    heap_[pos] = b;
+    slots_[b.slot()].heap_pos = static_cast<std::uint32_t>(pos);
     pos = best;
   }
-  heap_[pos] = entry;
-  slab_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  heap_[pos] = e;
+  slots_[e.slot()].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
 void Scheduler::heap_remove(std::uint32_t pos) {
-  slab_[heap_[pos].slot].heap_pos = kNpos;
+  slots_[heap_[pos].slot()].heap_pos = kNpos;
   const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (pos < heap_.size()) {
-    heap_[pos] = last;
-    slab_[last.slot].heap_pos = pos;
-    sift_down(pos);
-    if (slab_[last.slot].heap_pos == pos) sift_up(pos);
+  if (pos == heap_.size()) return;
+  if (pos > 0 && last.before(heap_[(pos - 1) / 4])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
   }
 }
 
 void Scheduler::free_slot(std::uint32_t slot) {
-  ++slab_[slot].gen;
+  ++slots_[slot].gen;
   free_slots_.push_back(slot);
 }
 
 bool Scheduler::pop_one() {
   if (heap_.empty()) return false;
   const HeapEntry root = heap_[0];
-  Node& n = slab_[root.slot];
+  const std::uint32_t slot = root.slot();
   PD_CHECK(root.t >= now_, "event queue went backwards");
   now_ = root.t;
-  // Move the callable out before firing: the callback may schedule new
-  // events, which can grow the slab and relocate nodes.
-  EventFn fn = std::move(n.fn);
-  const bool background = n.background;
   heap_remove(0);
-  free_slot(root.slot);
-  if (!background) --foreground_live_;
+  if (!slots_[slot].background) --foreground_live_;
   ++processed_;
+  // Run the callable where it was built. Chunks never move, and the slot
+  // goes back on the free list only after the callback returns, so nothing
+  // the callback schedules can reuse it, and its own id cannot cancel it
+  // (heap_pos is already kNpos).
+  EventFn& fn = fn_at(slot);
   fn();
+  fn.reset();
+  free_slot(slot);
   return true;
 }
 

@@ -5,19 +5,26 @@
 // equal timestamps fire in insertion order (FIFO tie-break), which makes a
 // run fully reproducible for a given seed.
 //
-// Hot-path layout: pending events live in a slab (reused slots, callable
-// constructed in place — no per-event allocation for inline-sized
-// callables) and are ordered by a 4-ary min-heap whose entries carry the
-// (t, seq) sort key inline, so sifting never dereferences the slab (one
-// contiguous array walk instead of a pointer chase per comparison).
-// Handles carry a per-slot generation, so cancel() is an O(log n)
-// intrusive heap removal instead of a tombstone in a side map — there is
-// no per-event unordered_map and cancelled entries never linger in the
-// queue.
+// Hot-path layout (DESIGN.md §9):
+// - Each callable is built once, in place, in its slot of a chunked slab:
+//   fixed-size chunks held by pointer, so a callable never moves between
+//   schedule and fire. It runs where it was built, and only then is its
+//   slot freed, so nothing the callback schedules can land in that slot.
+// - A 4-ary min-heap of 16-byte entries {t, seq << 24 | slot} orders the
+//   pending events. The key sits inline, so sifting never dereferences the
+//   slab, and seq fills the high bits, so ties still break FIFO. Bounds:
+//   2^24 live events per scheduler and 2^40 events over its lifetime.
+// - Handles carry a per-slot generation, so cancel() is an O(log n)
+//   intrusive heap removal instead of a tombstone in a side map — there is
+//   no per-event unordered_map and cancelled entries never linger in the
+//   queue.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -40,31 +47,37 @@ class Scheduler {
 
   [[nodiscard]] TimePoint now() const { return now_; }
 
-  /// Schedule `fn` at absolute time `t` (must be >= now()).
-  EventId schedule_at(TimePoint t, EventFn fn) {
-    return schedule_impl(t, std::move(fn), /*background=*/false);
+  /// Schedule `fn` at absolute time `t` (must be >= now()). `fn` is any
+  /// void() callable, built straight into the event's slab slot; an
+  /// EventFn (passed with std::move) is relocated there once.
+  template <typename F>
+  EventId schedule_at(TimePoint t, F&& fn) {
+    return schedule(t, std::forward<F>(fn), /*background=*/false);
   }
 
   /// Schedule `fn` after `d` nanoseconds of virtual time.
-  EventId schedule_after(Duration d, EventFn fn) {
+  template <typename F>
+  EventId schedule_after(Duration d, F&& fn) {
     PD_CHECK(d >= 0, "negative delay " << d);
-    return schedule_impl(now_ + d, std::move(fn), /*background=*/false);
+    return schedule(now_ + d, std::forward<F>(fn), /*background=*/false);
   }
 
   /// Background events (periodic housekeeping: SRQ replenishers, samplers,
   /// autoscaler ticks) do not keep run() alive: run() returns once only
   /// background events remain. They still fire while foreground work is in
   /// flight, and always fire under run_until().
-  EventId schedule_background_at(TimePoint t, EventFn fn) {
-    return schedule_impl(t, std::move(fn), /*background=*/true);
+  template <typename F>
+  EventId schedule_background_at(TimePoint t, F&& fn) {
+    return schedule(t, std::forward<F>(fn), /*background=*/true);
   }
-  EventId schedule_background_after(Duration d, EventFn fn) {
+  template <typename F>
+  EventId schedule_background_after(Duration d, F&& fn) {
     PD_CHECK(d >= 0, "negative delay " << d);
-    return schedule_impl(now_ + d, std::move(fn), /*background=*/true);
+    return schedule(now_ + d, std::forward<F>(fn), /*background=*/true);
   }
 
   /// Cancel a pending event. Returns false if it already fired / was
-  /// cancelled / never existed.
+  /// cancelled / never existed, or is the event now running.
   bool cancel(EventId id);
 
   /// Sentinel returned by next_event_time() for an empty queue.
@@ -118,37 +131,67 @@ class Scheduler {
 
  private:
   static constexpr std::uint32_t kNpos = 0xffffffff;
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
+  /// 256 callables per chunk (36 KiB).
+  static constexpr unsigned kChunkBits = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
 
-  struct Node {
-    EventFn fn;
-    std::uint32_t gen = 1;        ///< bumped on free; stales old EventIds
+  /// Per-slot bookkeeping, kept apart from the callables so sifting
+  /// updates a dense array.
+  struct Slot {
+    std::uint32_t gen = 1;  ///< bumped on free; stales old EventIds
     std::uint32_t heap_pos = kNpos;
     bool background = false;
   };
 
   struct HeapEntry {
     TimePoint t;
-    std::uint64_t seq;  ///< FIFO tie-break among equal timestamps
-    std::uint32_t slot;
+    /// seq << kSlotBits | slot. seq is unique and fills the high bits, so
+    /// comparing keys is the FIFO tie-break among equal timestamps.
+    std::uint64_t key;
 
     [[nodiscard]] bool before(const HeapEntry& o) const {
-      if (t != o.t) return t < o.t;
-      return seq < o.seq;
+      return t < o.t || (t == o.t && key < o.key);
+    }
+    [[nodiscard]] std::uint32_t slot() const {
+      return static_cast<std::uint32_t>(key & kSlotMask);
     }
   };
 
-  EventId schedule_impl(TimePoint t, EventFn fn, bool background);
+  template <typename F>
+  EventId schedule(TimePoint t, F&& fn, bool background) {
+    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+      PD_CHECK(static_cast<bool>(fn), "null event callback");
+    }
+    const std::uint32_t slot = acquire_slot(t);
+    fn_at(slot).emplace(std::forward<F>(fn));
+    return enqueue(t, slot, background);
+  }
+
+  EventFn& fn_at(std::uint32_t slot) {
+    return chunks_[slot >> kChunkBits][slot & kChunkMask];
+  }
+
+  /// A free slot for an event at `t` (checks t >= now()).
+  std::uint32_t acquire_slot(TimePoint t);
+  /// Push the event already built in `slot` onto the heap.
+  EventId enqueue(TimePoint t, std::uint32_t slot, bool background);
   bool pop_one();  // fire the earliest live event; false if queue empty
 
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
+  /// Move `e` up / down from hole `pos` until the heap property holds.
+  void sift_up(std::size_t pos, HeapEntry e);
+  void sift_down(std::size_t pos, HeapEntry e);
   /// Detach heap_[pos] from the heap and restore the heap property.
   void heap_remove(std::uint32_t pos);
   void free_slot(std::uint32_t slot);
 
-  std::vector<Node> slab_;
+  /// The slab: callables in fixed-size chunks that never move.
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// 4-ary min-heap ordered by (t, seq); keys live in the entries.
+  /// 4-ary min-heap ordered by (t, key); keys live in the entries.
   std::vector<HeapEntry> heap_;
   std::size_t foreground_live_ = 0;
   TimePoint now_ = 0;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 namespace pd::sim {
 namespace {
@@ -135,6 +141,60 @@ TEST(Core, FractionalCarryDoesNotBreakMinimumOneNs) {
   for (int i = 0; i < 10; ++i) fast.submit(1);
   s.run();
   EXPECT_EQ(s.now(), 10);  // 10 clamped jobs, 1 ns each — no credit leaks
+}
+
+TEST(Core, AcceptsMoveOnlyCallback) {
+  Scheduler s;
+  Core core(s, "cpu0");
+  int got = 0;
+  core.submit(10, [p = std::make_unique<int>(7), &got] { got = *p; });
+  s.run();
+  EXPECT_EQ(got, 7);
+}
+
+// The first job's callback submits 40 jobs to its own core, growing the
+// job ring (capacity 8) while the callback runs. Its N-word capture must
+// stay intact (the callback may not run from a ring slot the growth
+// frees), and every job must complete in FIFO order at the serial times.
+template <std::size_t N>
+void expect_ring_growth_under_live_callback() {
+  Scheduler s;
+  Core core(s, "cpu0");
+  std::vector<std::pair<int, TimePoint>> done;
+  std::array<std::uint64_t, N> payload{};
+  for (std::size_t i = 0; i < N; ++i) payload[i] = i + 1;
+  std::uint64_t after = 0;
+  core.submit(100, [&done, &s, &core, &after, payload] {
+    done.emplace_back(0, s.now());
+    for (int i = 0; i < 40; ++i) {
+      core.submit(10 * (i + 1), [&done, &s, i] {
+        done.emplace_back(100 + i, s.now());
+      });
+    }
+    after = std::accumulate(payload.begin(), payload.end(), std::uint64_t{0});
+  });
+  for (int b = 1; b <= 5; ++b) {
+    core.submit(50, [&done, &s, b] { done.emplace_back(b, s.now()); });
+  }
+  s.run();
+
+  std::vector<std::pair<int, TimePoint>> expect{{0, 100}};
+  TimePoint t = 100;
+  for (int b = 1; b <= 5; ++b) expect.emplace_back(b, t += 50);
+  for (int i = 0; i < 40; ++i) expect.emplace_back(100 + i, t += 10 * (i + 1));
+  EXPECT_EQ(done, expect);
+  EXPECT_EQ(after, N * (N + 1) / 2);
+  EXPECT_EQ(core.busy_ns(), 100 + 5 * 50 + 10 * (40 * 41 / 2));
+  EXPECT_EQ(core.queue_len(), 0u);
+}
+
+TEST(Core, InlineCallbackSubmittingToItsOwnCoreGrowsTheRingSafely) {
+  expect_ring_growth_under_live_callback<10>();
+}
+
+TEST(Core, HeapCallbackSubmittingToItsOwnCoreGrowsTheRingSafely) {
+  static_assert(sizeof(std::array<std::uint64_t, 24>) > EventFn::kInlineBytes);
+  expect_ring_growth_under_live_callback<24>();
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -174,7 +176,7 @@ TEST(Scheduler, StaleIdOfFiredEventIsRejected) {
 
 TEST(Scheduler, LargeCallableUsesHeapFallbackCorrectly) {
   // Callables above EventFn's inline buffer must still round-trip through
-  // the slab (heap-backed), surviving slab growth and node relocation.
+  // the slab (heap-backed), surviving slab growth.
   Scheduler s;
   std::array<std::uint64_t, 64> payload{};  // 512 B, well past kInlineBytes
   for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i * 7 + 1;
@@ -241,6 +243,100 @@ TEST(Scheduler, CancelFromInsideEventCallback) {
   s.schedule_at(20, [&] { s.cancel(victim2); });
   s.run();
   EXPECT_FALSE(fired2);
+}
+
+// A callback that schedules enough events to add several slab chunks
+// while it runs, then reads its own capture: the callable runs in place,
+// so its storage must not move or be reused under it. N words of capture;
+// N * 8 above EventFn::kInlineBytes takes the heap fallback.
+template <std::size_t N>
+void expect_capture_survives_slab_growth() {
+  Scheduler s;
+  std::array<std::uint64_t, N> payload{};
+  for (std::size_t i = 0; i < N; ++i) payload[i] = i * 7 + 1;
+  const std::uint64_t expect =
+      std::accumulate(payload.begin(), payload.end(), std::uint64_t{0});
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  int children = 0;
+  s.schedule_at(10, [payload, &s, &before, &after, &children] {
+    before = std::accumulate(payload.begin(), payload.end(), std::uint64_t{0});
+    for (int i = 0; i < 1500; ++i) s.schedule_after(i % 7, [&] { ++children; });
+    after = std::accumulate(payload.begin(), payload.end(), std::uint64_t{0});
+  });
+  EXPECT_EQ(s.run(), 1501u);
+  EXPECT_EQ(before, expect);
+  EXPECT_EQ(after, expect);
+  EXPECT_EQ(children, 1500);
+}
+
+TEST(Scheduler, HeapCaptureSurvivesSchedulingFromItsOwnCallback) {
+  static_assert(sizeof(std::array<std::uint64_t, 40>) > EventFn::kInlineBytes);
+  expect_capture_survives_slab_growth<40>();
+}
+
+TEST(Scheduler, InlineCaptureSurvivesSchedulingFromItsOwnCallback) {
+  static_assert(sizeof(std::array<std::uint64_t, 12>) + 4 * sizeof(void*) <=
+                EventFn::kInlineBytes);
+  expect_capture_survives_slab_growth<12>();
+}
+
+TEST(Scheduler, RunningEventCannotCancelItselfAndItsIdGoesStale) {
+  Scheduler s;
+  EventId self = kInvalidEvent;
+  EventId child = kInvalidEvent;
+  bool self_cancel = true;
+  bool child_fired = false;
+  self = s.schedule_at(10, [&] {
+    self_cancel = s.cancel(self);
+    child = s.schedule_after(5, [&] { child_fired = true; });
+  });
+  EXPECT_EQ(s.run_steps(1), 1u);
+  EXPECT_FALSE(self_cancel);
+  EXPECT_NE(child, kInvalidEvent);
+  EXPECT_NE(child, self);
+  EXPECT_FALSE(s.cancel(self));  // fired: stale
+  // The freed slot is reused by the next event; the old id still must not
+  // reach it.
+  bool reuser_fired = false;
+  const EventId reuser = s.schedule_at(30, [&] { reuser_fired = true; });
+  EXPECT_NE(reuser, self);
+  EXPECT_FALSE(s.cancel(self));
+  s.run();
+  EXPECT_TRUE(child_fired);
+  EXPECT_TRUE(reuser_fired);
+}
+
+TEST(Scheduler, SameTimeEventsWithCancelsFireInInsertionOrder) {
+  // Cancels free slots that later events reuse, so slot numbers stop
+  // following insertion order; the packed key must still order by seq.
+  constexpr int kEvents = 100'000;
+  Scheduler s;
+  std::vector<int> fired;
+  std::vector<int> expect;
+  std::vector<EventId> ids;
+  fired.reserve(kEvents);
+  for (int i = 0; i < kEvents; ++i) {
+    ids.push_back(s.schedule_at(5, [&fired, i] { fired.push_back(i); }));
+    if (i % 3 == 2) {
+      ASSERT_TRUE(s.cancel(ids[static_cast<std::size_t>(i - 1)]));
+    }
+  }
+  for (int i = 0; i < kEvents; ++i) {
+    if (i % 3 != 1) expect.push_back(i);
+  }
+  s.run();
+  EXPECT_EQ(fired, expect);
+}
+
+TEST(Scheduler, AcceptsMoveOnlyCaptures) {
+  Scheduler s;
+  int got = 0;
+  s.schedule_at(5, [p = std::make_unique<int>(7), &got] { got += *p; });
+  s.schedule_background_after(
+      1, [p = std::make_unique<int>(3), &got] { got += *p; });
+  s.run_until(10);
+  EXPECT_EQ(got, 10);
 }
 
 }  // namespace
