@@ -6,15 +6,19 @@
 // and a deficit counter spent per dequeued item. With unit item cost this
 // yields throughput shares proportional to weights whenever tenants are
 // backlogged — exactly Fig. 15's property.
+//
+// The queues sit in a vector in round-robin order, so a visit is an index
+// (queues_[cursor_]); an IdTable maps a tenant to its queue's position for
+// enqueue and introspection.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 
 namespace pd::core {
@@ -32,18 +36,17 @@ class DwrrScheduler {
   /// Register a tenant with its weight. Must precede enqueue.
   void add_tenant(TenantId tenant, std::uint32_t weight) {
     PD_CHECK(weight > 0, "tenant weight must be positive");
-    PD_CHECK(queues_.find(tenant) == queues_.end(),
+    PD_CHECK(position_.insert(tenant, queues_.size()) != nullptr,
              "tenant " << tenant << " already registered");
-    queues_.emplace(tenant, Queue{weight, 0, {}});
-    order_.push_back(tenant);
+    queues_.push_back(Queue{weight, 0, {}});
   }
 
   /// Enqueue an item with `size` cost units (1 = per-request fairness).
   void enqueue(TenantId tenant, Item item, std::uint32_t size = 1) {
-    auto it = queues_.find(tenant);
-    PD_CHECK(it != queues_.end(), "enqueue for unknown tenant " << tenant);
+    const std::size_t* pos = position_.find(tenant);
+    PD_CHECK(pos != nullptr, "enqueue for unknown tenant " << tenant);
     PD_CHECK(size > 0, "item size must be positive");
-    it->second.items.push_back(Entry{std::move(item), size});
+    queues_[*pos].items.push_back(Entry{std::move(item), size});
     ++pending_;
   }
 
@@ -52,8 +55,8 @@ class DwrrScheduler {
     if (pending_ == 0) return std::nullopt;
     // At most two passes over the tenants are needed when every queue's
     // head exceeds its deficit (each pass tops deficits up by one quantum).
-    for (std::size_t scanned = 0; scanned < 2 * order_.size(); ++scanned) {
-      Queue& q = queues_.at(order_[cursor_]);
+    for (std::size_t scanned = 0; scanned < 2 * queues_.size(); ++scanned) {
+      Queue& q = queues_[cursor_];
       if (q.items.empty()) {
         q.deficit = 0;  // empty queues hold no credit (standard DRR)
         advance();
@@ -77,8 +80,8 @@ class DwrrScheduler {
     }
     // All heads exceeded even a fresh quantum (oversized items): serve the
     // current head anyway to guarantee progress.
-    for (std::size_t i = 0; i < order_.size(); ++i) {
-      Queue& q = queues_.at(order_[cursor_]);
+    for (std::size_t i = 0; i < queues_.size(); ++i) {
+      Queue& q = queues_[cursor_];
       if (!q.items.empty()) {
         Entry e = std::move(q.items.front());
         q.items.pop_front();
@@ -93,16 +96,16 @@ class DwrrScheduler {
 
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] std::size_t pending_for(TenantId tenant) const {
-    auto it = queues_.find(tenant);
-    return it == queues_.end() ? 0 : it->second.items.size();
+    const std::size_t* pos = position_.find(tenant);
+    return pos == nullptr ? 0 : queues_[*pos].items.size();
   }
   /// Unspent deficit credit currently held by `tenant` (0 when unknown).
   /// A persistently high value with a backlogged queue means the tenant's
   /// head item exceeds its per-round quantum — the flight recorder
   /// samples this to make DWRR starvation visible on a timeline.
   [[nodiscard]] std::uint64_t deficit_of(TenantId tenant) const {
-    auto it = queues_.find(tenant);
-    return it == queues_.end() ? 0 : it->second.deficit;
+    const std::size_t* pos = position_.find(tenant);
+    return pos == nullptr ? 0 : queues_[*pos].deficit;
   }
 
  private:
@@ -118,14 +121,16 @@ class DwrrScheduler {
   };
 
   void advance() {
-    if (order_.empty()) return;
-    queues_.at(order_[cursor_]).visited_this_round = false;
-    cursor_ = (cursor_ + 1) % order_.size();
+    if (queues_.empty()) return;
+    queues_[cursor_].visited_this_round = false;
+    cursor_ = (cursor_ + 1) % queues_.size();
   }
 
   std::uint32_t quantum_base_;
-  std::unordered_map<TenantId, Queue> queues_;
-  std::vector<TenantId> order_;
+  /// In registration order, which is the round-robin order.
+  std::vector<Queue> queues_;
+  /// Tenant -> index into queues_.
+  IdTable<TenantId, std::size_t> position_;
   std::size_t cursor_ = 0;
   std::size_t pending_ = 0;
 };

@@ -115,7 +115,9 @@ void NetworkEngine::add_tenant(TenantId tenant, std::uint32_t weight) {
   }
   rnic_.register_memory(tm.pool_id());
 
-  tenants_.emplace(tenant, TenantState{weight});
+  tenants_.emplace(tenant, weight);
+  tenant_credit_.insert(tenant, TenantCredit{});
+  rbr_.add_tenant(tenant, tm.pool_id(), tm.pool().capacity());
   dwrr_.add_tenant(tenant, weight);
   recompute_credit_caps();
 
@@ -127,13 +129,13 @@ void NetworkEngine::add_tenant(TenantId tenant, std::uint32_t weight) {
 
 void NetworkEngine::recompute_credit_caps() {
   std::uint64_t total_weight = 0;
-  for (const auto& [tenant, state] : tenants_) total_weight += state.weight;
-  for (auto& [tenant, state] : tenants_) {
+  for (const auto& [tenant, weight] : tenants_) total_weight += weight;
+  for (const auto& [tenant, weight] : tenants_) {
     const auto share = static_cast<std::size_t>(
-        total_weight == 0
-            ? config_.max_unacked
-            : config_.max_unacked * state.weight / total_weight);
-    state.credit_cap = std::max(config_.min_tenant_credits, share);
+        total_weight == 0 ? config_.max_unacked
+                          : config_.max_unacked * weight / total_weight);
+    tenant_credit_.find(tenant)->cap =
+        std::max(config_.min_tenant_credits, share);
   }
 }
 
@@ -141,7 +143,7 @@ void NetworkEngine::connect_peer(NodeId remote) {
   PD_CHECK(remote != node(), "peer must be a different node");
   for (NodeId p : peers_) PD_CHECK(p != remote, "peer already connected");
   peers_.push_back(remote);
-  for (const auto& [tenant, state] : tenants_) {
+  for (const auto& [tenant, weight] : tenants_) {
     conn_mgr_.establish(remote, tenant, config_.rc_connections, nullptr);
   }
 }
@@ -149,9 +151,9 @@ void NetworkEngine::connect_peer(NodeId remote) {
 void NetworkEngine::register_local_function(FunctionId fn, TenantId tenant,
                                             sim::Core& host_core,
                                             ipc::DescriptorHandler deliver) {
-  PD_CHECK(tenants_.find(tenant) != tenants_.end(),
+  PD_CHECK(tenant_credit_.contains(tenant),
            "register function of unknown tenant " << tenant);
-  PD_CHECK(local_fns_.emplace(fn, &host_core).second,
+  PD_CHECK(local_fns_.insert(fn, &host_core) != nullptr,
            "function " << fn << " already registered");
   if (comch_) {
     comch_->connect(fn, host_core, std::move(deliver));
@@ -183,16 +185,15 @@ void NetworkEngine::submit(FunctionId src, sim::Core& src_core,
 void NetworkEngine::on_ingest(const mem::BufferDescriptor& d) {
   // Runs on the engine core (charged by the channel). Queue under the
   // tenant and kick the TX stage.
-  auto tit = tenants_.find(d.tenant);
-  PD_CHECK(tit != tenants_.end(),
-           "message from unknown tenant " << d.tenant);
+  const TenantCredit* credit = tenant_credit_.find(d.tenant);
+  PD_CHECK(credit != nullptr, "message from unknown tenant " << d.tenant);
   if (config_.tenant_admission) {
     // Tenant-scoped credit gate (ISSUE 7): occupancy counts both what the
     // tenant has queued in the scheduler and what it has in the reliability
     // window, so a tenant saturating either stage is shed individually.
     const std::size_t occupancy =
-        queued_for(d.tenant) + tenant_unacked(d.tenant);
-    if (occupancy >= tit->second.credit_cap) {
+        queued_for(d.tenant) + credit->unacked;
+    if (occupancy >= credit->cap) {
       ++counters_.requests_shed;
       ++counters_.shed_admission;
       if (auto* h = obs::hub()) {
@@ -309,8 +310,10 @@ void NetworkEngine::transmit(const mem::BufferDescriptor& d) {
   m.dest = dest;
   m.timer = sched_.schedule_after(config_.retransmit_timeout,
                                   [this, seq] { on_retransmit_timeout(seq); });
-  unacked_.emplace(seq, m);
-  ++tenant_unacked_[d.tenant];
+  unacked_.insert(seq, m);
+  TenantCredit* credit = tenant_credit_.find(d.tenant);
+  PD_CHECK(credit != nullptr, "transmit for unknown tenant " << d.tenant);
+  ++credit->unacked;
   conn_mgr_.send(dest, d.tenant, wr);
   ++counters_.tx_msgs;
 }
@@ -379,7 +382,7 @@ void NetworkEngine::handle_recv(const rdma::Completion& c) {
   ++counters_.rx_msgs;
   if (trace_hop(h, "engine_rx", track_, sched_.now())) write_header(bytes, h);
   const FunctionId dst = h.dst();
-  if (local_fns_.find(dst) == local_fns_.end()) {
+  if (!local_fns_.contains(dst)) {
     ++counters_.drops_no_route;
     if (auto* hub = obs::hub()) {
       hub->registry
@@ -427,14 +430,12 @@ void NetworkEngine::handle_send_done(const rdma::Completion& c) {
 
   // The WR's id is the message's seq. A message's state is retired only
   // once its buffer is back from the RNIC, so it is still here.
-  auto it = unacked_.find(c.wr_id);
-  PD_CHECK(it != unacked_.end(), "send completion for untracked WR "
-                                     << c.wr_id);
-  UnackedMsg& m = it->second;
-  m.in_flight = false;
-  switch (m.outcome) {
-    case UnackedMsg::Outcome::kAcked: finish_success(it); break;
-    case UnackedMsg::Outcome::kFailed: finish_failure(it); break;
+  UnackedMsg* m = unacked_.find(c.wr_id);
+  PD_CHECK(m != nullptr, "send completion for untracked WR " << c.wr_id);
+  m->in_flight = false;
+  switch (m->outcome) {
+    case UnackedMsg::Outcome::kAcked: finish_success(c.wr_id, *m); break;
+    case UnackedMsg::Outcome::kFailed: finish_failure(c.wr_id, *m); break;
     case UnackedMsg::Outcome::kPending: break;  // timer/ack will resolve it
   }
 }
@@ -448,7 +449,9 @@ bool NetworkEngine::is_duplicate(NodeId sender, std::uint64_t seq) {
   // admission): a seq falling out of it can no longer be retransmitted by a
   // live sender, so anything below the window is treated as a replay.
   constexpr std::uint64_t kBits = DedupWindow::kBits;
-  DedupWindow& w = dedup_[sender];
+  std::unique_ptr<DedupWindow>& slot = dedup_[sender];
+  if (!slot) slot = std::make_unique<DedupWindow>();
+  DedupWindow& w = *slot;
   if (seq > w.max_seq) {
     // Seqs entering the window reuse slots of ancient ones: clear the gap.
     if (seq - w.max_seq >= kBits) {
@@ -471,9 +474,9 @@ bool NetworkEngine::is_duplicate(NodeId sender, std::uint64_t seq) {
 }
 
 void NetworkEngine::on_datagram(NodeId /*from*/, const rdma::Datagram& dg) {
-  auto it = unacked_.find(dg.seq);
-  if (it == unacked_.end()) return;  // late/duplicate ack for a retired seq
-  UnackedMsg& m = it->second;
+  UnackedMsg* found = unacked_.find(dg.seq);
+  if (found == nullptr) return;  // late/duplicate ack for a retired seq
+  UnackedMsg& m = *found;
   if (dg.kind == rdma::Datagram::Kind::kAck) {
     ++counters_.acks_rx;
     if (m.timer != sim::kInvalidEvent) {
@@ -483,7 +486,7 @@ void NetworkEngine::on_datagram(NodeId /*from*/, const rdma::Datagram& dg) {
     if (m.in_flight) {
       m.outcome = UnackedMsg::Outcome::kAcked;
     } else {
-      finish_success(it);
+      finish_success(dg.seq, m);
     }
     return;
   }
@@ -505,14 +508,14 @@ void NetworkEngine::on_datagram(NodeId /*from*/, const rdma::Datagram& dg) {
   if (m.in_flight) {
     m.outcome = UnackedMsg::Outcome::kFailed;
   } else {
-    finish_failure(it);
+    finish_failure(dg.seq, m);
   }
 }
 
 void NetworkEngine::on_retransmit_timeout(std::uint64_t seq) {
-  auto it = unacked_.find(seq);
-  if (it == unacked_.end()) return;
-  UnackedMsg& m = it->second;
+  UnackedMsg* found = unacked_.find(seq);
+  if (found == nullptr) return;
+  UnackedMsg& m = *found;
   m.timer = sim::kInvalidEvent;
   if (m.in_flight) {
     // Send completion not harvested yet (WR parked behind a pool rebuild,
@@ -522,7 +525,7 @@ void NetworkEngine::on_retransmit_timeout(std::uint64_t seq) {
     return;
   }
   if (m.attempts >= config_.max_send_attempts) {
-    finish_failure(it);
+    finish_failure(seq, m);
     return;
   }
   ++m.attempts;
@@ -555,30 +558,28 @@ void NetworkEngine::on_retransmit_timeout(std::uint64_t seq) {
   conn_mgr_.send(m.dest, m.d.tenant, wr);
 }
 
-void NetworkEngine::finish_success(UnackedIter it) {
-  UnackedMsg& m = it->second;
+void NetworkEngine::finish_success(std::uint64_t seq, UnackedMsg& m) {
   if (m.timer != sim::kInvalidEvent) sched_.cancel(m.timer);
   end_retransmit_span(m);
   release_tenant_credit(m.d.tenant);
   pool_of(m.d).release(m.d, actor());
   ++counters_.recycled;
-  unacked_.erase(it);
+  unacked_.erase(seq);
 }
 
-void NetworkEngine::finish_failure(UnackedIter it) {
-  UnackedMsg& m = it->second;
+void NetworkEngine::finish_failure(std::uint64_t seq, UnackedMsg& m) {
   if (m.timer != sim::kInvalidEvent) sched_.cancel(m.timer);
   end_retransmit_span(m);
   release_tenant_credit(m.d.tenant);
   ++counters_.send_failures;
   const mem::BufferDescriptor d = m.d;
-  unacked_.erase(it);
+  unacked_.erase(seq);
   complete_with_error(d);
 }
 
 void NetworkEngine::release_tenant_credit(TenantId tenant) {
-  auto it = tenant_unacked_.find(tenant);
-  if (it != tenant_unacked_.end() && it->second > 0) --it->second;
+  TenantCredit* credit = tenant_credit_.find(tenant);
+  if (credit != nullptr && credit->unacked > 0) --credit->unacked;
 }
 
 void NetworkEngine::complete_with_error(const mem::BufferDescriptor& d) {
@@ -605,7 +606,7 @@ void NetworkEngine::complete_with_error(const mem::BufferDescriptor& d) {
   const auto sized = pool.resize(d, actor(), message_bytes(0));
   ++counters_.error_completions;
 
-  if (local_fns_.find(FunctionId{e.dst_fn}) != local_fns_.end()) {
+  if (local_fns_.contains(FunctionId{e.dst_fn})) {
     deliver_local(sized, FunctionId{e.dst_fn});
     return;
   }
@@ -629,7 +630,7 @@ void NetworkEngine::replenish_tick() {
   // ratchet-down failure: a tenant whose deliveries dip to zero during a
   // burst would never be replenished again. Keeping `outstanding` pinned
   // at srq_fill is the fixpoint the paper's core thread maintains.)
-  for (auto& [tenant, state] : tenants_) {
+  for (const auto& [tenant, weight] : tenants_) {
     (void)rbr_.take_consumed(tenant);  // reset the shared counter
     const std::uint64_t outstanding = rbr_.outstanding(tenant);
     const auto target = static_cast<std::uint64_t>(config_.srq_fill);

@@ -17,6 +17,11 @@
 // receive-buffer registry and message header, and forwards descriptors
 // over the cross-processor channel. A core-thread task replenishes each
 // tenant's shared RQ to match consumption (§3.5.2).
+//
+// No per-message step hashes: function, peer-node and per-tenant credit
+// state sit in IdTables indexed by the id itself, and the reliability
+// window is a SeqRing indexed by seq, so a CQE's wr_id and an ACK's seq
+// lead straight to their message's state.
 #pragma once
 
 #include <array>
@@ -26,11 +31,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "core/dataplane.hpp"
 #include "core/dwrr.hpp"
 #include "core/message.hpp"
 #include "core/rbr.hpp"
 #include "core/routing.hpp"
+#include "core/seq_ring.hpp"
 #include "dpu/comch.hpp"
 #include "dpu/dpu.hpp"
 #include "ipc/skmsg.hpp"
@@ -168,8 +175,8 @@ class NetworkEngine : public DataPlane {
   }
   /// Sequenced messages of tenant `t` awaiting ACK.
   [[nodiscard]] std::size_t tenant_unacked(TenantId t) const {
-    auto it = tenant_unacked_.find(t);
-    return it == tenant_unacked_.end() ? 0 : it->second;
+    const TenantCredit* credit = tenant_credit_.find(t);
+    return credit == nullptr ? 0 : credit->unacked;
   }
   [[nodiscard]] mem::Actor actor() const {
     return mem::actor_engine(rnic_.node());
@@ -186,10 +193,13 @@ class NetworkEngine : public DataPlane {
   }
 
  private:
-  struct TenantState {
-    std::uint32_t weight = 1;
+  /// Per-tenant admission state, read and written per message.
+  struct TenantCredit {
     /// Weight-proportional share of max_unacked (see tenant_admission).
-    std::size_t credit_cap = 0;
+    std::size_t cap = 0;
+    /// Sequenced messages of the tenant awaiting ACK (its slice of
+    /// unacked_).
+    std::size_t unacked = 0;
   };
 
   void recompute_credit_caps();
@@ -230,13 +240,12 @@ class NetworkEngine : public DataPlane {
     /// Open "retransmit" span covering loss recovery (0 = none/untraced).
     std::uint32_t retx_span = 0;
   };
-  using UnackedIter = std::unordered_map<std::uint64_t, UnackedMsg>::iterator;
 
   void on_datagram(NodeId from, const rdma::Datagram& dg);
   void on_retransmit_timeout(std::uint64_t seq);
   void release_tenant_credit(TenantId tenant);
-  void finish_success(UnackedIter it);
-  void finish_failure(UnackedIter it);
+  void finish_success(std::uint64_t seq, UnackedMsg& m);
+  void finish_failure(std::uint64_t seq, UnackedMsg& m);
   /// Turn an undeliverable/failed message (buffer owned by the engine) into
   /// an explicit error completion routed back toward its submitter — local
   /// delivery, or back over the fabric for messages that arrived from a
@@ -279,7 +288,14 @@ class NetworkEngine : public DataPlane {
   ReceiveBufferRegistry rbr_;
   DwrrScheduler<mem::BufferDescriptor> dwrr_;
   FcfsScheduler<mem::BufferDescriptor> fcfs_;
-  std::unordered_map<TenantId, TenantState> tenants_;
+  /// Registered tenants -> DWRR weight. Stays a hash map, used only off
+  /// the per-message path: connect_peer and replenish_tick visit it, and
+  /// that order reaches the model (QP creation order, replenish job
+  /// boundaries, RNR redelivery order; ablation_dne's 96-tenant point
+  /// moves under any other order).
+  std::unordered_map<TenantId, std::uint32_t> tenants_;
+  /// Every registered tenant's credit state.
+  IdTable<TenantId, TenantCredit> tenant_credit_;
   std::vector<NodeId> peers_;
 
   /// DNE flavours: the Comch server towards host functions.
@@ -287,7 +303,7 @@ class NetworkEngine : public DataPlane {
   /// CNE: SK_MSG sockets towards host functions.
   std::unique_ptr<ipc::SockMap> sockmap_;
   /// Local delivery endpoints (needed for both flavours' bookkeeping).
-  std::unordered_map<FunctionId, sim::Core*> local_fns_;
+  IdTable<FunctionId, sim::Core*> local_fns_;
 
   /// Trace display row for this engine's spans, e.g. "node1/dne".
   std::string track_;
@@ -302,10 +318,10 @@ class NetworkEngine : public DataPlane {
   OneSidedHandler onesided_;
   EngineCounters counters_;
 
-  // Reliability state.
-  std::unordered_map<std::uint64_t, UnackedMsg> unacked_;  ///< seq -> state
-  /// Per-tenant slice of unacked_ (occupancy for the tenant credit gate).
-  std::unordered_map<TenantId, std::size_t> tenant_unacked_;
+  // Reliability state. Seqs are dense per engine, so the window of
+  // messages awaiting ACK is indexed by seq (wr_id of their WRs, seq of
+  // their ACK/NACK), never hashed.
+  SeqRing<UnackedMsg> unacked_;
   std::uint64_t next_seq_ = 1;
   /// Receiver-side duplicate suppression, per sender node: a circular
   /// bitmap over the last kBits sequence numbers ending at max_seq. O(1)
@@ -316,7 +332,9 @@ class NetworkEngine : public DataPlane {
     std::uint64_t max_seq = 0;
     std::array<std::uint64_t, kBits / 64> bits{};
   };
-  std::unordered_map<NodeId, DedupWindow> dedup_;
+  /// Allocated per sender actually seen: a window per possible node id
+  /// would cost ~0.5 KiB per id on every engine.
+  IdTable<NodeId, std::unique_ptr<DedupWindow>> dedup_;
 };
 
 }  // namespace pd::core

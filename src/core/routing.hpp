@@ -1,13 +1,12 @@
 // Routing state (§3.5.5): the intra-node table maps local functions to
 // their IPC endpoints; the inter-node table (held by the DNE) maps remote
 // functions to worker nodes. A control-plane coordinator synchronizes both
-// on function deployment events.
+// on function deployment events. Both are IdTables: every message consults
+// one, and function ids are small counters.
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "common/check.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 
 namespace pd::core {
@@ -16,21 +15,21 @@ namespace pd::core {
 class InterNodeRoutingTable {
  public:
   void add_route(FunctionId fn, NodeId node) {
-    PD_CHECK(routes_.emplace(fn, node).second,
+    PD_CHECK(routes_.insert(fn, node) != nullptr,
              "duplicate inter-node route for function " << fn);
   }
   [[nodiscard]] bool has_route(FunctionId fn) const {
-    return routes_.find(fn) != routes_.end();
+    return routes_.contains(fn);
   }
   [[nodiscard]] NodeId lookup(FunctionId fn) const {
-    auto it = routes_.find(fn);
-    PD_CHECK(it != routes_.end(), "no inter-node route for function " << fn);
-    return it->second;
+    const NodeId* node = routes_.find(fn);
+    PD_CHECK(node != nullptr, "no inter-node route for function " << fn);
+    return *node;
   }
   [[nodiscard]] std::size_t size() const { return routes_.size(); }
 
  private:
-  std::unordered_map<FunctionId, NodeId> routes_;
+  IdTable<FunctionId, NodeId> routes_;
 };
 
 /// Which functions are local to this node. Stored read-only for functions
@@ -39,16 +38,16 @@ class InterNodeRoutingTable {
 class IntraNodeRoutingTable {
  public:
   void add_local(FunctionId fn) {
-    PD_CHECK(local_.emplace(fn).second,
+    PD_CHECK(local_.insert(fn, true) != nullptr,
              "function " << fn << " already local");
   }
   [[nodiscard]] bool is_local(FunctionId fn) const {
-    return local_.find(fn) != local_.end();
+    return local_.contains(fn);
   }
   [[nodiscard]] std::size_t size() const { return local_.size(); }
 
  private:
-  std::unordered_set<FunctionId> local_;
+  IdTable<FunctionId, bool> local_;  ///< a set: every value is true
 };
 
 }  // namespace pd::core

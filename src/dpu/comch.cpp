@@ -41,19 +41,20 @@ sim::Duration ComchServer::server_dequeue_cost() const {
 void ComchServer::connect(FunctionId client, sim::Core& host_core,
                           ipc::DescriptorHandler host_handler) {
   PD_CHECK(host_handler != nullptr, "client needs a handler");
-  PD_CHECK(clients_.find(client) == clients_.end(),
+  PD_CHECK(!clients_.contains(client),
            "client " << client << " already connected");
   if (variant_ == ComchVariant::kPolling) {
     host_core.set_busy_poll(true);  // dedicated ring-polling core
   }
-  clients_.emplace(client, Client{&host_core, std::move(host_handler)});
+  clients_.insert(client, std::make_unique<Client>(
+                              Client{&host_core, std::move(host_handler)}));
 }
 
 void ComchServer::send_to_server(FunctionId client,
                                  const mem::BufferDescriptor& d,
                                  bool charge_host) {
-  auto it = clients_.find(client);
-  PD_CHECK(it != clients_.end(), "send from unconnected client " << client);
+  const auto* c = clients_.find(client);
+  PD_CHECK(c != nullptr, "send from unconnected client " << client);
   ++to_server_;
   // Host-side enqueue cost, then channel latency, then DNE-side dequeue.
   auto in_flight = [this, client, d] {
@@ -63,7 +64,7 @@ void ComchServer::send_to_server(FunctionId client,
     });
   };
   if (charge_host) {
-    it->second.host_core->submit(per_msg(), std::move(in_flight));
+    (*c)->host_core->submit(per_msg(), std::move(in_flight));
   } else {
     in_flight();
   }
@@ -71,10 +72,10 @@ void ComchServer::send_to_server(FunctionId client,
 
 void ComchServer::send_to_client(FunctionId client,
                                  const mem::BufferDescriptor& d) {
-  auto it = clients_.find(client);
-  PD_CHECK(it != clients_.end(), "send to unconnected client " << client);
+  auto* slot = clients_.find(client);
+  PD_CHECK(slot != nullptr, "send to unconnected client " << client);
   ++to_client_;
-  Client& c = it->second;
+  Client& c = **slot;
   dpu_core_.submit(per_msg(), [this, &c, d] {
     sched_.schedule_after(latency(), [this, &c, d] {
       c.host_core->submit(per_msg(), [&c, d] { c.handler(d); });

@@ -11,8 +11,9 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <memory>
 
+#include "common/id_table.hpp"
 #include "ipc/channel.hpp"
 #include "proto/cost_model.hpp"
 
@@ -67,7 +68,8 @@ class ComchServer {
   sim::Core& dpu_core_;
   ComchVariant variant_;
   ServerHandler server_handler_;
-  std::unordered_map<FunctionId, Client> clients_;
+  /// Held by pointer: deliveries in flight keep a Client&.
+  IdTable<FunctionId, std::unique_ptr<Client>> clients_;
   std::uint64_t to_server_ = 0;
   std::uint64_t to_client_ = 0;
 };

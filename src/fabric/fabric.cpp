@@ -35,17 +35,17 @@ void Switch::attach(NodeId node) { attach(node, sched_); }
 
 void Switch::attach(NodeId node, sim::Scheduler& sched) {
   PD_CHECK(!attached(node), "node " << node << " already attached");
-  Port p;
-  p.node = node;
-  p.sched = &sched;
-  p.tx = std::make_unique<Link>(sched, port_bandwidth_,
-                                cost::kFabricPropagationNs / 2);
-  p.rx = std::make_unique<Link>(sched, port_bandwidth_,
-                                cost::kFabricPropagationNs / 2);
-  p.rng = port_fault_stream(node);
-  p.tx_res = "fabric/node" + std::to_string(node.value()) + "/tx";
-  p.rx_res = "fabric/node" + std::to_string(node.value()) + "/rx";
-  ports_.emplace(node, std::move(p));
+  auto p = std::make_unique<Port>();
+  p->node = node;
+  p->sched = &sched;
+  p->tx = std::make_unique<Link>(sched, port_bandwidth_,
+                                 cost::kFabricPropagationNs / 2);
+  p->rx = std::make_unique<Link>(sched, port_bandwidth_,
+                                 cost::kFabricPropagationNs / 2);
+  p->rng = port_fault_stream(node);
+  p->tx_res = "fabric/node" + std::to_string(node.value()) + "/tx";
+  p->rx_res = "fabric/node" + std::to_string(node.value()) + "/rx";
+  ports_.insert(node, std::move(p));
 }
 
 sim::Rng Switch::port_fault_stream(NodeId node) const {
@@ -60,26 +60,29 @@ sim::Rng Switch::port_fault_stream(NodeId node) const {
 
 void Switch::set_fault_seed(std::uint64_t seed) {
   fault_seed_ = seed;
-  for (auto& [node, p] : ports_) p.rng = port_fault_stream(node);
+  ports_.for_each([this](NodeId node, std::unique_ptr<Port>& p) {
+    p->rng = port_fault_stream(node);
+  });
 }
 
 std::uint64_t Switch::frames() const {
   std::uint64_t total = 0;
-  for (const auto& [node, p] : ports_) total += p.frames;
+  ports_.for_each(
+      [&](NodeId, const std::unique_ptr<Port>& p) { total += p->frames; });
   return total;
 }
 
 bool Switch::attached(NodeId node) const {
-  return ports_.find(node) != ports_.end();
+  return ports_.contains(node);
 }
 
 Switch::Port& Switch::port(NodeId node) {
-  auto it = ports_.find(node);
-  PD_CHECK(it != ports_.end(), "node " << node << " not attached to fabric");
-  return it->second;
+  std::unique_ptr<Port>* p = ports_.find(node);
+  PD_CHECK(p != nullptr, "node " << node << " not attached to fabric");
+  return **p;
 }
 
-void Switch::post(Port& dst, sim::TimePoint t, sim::EventFn fn) {
+void Switch::post(Port& dst, sim::TimePoint t, sim::EventFn&& fn) {
   if (remote_post_) {
     remote_post_(dst.node, t, std::move(fn));
   } else {
@@ -106,9 +109,9 @@ void Switch::set_node_loss(NodeId node, double p) {
 
 std::uint64_t Switch::frames_dropped() const {
   std::uint64_t total = 0;
-  for (const auto& [node, p] : ports_) {
-    total += p.tx->frames_dropped() + p.rx->frames_dropped();
-  }
+  ports_.for_each([&](NodeId, const std::unique_ptr<Port>& p) {
+    total += p->tx->frames_dropped() + p->rx->frames_dropped();
+  });
   return total;
 }
 

@@ -10,8 +10,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "common/units.hpp"
 #include "fabric/topology.hpp"
@@ -96,12 +96,14 @@ class Switch {
   /// receiver's port goes through it (ParallelSim::post turns a post to
   /// the running shard into a local event). Without a hook, arrivals are
   /// scheduled on the `dst` port's own scheduler.
+  /// The callable is passed by reference down to the hook's final owner
+  /// (a mailbox or a scheduler slab), so it is relocated only there.
   using RemotePost =
-      std::function<void(NodeId dst, sim::TimePoint t, sim::EventFn fn)>;
+      std::function<void(NodeId dst, sim::TimePoint t, sim::EventFn&& fn)>;
   void set_remote_post(RemotePost post) { remote_post_ = std::move(post); }
   /// Run `fn` at absolute time `t` on the scheduler owning `dst`'s port,
   /// through the delivery hook.
-  void post(NodeId dst, sim::TimePoint t, sim::EventFn fn) {
+  void post(NodeId dst, sim::TimePoint t, sim::EventFn&& fn) {
     post(port(dst), t, std::move(fn));
   }
 
@@ -168,7 +170,7 @@ class Switch {
   };
 
   Port& port(NodeId node);
-  void post(Port& dst, sim::TimePoint t, sim::EventFn fn);
+  void post(Port& dst, sim::TimePoint t, sim::EventFn&& fn);
   [[nodiscard]] sim::Rng port_fault_stream(NodeId node) const;
   /// Resource-ledger charges (ISSUE 10): serialization occupancy + queue
   /// wait + wire bytes on a port link, attributed to the tenant carried by
@@ -183,7 +185,8 @@ class Switch {
 
   sim::Scheduler& sched_;
   BitsPerSec port_bandwidth_;
-  std::unordered_map<NodeId, Port> ports_;
+  /// Held by pointer: arrivals in flight keep a Port* across attaches.
+  IdTable<NodeId, std::unique_ptr<Port>> ports_;
   std::uint64_t fault_seed_ = 0xFA17ED5EEDULL;
   RemotePost remote_post_;
   const Topology* topo_ = nullptr;

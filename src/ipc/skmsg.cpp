@@ -9,16 +9,16 @@ namespace pd::ipc {
 void SockMap::register_socket(FunctionId fn, sim::Core& rx_core,
                               DescriptorHandler handler) {
   PD_CHECK(handler != nullptr, "socket needs a handler");
-  PD_CHECK(sockets_.find(fn) == sockets_.end(),
-           "function " << fn << " already in sockmap");
-  sockets_.emplace(fn, Socket{&rx_core, std::move(handler)});
+  PD_CHECK(!sockets_.contains(fn), "function " << fn << " already in sockmap");
+  sockets_.insert(fn, std::make_unique<Socket>(
+                          Socket{&rx_core, std::move(handler)}));
 }
 
 void SockMap::send(FunctionId dest, const mem::BufferDescriptor& d,
                    sim::Core* tx_core) {
-  auto it = sockets_.find(dest);
-  PD_CHECK(it != sockets_.end(), "sockmap miss for function " << dest);
-  Socket& sock = it->second;
+  auto* slot = sockets_.find(dest);
+  PD_CHECK(slot != nullptr, "sockmap miss for function " << dest);
+  Socket& sock = **slot;
   ++messages_;
 
   auto deliver = [this, &sock, d] {

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
+#include "common/id_table.hpp"
 #include "ipc/channel.hpp"
 #include "proto/cost_model.hpp"
 
@@ -39,7 +39,8 @@ class SockMap {
   };
 
   sim::Scheduler& sched_;
-  std::unordered_map<FunctionId, Socket> sockets_;
+  /// Held by pointer: deliveries in flight keep a Socket&.
+  IdTable<FunctionId, std::unique_ptr<Socket>> sockets_;
   std::uint64_t messages_ = 0;
 };
 

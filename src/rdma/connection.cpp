@@ -121,7 +121,7 @@ void ConnectionManager::send(NodeId remote, TenantId tenant,
     }
   }
   if (best_active != nullptr) {
-    last_active_[best_active->id()] = ++activation_clock_;
+    best_active->last_active_ = ++activation_clock_;
     best_active->post_send(wr);
     return;
   }
@@ -238,7 +238,7 @@ void ConnectionManager::activate(QueuePair& qp) {
       for (const auto& wr : wrs) send(qp.remote_node(), qp.tenant(), wr);
       return;
     }
-    last_active_[qp.id()] = ++activation_clock_;
+    qp.last_active_ = ++activation_clock_;
     enforce_active_cap();
     for (const auto& wr : wrs) qp.post_send(wr);
   });
@@ -251,14 +251,10 @@ void ConnectionManager::enforce_active_cap() {
     std::uint64_t oldest = activation_clock_ + 1;
     for (auto& [key, pool] : pools_) {
       for (QueuePair* qp : pool) {
-        if (qp->state() == QpState::kActive && qp->outstanding() == 0) {
-          const auto stamp_it = last_active_.find(qp->id());
-          const std::uint64_t stamp =
-              stamp_it == last_active_.end() ? 0 : stamp_it->second;
-          if (stamp < oldest) {
-            oldest = stamp;
-            victim = qp;
-          }
+        if (qp->state() == QpState::kActive && qp->outstanding() == 0 &&
+            qp->last_active_ < oldest) {
+          oldest = qp->last_active_;
+          victim = qp;
         }
       }
     }

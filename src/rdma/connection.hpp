@@ -105,9 +105,9 @@ class ConnectionManager {
   /// WRs buffered while their QP finishes (re)activation.
   std::unordered_map<QpId, std::vector<WorkRequest>> pending_;
   std::map<PoolKey, Rebuild> rebuilds_;
-  /// Activation order for LRU-ish deactivation.
+  /// Activation order for LRU-ish deactivation (stamped into each
+  /// QueuePair's last_active_).
   std::uint64_t activation_clock_ = 0;
-  std::unordered_map<QpId, std::uint64_t> last_active_;
   ConnectionStats stats_;
   /// Fixed-seeded stream for backoff jitter, so runs are reproducible.
   sim::Rng backoff_rng_{0xBACC0FFULL};

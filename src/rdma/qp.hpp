@@ -73,6 +73,9 @@ class QueuePair {
   NodeId remote_node_{};
   QpId remote_qp_{};
   int outstanding_ = 0;
+  /// ConnectionManager's use stamp for least-recently-used deactivation
+  /// (0 = never used).
+  std::uint64_t last_active_ = 0;
 };
 
 }  // namespace pd::rdma

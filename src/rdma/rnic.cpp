@@ -84,40 +84,42 @@ std::size_t CompletionQueue::poll_into(std::vector<Completion>& out,
 // ---------------------------------------------------------------------------
 
 Rnic& RdmaNetwork::rnic(NodeId node) {
-  auto it = rnics_.find(node);
-  PD_CHECK(it != rnics_.end(), "no RNIC on node " << node);
-  return *it->second;
+  Rnic* rnic = rnic_or_null(node);
+  PD_CHECK(rnic != nullptr, "no RNIC on node " << node);
+  return *rnic;
 }
 
 void RdmaNetwork::set_node_scheduler(NodeId node, sim::Scheduler& sched) {
-  PD_CHECK(rnics_.count(node) == 0,
+  PD_CHECK(!has_rnic(node),
            "pin node " << node << " to a shard before creating its RNIC");
   node_scheds_[node] = &sched;
 }
 
 sim::Scheduler& RdmaNetwork::scheduler_for(NodeId node) {
-  auto it = node_scheds_.find(node);
-  return it == node_scheds_.end() ? sched_ : *it->second;
+  sim::Scheduler* const* sched = node_scheds_.find(node);
+  return sched == nullptr ? sched_ : **sched;
 }
 
 std::vector<NodeId> RdmaNetwork::rnic_nodes() const {
   std::vector<NodeId> nodes;
   nodes.reserve(rnics_.size());
-  for (const auto& [id, rnic_ptr] : rnics_) nodes.push_back(id);
+  rnics_.for_each([&](NodeId id, Rnic* rnic) {
+    if (rnic != nullptr) nodes.push_back(id);
+  });
   std::sort(nodes.begin(), nodes.end(),
             [](NodeId a, NodeId b) { return a.value() < b.value(); });
   return nodes;
 }
 
 void RdmaNetwork::register_rnic(NodeId node, Rnic* rnic) {
-  PD_CHECK(rnics_.emplace(node, rnic).second,
-           "node " << node << " already has an RNIC");
+  PD_CHECK(!has_rnic(node), "node " << node << " already has an RNIC");
+  rnics_[node] = rnic;
   switch_.attach(node, scheduler_for(node));
 }
 
 void RdmaNetwork::unregister_rnic(NodeId node) {
-  rnics_.erase(node);
-  datagram_handlers_.erase(node);
+  rnics_[node] = nullptr;
+  datagram_handlers_[node] = nullptr;
 }
 
 void RdmaNetwork::set_datagram_handler(NodeId node, DatagramHandler handler) {
@@ -127,23 +129,22 @@ void RdmaNetwork::set_datagram_handler(NodeId node, DatagramHandler handler) {
 void RdmaNetwork::send_datagram(NodeId from, NodeId to, const Datagram& d) {
   PD_CHECK(switch_.attached(from) && switch_.attached(to),
            "datagram between unattached nodes " << from << " -> " << to);
-  if (auto it = rnics_.find(from); it != rnics_.end()) {
-    ++it->second->counters_.datagrams;
-  }
+  if (Rnic* rnic = rnic_or_null(from)) ++rnic->counters_.datagrams;
   switch_.send(from, to, kDatagramBytes, [this, from, to, d] {
-    auto it = datagram_handlers_.find(to);
-    if (it != datagram_handlers_.end() && it->second) it->second(from, d);
+    DatagramHandler* handler = datagram_handlers_.find(to);
+    if (handler != nullptr && *handler) (*handler)(from, d);
   });
 }
 
 void RdmaNetwork::fail_node_qps(NodeId node) {
-  for (auto& [id, rnic] : rnics_) {
+  rnics_.for_each([node](NodeId id, Rnic* rnic) {
+    if (rnic == nullptr) return;
     if (id == node) {
       rnic->fail_qps();
     } else {
       rnic->fail_qps(node);
     }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -244,17 +245,18 @@ std::uint8_t Rnic::mr_access(PoolId pool) const {
 }
 
 QueuePair& Rnic::create_qp(TenantId tenant) {
-  const QpId id{(node_.value() << 20) | next_qp_++};
-  auto qp = std::make_unique<QueuePair>(*this, id, tenant);
-  QueuePair* raw = qp.get();
-  qps_.emplace(id, std::move(qp));
-  return *raw;
+  const auto counter = static_cast<std::uint32_t>(qps_.size() + 1);
+  PD_CHECK(counter < kQpCounterSpan, "QP counter exhausted on node " << node_);
+  const QpId id{(node_.value() << 20) | counter};
+  qps_.push_back(std::make_unique<QueuePair>(*this, id, tenant));
+  return *qps_.back();
 }
 
 QueuePair& Rnic::qp(QpId id) {
-  auto it = qps_.find(id);
-  PD_CHECK(it != qps_.end(), "unknown QP " << id << " on node " << node_);
-  return *it->second;
+  const std::size_t idx = (id.value() & (kQpCounterSpan - 1)) - 1;
+  PD_CHECK(idx < qps_.size() && qps_[idx]->id() == id,
+           "unknown QP " << id << " on node " << node_);
+  return *qps_[idx];
 }
 
 void Rnic::post_srq_recv(TenantId tenant, const mem::BufferDescriptor& buffer) {
@@ -283,14 +285,13 @@ void Rnic::post_srq_recv(TenantId tenant, const mem::BufferDescriptor& buffer) {
 }
 
 std::size_t Rnic::srq_depth(TenantId tenant) const {
-  auto it = srqs_.find(tenant);
-  return it == srqs_.end() ? 0 : it->second.size();
+  const auto* srq = srqs_.find(tenant);
+  return srq == nullptr ? 0 : srq->size();
 }
 
 Rnic::QpStateCounts Rnic::qp_state_counts() const {
   QpStateCounts c;
-  for (const auto& [id, qp] : qps_) {
-    (void)id;
+  for (const auto& qp : qps_) {
     switch (qp->state()) {
       case QpState::kReset: ++c.reset; break;
       case QpState::kConnecting: ++c.connecting; break;
@@ -304,41 +305,39 @@ Rnic::QpStateCounts Rnic::qp_state_counts() const {
 
 int Rnic::sq_outstanding() const {
   int total = 0;
-  for (const auto& [id, qp] : qps_) {
-    (void)id;
-    total += qp->outstanding();
-  }
+  for (const auto& qp : qps_) total += qp->outstanding();
   return total;
 }
 
 std::size_t Rnic::rnr_depth(TenantId tenant) const {
-  auto it = rnr_queues_.find(tenant);
-  return it == rnr_queues_.end() ? 0 : it->second.size();
+  const auto* rnr = rnr_queues_.find(tenant);
+  return rnr == nullptr ? 0 : rnr->size();
 }
 
 std::size_t Rnic::drain_srq(TenantId tenant) {
-  auto it = srqs_.find(tenant);
-  if (it == srqs_.end()) return 0;
-  const std::size_t drained = it->second.size();
-  for (const mem::BufferDescriptor& d : it->second) {
+  auto* srq = srqs_.find(tenant);
+  if (srq == nullptr) return 0;
+  const std::size_t drained = srq->size();
+  for (const mem::BufferDescriptor& d : *srq) {
     if (drain_listener_) drain_listener_(tenant, d);
     host_mem_.by_pool(d.pool).pool().release(d, mem::actor_rnic(node_));
   }
-  it->second.clear();
+  srq->clear();
   return drained;
 }
 
 std::size_t Rnic::drain_all_srqs() {
+  // Tenants drain independently (each into its own pool and RBR entry),
+  // so the visiting order does not reach the model.
   std::size_t drained = 0;
-  for (auto& [tenant, srq] : srqs_) {
-    (void)srq;
+  srqs_.for_each([&](TenantId tenant, const auto&) {
     drained += drain_srq(tenant);
-  }
+  });
   return drained;
 }
 
 void Rnic::fail_qps(NodeId peer) {
-  for (auto& [id, qp] : qps_) {
+  for (auto& qp : qps_) {
     if (peer.valid() && qp->remote_node() != peer) continue;
     if (qp->connected() || qp->state() == QpState::kConnecting) qp->fail();
   }

@@ -5,6 +5,10 @@
 // that zero-copy permits), QP-cache thrashing beyond a bounded active set,
 // per-tenant shared receive queues, and RNR handling when a tenant's SRQ
 // underruns.
+//
+// Per-WR and per-CQE lookups index tables: QPs by the creation counter in
+// their id's low 20 bits, SRQs and RNR queues by tenant, and the network's
+// RNICs, datagram handlers and shard pins by node (IdTable).
 #pragma once
 
 #include <deque>
@@ -13,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "fabric/fabric.hpp"
 #include "mem/memory_domain.hpp"
 #include "rdma/qp.hpp"
@@ -65,7 +70,7 @@ class RdmaNetwork {
 
   /// Run `fn` at absolute simulated time `t` on the shard owning `node`,
   /// through the fabric's delivery hook (fabric::Switch::set_remote_post).
-  void post_to_node(NodeId node, sim::TimePoint t, sim::EventFn fn) {
+  void post_to_node(NodeId node, sim::TimePoint t, sim::EventFn&& fn) {
     switch_.post(node, t, std::move(fn));
   }
 
@@ -74,7 +79,7 @@ class RdmaNetwork {
   [[nodiscard]] std::vector<NodeId> rnic_nodes() const;
   Rnic& rnic(NodeId node);
   [[nodiscard]] bool has_rnic(NodeId node) const {
-    return rnics_.count(node) != 0;
+    return rnic_or_null(node) != nullptr;
   }
 
   /// Send an unreliable control datagram. Delivery is best-effort: a
@@ -96,9 +101,15 @@ class RdmaNetwork {
 
   sim::Scheduler& sched_;
   fabric::Switch switch_;
-  std::unordered_map<NodeId, Rnic*> rnics_;
-  std::unordered_map<NodeId, DatagramHandler> datagram_handlers_;
-  std::unordered_map<NodeId, sim::Scheduler*> node_scheds_;
+  [[nodiscard]] Rnic* rnic_or_null(NodeId node) const {
+    Rnic* const* rnic = rnics_.find(node);
+    return rnic == nullptr ? nullptr : *rnic;
+  }
+
+  /// A destroyed RNIC leaves nullptr (IdTable entries are never removed).
+  IdTable<NodeId, Rnic*> rnics_;
+  IdTable<NodeId, DatagramHandler> datagram_handlers_;
+  IdTable<NodeId, sim::Scheduler*> node_scheds_;
 };
 
 struct RnicCounters {
@@ -256,14 +267,16 @@ class Rnic {
   /// Ledger resource name, e.g. "node1/rnic".
   std::string ledger_name_;
 
-  std::unordered_map<QpId, std::unique_ptr<QueuePair>> qps_;
-  std::uint32_t next_qp_ = 1;
+  /// A QpId is (node << 20) | creation counter, counting from 1; the QP
+  /// with counter c sits at qps_[c - 1].
+  static constexpr std::uint32_t kQpCounterSpan = 1u << 20;
+  std::vector<std::unique_ptr<QueuePair>> qps_;
   int active_qps_ = 0;
 
   /// Registered-MR flags, flat-indexed by PoolId value (checked on every
   /// WR post and SRQ post — a hash lookup here shows up in profiles).
   std::vector<char> registered_;
-  std::unordered_map<TenantId, std::deque<mem::BufferDescriptor>> srqs_;
+  IdTable<TenantId, std::deque<mem::BufferDescriptor>> srqs_;
   /// Messages that hit an empty SRQ wait here (RNR retry behaviour), at
   /// most cost::kRnrQueueLimit per tenant.
   struct PendingRecv {
@@ -271,7 +284,7 @@ class Rnic {
     std::uint32_t len;
     std::vector<std::byte> payload;
   };
-  std::unordered_map<TenantId, std::deque<PendingRecv>> rnr_queues_;
+  IdTable<TenantId, std::deque<PendingRecv>> rnr_queues_;
 
   DrainListener drain_listener_;
   std::unordered_map<PoolId, WriteMonitor> write_monitors_;

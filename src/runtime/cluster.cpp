@@ -137,7 +137,7 @@ Cluster::Cluster(sim::ParallelSim& psim, ClusterConfig config)
     rdma_net_ = std::make_unique<rdma::RdmaNetwork>(sched_);
     rdma_net_->fabric().set_topology(&topo_);
     rdma_net_->fabric().set_remote_post(
-        [this](NodeId dst, sim::TimePoint t, sim::EventFn fn) {
+        [this](NodeId dst, sim::TimePoint t, sim::EventFn&& fn) {
           psim_.post(shard_of(dst), t, std::move(fn));
         });
   }
@@ -178,13 +178,13 @@ Cluster::~Cluster() {
 }
 
 sim::Scheduler& Cluster::scheduler_for(NodeId node) {
-  auto it = node_shard_.find(node);
-  return it == node_shard_.end() ? sched_ : psim_.shard(it->second);
+  const std::size_t* shard = node_shard_.find(node);
+  return shard == nullptr ? sched_ : psim_.shard(*shard);
 }
 
 std::size_t Cluster::shard_of(NodeId node) const {
-  auto it = node_shard_.find(node);
-  return it == node_shard_.end() ? 0 : it->second;
+  const std::size_t* shard = node_shard_.find(node);
+  return shard == nullptr ? 0 : *shard;
 }
 
 void Cluster::enable_shard_tracing(std::uint64_t n) {
@@ -409,7 +409,7 @@ void Cluster::register_flight_probes(WorkerNode& node,
 
 WorkerNode& Cluster::add_worker(NodeId id) {
   PD_CHECK(!setup_done_, "topology frozen after finish_setup");
-  PD_CHECK(by_id_.find(id) == by_id_.end(), "worker " << id << " exists");
+  PD_CHECK(!by_id_.contains(id), "worker " << id << " exists");
   if (topo_.multi_switch()) {
     // Workers fill leaf switches in admission order; leaf 0 is the edge
     // (ingress node and clients), so the first worker starts leaf 1.
@@ -436,14 +436,14 @@ WorkerNode& Cluster::add_worker(NodeId id) {
                "workers shards");
     }
   }
-  node_shard_[id] = shard;
+  node_shard_.insert(id, shard);
   if (rdma_net_ != nullptr) {
     rdma_net_->set_node_scheduler(id, psim_.shard(shard));
   }
   auto node = std::make_unique<WorkerNode>(*this, id);
   WorkerNode* raw = node.get();
   nodes_.push_back(std::move(node));
-  by_id_[id] = raw;
+  by_id_.insert(id, raw);
   refresh_lookahead_matrix();
   return *raw;
 }
@@ -471,10 +471,10 @@ void Cluster::refresh_lookahead_matrix() {
   // bound — that is what makes the adaptive horizons pay off at scale.
   std::vector<std::uint32_t> leaf(n, 0);
   std::vector<std::vector<NodeId>> shard_nodes(n);
-  for (const auto& [node, shard] : node_shard_) {
+  node_shard_.for_each([&](NodeId node, std::size_t shard) {
     leaf[shard] = topo_.leaf_of(node);  // kLeafPerShard: uniform per shard
     shard_nodes[shard].push_back(node);
-  }
+  });
   const sim::Duration flat = fabric::cross_node_lookahead();
   // Worker pairs with no shared tenant exchange no traffic — finish_setup
   // builds no RC pools between them — so they carry no direct edge; the
@@ -510,13 +510,13 @@ void Cluster::refresh_lookahead_matrix() {
 }
 
 WorkerNode& Cluster::worker(NodeId id) {
-  auto it = by_id_.find(id);
-  PD_CHECK(it != by_id_.end(), "unknown worker " << id);
-  return *it->second;
+  WorkerNode** node = by_id_.find(id);
+  PD_CHECK(node != nullptr, "unknown worker " << id);
+  return **node;
 }
 
 bool Cluster::has_worker(NodeId id) const {
-  return by_id_.find(id) != by_id_.end();
+  return by_id_.contains(id);
 }
 
 void Cluster::add_tenant(TenantId tenant, std::uint32_t weight) {

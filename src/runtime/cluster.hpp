@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baselines/fuyao_engine.hpp"
+#include "common/id_table.hpp"
 #include "baselines/tcp_engine.hpp"
 #include "core/engine.hpp"
 #include "fabric/topology.hpp"
@@ -347,7 +348,7 @@ class Cluster {
   std::shared_ptr<baselines::TcpRelayDirectory> tcp_directory_;
   std::shared_ptr<baselines::FuyaoDirectory> fuyao_directory_;
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
-  std::unordered_map<NodeId, WorkerNode*> by_id_;
+  IdTable<NodeId, WorkerNode*> by_id_;
   std::unordered_map<TenantId, std::uint32_t> tenants_;
   /// Host scope per tenant (empty vector = every node, the default).
   /// Drives which node pairs finish_setup() meshes and which shard pairs
@@ -362,7 +363,7 @@ class Cluster {
   bool setup_done_ = false;
   bool flight_started_ = false;
 
-  std::unordered_map<NodeId, std::size_t> node_shard_;
+  IdTable<NodeId, std::size_t> node_shard_;
   std::size_t next_shard_ = 1;  ///< shard 0 is the edge
   std::vector<std::unique_ptr<obs::Hub>> shard_hubs_;
   bool shard_profiling_ = false;

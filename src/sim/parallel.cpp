@@ -176,7 +176,7 @@ void ParallelSim::set_shard_hooks(ShardHook enter, ShardHook leave) {
   leave_shard_ = std::move(leave);
 }
 
-void ParallelSim::post(std::size_t dst, TimePoint t, EventFn fn,
+void ParallelSim::post(std::size_t dst, TimePoint t, EventFn&& fn,
                        bool foreground) {
   PD_CHECK(dst < shards_.size(), "post to unknown shard " << dst);
   const std::size_t src = tl_shard;
@@ -209,7 +209,7 @@ void ParallelSim::post(std::size_t dst, TimePoint t, EventFn fn,
   // > now (t >= now + D[src][dst] and D[dst][src] >= 1), so the event
   // currently executing is never invalidated.
   sender.window_cap = std::min(sender.window_cap, sat_add(t, d_in_[src][dst]));
-  sender.outbox[dst].push_back(CrossEvent{t, foreground, std::move(fn)});
+  sender.outbox[dst].emplace_back(t, foreground, std::move(fn));
 }
 
 void ParallelSim::drain(std::size_t k) {

@@ -99,7 +99,7 @@ class ParallelSim {
   /// shard's now() + D[src][dst]); outside a run (setup phase) any future
   /// time is accepted and the event is scheduled directly. `foreground`
   /// mirrors Scheduler::schedule_at vs schedule_background_at.
-  void post(std::size_t dst, TimePoint t, EventFn fn, bool foreground = true);
+  void post(std::size_t dst, TimePoint t, EventFn&& fn, bool foreground = true);
 
   /// How long a thread waiting at the epoch barrier spins before it parks.
   /// An epoch of a few hundred events executes in tens of µs, so an early

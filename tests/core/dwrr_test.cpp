@@ -4,6 +4,7 @@
 
 #include <map>
 #include <numeric>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -31,6 +32,24 @@ TEST(Dwrr, UnknownTenantRejected) {
   s.add_tenant(TenantId{1}, 1);
   EXPECT_THROW(s.add_tenant(TenantId{1}, 2), CheckFailure);
   EXPECT_THROW(s.add_tenant(TenantId{2}, 0), CheckFailure);
+}
+
+TEST(Dwrr, ServesInRegistrationOrderNotIdOrder) {
+  DwrrScheduler<int> s;
+  s.add_tenant(TenantId{5}, 1);
+  s.add_tenant(TenantId{2}, 1);
+  s.add_tenant(TenantId{9}, 1);
+  for (int round = 0; round < 2; ++round) {
+    s.enqueue(TenantId{9}, 90 + round);
+    s.enqueue(TenantId{2}, 20 + round);
+    s.enqueue(TenantId{5}, 50 + round);
+  }
+  EXPECT_EQ(s.pending_for(TenantId{2}), 2u);
+  EXPECT_EQ(s.pending_for(TenantId{7}), 0u);  // unknown tenant
+  EXPECT_EQ(s.deficit_of(TenantId{7}), 0u);
+  std::vector<int> order;
+  while (auto item = s.dequeue()) order.push_back(*item);
+  EXPECT_EQ(order, (std::vector<int>{50, 20, 90, 51, 21, 91}));
 }
 
 TEST(Dwrr, BackloggedSharesMatchWeights) {

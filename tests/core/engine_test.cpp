@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/seq_ring.hpp"
 #include "proto/cost_model.hpp"
 
 namespace pd::core {
@@ -265,6 +266,71 @@ TEST_F(EngineTest, TenantAdmissionGateShedsExplicitlyAndRecovers) {
   }
   EXPECT_EQ(eng1->counters().shed_admission, shed_before);
   EXPECT_EQ(dst_got.size() + src_got.size(), 20u);
+}
+
+TEST(SeqRing, GrowsPastALongLivedSeqAndNeverWrapsOntoIt) {
+  SeqRing<int> ring;
+  ring.insert(1, -1);
+  for (std::uint64_t seq = 2; seq <= 10'001; ++seq) {
+    ring.insert(seq, static_cast<int>(seq));
+    ASSERT_EQ(*ring.find(seq), static_cast<int>(seq));
+    ring.erase(seq);
+    ASSERT_EQ(*ring.find(1), -1);  // never overwritten by a later seq
+  }
+  EXPECT_GE(ring.capacity(), 10'001u);  // the window [1, 10001] forced growth
+  EXPECT_EQ(ring.size(), 1u);
+  ring.erase(1);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.find(1), nullptr);       // retired
+  EXPECT_EQ(ring.find(10'001), nullptr);  // retired
+  EXPECT_EQ(ring.find(10'002), nullptr);  // never issued
+  EXPECT_EQ(ring.find(0), nullptr);       // "unsequenced"
+  EXPECT_THROW(ring.erase(1), CheckFailure);
+  EXPECT_THROW(ring.insert(10'001, 0), CheckFailure);  // not increasing
+}
+
+TEST_F(EngineTest, LongUnackedSeqSurvivesTenThousandNewerAcks) {
+  EngineConfig cfg;
+  cfg.retransmit_timeout = 10'000'000'000;  // 10 s: seq 1 stays pending
+  build(cfg);
+  // Seq 1's frame dies on node 2's dark port, so no ACK ever comes back.
+  net.fabric().set_node_down(kNode2, true);
+  send_one();
+  sched.run_until(sched.now() + 100'000);
+  net.fabric().set_node_down(kNode2, false);
+  ASSERT_EQ(eng1->unacked_count(), 1u);
+  ASSERT_TRUE(dst_got.empty());
+
+  auto& pool2 = mem2.by_tenant(kTenant).pool();
+  for (int i = 0; i < 10'000; ++i) {
+    send_one();
+    sched.run_until(sched.now() + 20'000);
+    for (const auto& d : dst_got) pool2.release(d, mem::actor_function(kDstFn));
+    dst_got.clear();
+  }
+  EXPECT_EQ(eng1->counters().acks_rx, 10'000u);
+  EXPECT_EQ(eng1->unacked_count(), 1u);
+  EXPECT_EQ(eng1->tenant_unacked(kTenant), 1u);
+  EXPECT_EQ(eng1->counters().retransmits, 0u);
+
+  // The late ACK for seq 1 retires it.
+  net.send_datagram(kNode2, kNode1, rdma::Datagram{rdma::Datagram::Kind::kAck, 1});
+  sched.run_until(sched.now() + 20'000);
+  EXPECT_EQ(eng1->counters().acks_rx, 10'001u);
+  EXPECT_EQ(eng1->unacked_count(), 0u);
+  EXPECT_EQ(eng1->tenant_unacked(kTenant), 0u);
+  EXPECT_EQ(eng1->counters().recycled, 10'001u);
+
+  // An ACK for a retired or never-issued seq is ignored.
+  for (std::uint64_t seq : {std::uint64_t{1}, std::uint64_t{5'000},
+                            std::uint64_t{99'999}}) {
+    net.send_datagram(kNode2, kNode1,
+                      rdma::Datagram{rdma::Datagram::Kind::kAck, seq});
+  }
+  sched.run_until(sched.now() + 20'000);
+  EXPECT_EQ(eng1->counters().acks_rx, 10'001u);
+  EXPECT_EQ(eng1->counters().recycled, 10'001u);
+  EXPECT_EQ(eng1->unacked_count(), 0u);
 }
 
 }  // namespace

@@ -70,6 +70,7 @@ TEST(IntraNodeRouting, LocalityQueries) {
 TEST(Rbr, PostConsumeReplenishCycle) {
   ReceiveBufferRegistry rbr;
   const TenantId t{1};
+  rbr.add_tenant(t, PoolId{1}, 4);
   const mem::BufferDescriptor b1{PoolId{1}, 0, 0, t};
   const mem::BufferDescriptor b2{PoolId{1}, 1, 0, t};
   rbr.on_posted(t, b1);
@@ -79,16 +80,50 @@ TEST(Rbr, PostConsumeReplenishCycle) {
   EXPECT_EQ(rbr.outstanding(t), 1u);
   EXPECT_EQ(rbr.take_consumed(t), 1u);
   EXPECT_EQ(rbr.take_consumed(t), 0u);  // counter reset
+  rbr.on_posted(t, b1);  // a consumed slot can be posted again
+  EXPECT_EQ(rbr.outstanding(t), 2u);
 }
 
 TEST(Rbr, MismatchesRejected) {
   ReceiveBufferRegistry rbr;
   const TenantId t{1};
+  const TenantId other{2};
+  rbr.add_tenant(t, PoolId{1}, 4);
+  rbr.add_tenant(other, PoolId{2}, 4);
+  EXPECT_THROW(rbr.add_tenant(t, PoolId{3}, 4), CheckFailure);
   const mem::BufferDescriptor b{PoolId{1}, 0, 0, t};
   EXPECT_THROW(rbr.on_consumed(t, b), CheckFailure);  // never posted
   rbr.on_posted(t, b);
   EXPECT_THROW(rbr.on_posted(t, b), CheckFailure);  // double post
-  EXPECT_THROW(rbr.on_consumed(TenantId{2}, b), CheckFailure);  // wrong tenant
+  EXPECT_THROW(rbr.on_consumed(other, b), CheckFailure);  // wrong tenant
+  EXPECT_THROW(rbr.on_consumed(TenantId{7}, b), CheckFailure);  // unknown
+  // A buffer outside the tenant's pool, by pool or by slot index.
+  EXPECT_THROW(rbr.on_consumed(t, mem::BufferDescriptor{PoolId{2}, 0, 0, t}),
+               CheckFailure);
+  EXPECT_THROW(rbr.on_posted(t, mem::BufferDescriptor{PoolId{1}, 4, 0, t}),
+               CheckFailure);
+  // The failed calls left the books untouched.
+  EXPECT_EQ(rbr.outstanding(t), 1u);
+  EXPECT_EQ(rbr.outstanding(other), 0u);
+  rbr.on_consumed(t, b);
+  EXPECT_EQ(rbr.take_consumed(t), 1u);
+}
+
+TEST(Rbr, FaultDrainReconciles) {
+  ReceiveBufferRegistry rbr;
+  const TenantId t{1};
+  rbr.add_tenant(t, PoolId{1}, 4);
+  const mem::BufferDescriptor b{PoolId{1}, 3, 0, t};
+  EXPECT_THROW(rbr.on_dropped(t, b), CheckFailure);  // never posted
+  rbr.on_posted(t, b);
+  EXPECT_THROW(rbr.on_dropped(TenantId{2}, b), CheckFailure);  // mismatch
+  rbr.on_dropped(t, b);
+  // The drain is a deficit for the replenisher, not a consumption.
+  EXPECT_EQ(rbr.outstanding(t), 0u);
+  EXPECT_EQ(rbr.take_consumed(t), 0u);
+  EXPECT_THROW(rbr.on_consumed(t, b), CheckFailure);  // no longer posted
+  rbr.on_posted(t, b);  // re-posting the drained slot is legal
+  EXPECT_EQ(rbr.outstanding(t), 1u);
 }
 
 }  // namespace

@@ -76,6 +76,21 @@ class RnicTest : public ::testing::Test {
   Rnic rnic2;
 };
 
+TEST_F(RnicTest, QpLookupIsByIdWithUnknownIdsRejected) {
+  QueuePair& a = rnic1.create_qp(kTenant);
+  QueuePair& b = rnic1.create_qp(TenantId{2});
+  QueuePair& c = rnic2.create_qp(kTenant);
+  EXPECT_EQ(&rnic1.qp(a.id()), &a);
+  EXPECT_EQ(&rnic1.qp(b.id()), &b);
+  EXPECT_EQ(rnic1.qp(b.id()).tenant(), TenantId{2});
+  EXPECT_EQ(&rnic2.qp(c.id()), &c);
+  // Same creation counter, other node: not this RNIC's QP.
+  EXPECT_THROW((void)rnic1.qp(c.id()), CheckFailure);
+  EXPECT_THROW((void)rnic1.qp(QpId{(kNode1.value() << 20) | 3}), CheckFailure);
+  EXPECT_THROW((void)rnic1.qp(QpId{kNode1.value() << 20}), CheckFailure);
+  EXPECT_THROW((void)rnic1.qp(QpId::invalid()), CheckFailure);
+}
+
 TEST_F(RnicTest, RegistrationRequiresRdmaExport) {
   mem::MemoryDomain dom(NodeId{9});
   auto& tm = dom.create_tenant_pool(TenantId{5}, "t5", 4, 64);

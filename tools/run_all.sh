@@ -81,8 +81,22 @@ gate() {
   fi
 }
 
+# configure DIR [ARGS...]: configure DIR with warnings as errors plus ARGS.
+# Ninja is asked for only when DIR has no CMakeCache.txt yet: CMake refuses
+# to switch the generator of a configured tree, and the tier-1 command
+# (`cmake -B build -S .`) configures build/ with the default generator.
+configure() {
+  dir=$1
+  shift
+  if [ -f "$dir/CMakeCache.txt" ]; then
+    cmake -B "$dir" -DPALLADIUM_WERROR=ON "$@"
+  else
+    cmake -B "$dir" -G Ninja -DPALLADIUM_WERROR=ON "$@"
+  fi
+}
+
 if [ "$1" = "chaos" ]; then
-  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
+  configure build
   cmake --build build
   : > chaos_output.txt
   gate chaos_output.txt ctest --test-dir build -L chaos --output-on-failure
@@ -119,8 +133,7 @@ if [ "$1" = "chaos" ]; then
 fi
 
 if [ "$1" = "tsan" ]; then
-  cmake -B build-tsan -G Ninja -DPALLADIUM_WERROR=ON -DPD_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  configure build-tsan -DPD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan --target pdes_test fig16_boutique
   : > tsan_output.txt
   gate tsan_output.txt env TSAN_OPTIONS=halt_on_error=1 \
@@ -137,7 +150,7 @@ if [ "$1" = "tsan" ]; then
 fi
 
 if [ "$1" = "overload" ]; then
-  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
+  configure build
   cmake --build build
   : > overload_output.txt
   gate overload_output.txt \
@@ -178,7 +191,7 @@ if [ "$1" = "overload" ]; then
 fi
 
 if [ "$1" = "ledger" ]; then
-  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
+  configure build
   cmake --build build
   : > ledger_output.txt
   gate ledger_output.txt ctest --test-dir build -L ledger --output-on-failure
@@ -231,7 +244,7 @@ if [ "$1" = "ledger" ]; then
 fi
 
 if [ "$1" = "cartstore" ]; then
-  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
+  configure build
   cmake --build build
   : > cartstore_output.txt
   gate cartstore_output.txt \
@@ -270,7 +283,7 @@ if [ "$1" = "cartstore" ]; then
 fi
 
 if [ "$1" = "scale" ]; then
-  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
+  configure build
   cmake --build build
   : > scale_output.txt
   gate scale_output.txt ctest --test-dir build -L pdes --output-on-failure
@@ -331,7 +344,7 @@ if [ "$1" = "scale" ]; then
 fi
 
 if [ "$1" = "obs" ]; then
-  cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
+  configure build
   cmake --build build
   : > obs_output.txt
   gate obs_output.txt \
@@ -393,8 +406,7 @@ if [ "$1" = "obs" ]; then
 fi
 
 if [ "$1" = "asan" ]; then
-  cmake -B build-asan -G Ninja -DPALLADIUM_WERROR=ON \
-    -DPD_SANITIZE=address,undefined \
+  configure build-asan -DPD_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan
   : > test_output.txt
@@ -404,7 +416,7 @@ if [ "$1" = "asan" ]; then
   exit 0
 fi
 
-cmake -B build -G Ninja -DPALLADIUM_WERROR=ON
+configure build
 cmake --build build
 : > test_output.txt
 gate test_output.txt ctest --test-dir build
