@@ -68,6 +68,7 @@ void BM_RbrPostConsume(benchmark::State& state) {
   core::ReceiveBufferRegistry rbr;
   const TenantId t{1};
   mem::BufferDescriptor d{PoolId{1}, 0, 64, t};
+  rbr.add_tenant(t, d.pool, 1);
   for (auto _ : state) {
     rbr.on_posted(t, d);
     rbr.on_consumed(t, d);

@@ -449,9 +449,7 @@ bool NetworkEngine::is_duplicate(NodeId sender, std::uint64_t seq) {
   // admission): a seq falling out of it can no longer be retransmitted by a
   // live sender, so anything below the window is treated as a replay.
   constexpr std::uint64_t kBits = DedupWindow::kBits;
-  std::unique_ptr<DedupWindow>& slot = dedup_[sender];
-  if (!slot) slot = std::make_unique<DedupWindow>();
-  DedupWindow& w = *slot;
+  DedupWindow& w = dedup_[sender];
   if (seq > w.max_seq) {
     // Seqs entering the window reuse slots of ancient ones: clear the gap.
     if (seq - w.max_seq >= kBits) {

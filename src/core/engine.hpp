@@ -332,9 +332,8 @@ class NetworkEngine : public DataPlane {
     std::uint64_t max_seq = 0;
     std::array<std::uint64_t, kBits / 64> bits{};
   };
-  /// Allocated per sender actually seen: a window per possible node id
-  /// would cost ~0.5 KiB per id on every engine.
-  IdTable<NodeId, std::unique_ptr<DedupWindow>> dedup_;
+  /// One window per sender seen.
+  IdTable<NodeId, DedupWindow> dedup_;
 };
 
 }  // namespace pd::core

@@ -287,6 +287,14 @@ TEST(SeqRing, GrowsPastALongLivedSeqAndNeverWrapsOntoIt) {
   EXPECT_EQ(ring.find(0), nullptr);       // "unsequenced"
   EXPECT_THROW(ring.erase(1), CheckFailure);
   EXPECT_THROW(ring.insert(10'001, 0), CheckFailure);  // not increasing
+  // With the long-lived seq gone the window is short again: the ring
+  // halves back to its initial size instead of keeping its peak.
+  for (std::uint64_t seq = 10'002; seq <= 10'101; ++seq) {
+    ring.insert(seq, 0);
+    ring.erase(seq);
+  }
+  EXPECT_LE(ring.capacity(), 16u);
+  EXPECT_EQ(ring.size(), 0u);
 }
 
 TEST_F(EngineTest, LongUnackedSeqSurvivesTenThousandNewerAcks) {
