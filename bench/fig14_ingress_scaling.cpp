@@ -70,7 +70,6 @@ Series run(Design design) {
                                              : proto::StackKind::kKernel;
     icfg.cores = design == Design::kFIngress ? 1 : 8;  // kernel RSS over 8
     icfg.autoscale = design == Design::kFIngress;
-    icfg.max_workers = 8;
     auto p = std::make_unique<ingress::ProxyIngress>(*cluster, icfg);
     p->expose_chain("/echo", 1);
     p->finish_setup();

@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   if (timeline) {
     // 1 ms sampling over the whole topology: engines, RNICs, buffer pools,
     // DWRR state, QP health, cores, plus the gateway's edge-side gauges.
-    cluster->start_flight_recorder({});
+    cluster->start_flight_recorder();
     gateway.start_flight_probes();
   }
 

@@ -8,8 +8,20 @@
 namespace pd::control {
 
 namespace {
-/// EdgeController scale-up signal: SLO burn at/above this.
+/// Both controllers evaluate once per period.
+constexpr sim::Duration kPeriod = 50'000'000;  // 50 ms
+/// Consecutive up- / down-signal periods before either controller acts.
+constexpr int kUpHysteresis = 2;
+constexpr int kDownHysteresis = 8;
+static_assert(kPeriod > 0 && kUpHysteresis >= 1 && kDownHysteresis >= 1);
+/// Quiet periods after any EdgeController / InstanceAutoscaler scaling
+/// action.
+constexpr int kEdgeCooldown = 4;
+constexpr int kInstanceCooldown = 2;
+/// EdgeController scale-up signal: SLO burn at/above this, or pending
+/// requests per active worker at/above kPendingUp.
 constexpr double kBurnUp = 1.0;
+constexpr std::size_t kPendingUp = 24;
 /// EdgeController scale-down signal: burn at/below kBurnDown AND pending
 /// requests per worker at/below kPendingDown (and the cores quiet).
 constexpr double kBurnDown = 0.25;
@@ -26,6 +38,9 @@ constexpr int kPressureOnHysteresis = 2;
 /// extends the outage, so both hold while the cores carry more than
 /// this much queued work.
 constexpr sim::Duration kWorkerBacklogQuietNs = 1'000'000;  // 1 ms
+/// InstanceAutoscaler scale-up signal: pending compute jobs per active
+/// replica at/above this.
+constexpr std::uint64_t kJobsUp = 4;
 /// InstanceAutoscaler scale-down signal: total pending jobs at/below this
 /// with more than one replica.
 constexpr std::uint64_t kJobsDown = 1;
@@ -50,16 +65,12 @@ EdgeController::EdgeController(ingress::PalladiumIngress& ingress,
     : ingress_(ingress),
       admission_(admission),
       sched_(sched),
-      config_(std::move(config)) {
-  PD_CHECK(config_.period > 0, "controller period must be positive");
-  PD_CHECK(config_.up_hysteresis >= 1 && config_.down_hysteresis >= 1,
-           "hysteresis must be at least one period");
-}
+      config_(std::move(config)) {}
 
 void EdgeController::start() {
   PD_CHECK(!started_, "EdgeController started twice");
   started_ = true;
-  sched_.schedule_background_after(config_.period, [this] { tick(); });
+  sched_.schedule_background_after(kPeriod, [this] { tick(); });
 }
 
 void EdgeController::tick() {
@@ -99,7 +110,7 @@ void EdgeController::tick() {
 
   // --- horizontal worker scaling ------------------------------------------
   const bool up_signal =
-      burn >= kBurnUp || per_worker >= config_.pending_up;
+      burn >= kBurnUp || per_worker >= kPendingUp;
   const bool down_signal = burn <= kBurnDown &&
                            per_worker <= kPendingDown && cores_quiet;
   if (up_signal) {
@@ -114,21 +125,21 @@ void EdgeController::tick() {
   if (cooldown_ > 0) --cooldown_;
 
   const int max_workers = ingress_.config().max_workers;
-  if (cooldown_ == 0 && up_run_ >= config_.up_hysteresis &&
+  if (cooldown_ == 0 && up_run_ >= kUpHysteresis &&
       workers < max_workers) {
     ingress_.scale_to(workers + 1);
     events_.push_back(ScaleEvent{sched_.now(), "ingress", workers, workers + 1,
                                  burn >= kBurnUp ? "burn" : "backlog"});
     if (hub != nullptr) hub->registry.counter("control.scale_up", "").inc();
-    cooldown_ = config_.cooldown;
+    cooldown_ = kEdgeCooldown;
     up_run_ = 0;
-  } else if (cooldown_ == 0 && down_run_ >= config_.down_hysteresis &&
+  } else if (cooldown_ == 0 && down_run_ >= kDownHysteresis &&
              workers > 1) {
     ingress_.scale_to(workers - 1);
     events_.push_back(
         ScaleEvent{sched_.now(), "ingress", workers, workers - 1, "idle"});
     if (hub != nullptr) hub->registry.counter("control.scale_down", "").inc();
-    cooldown_ = config_.cooldown;
+    cooldown_ = kEdgeCooldown;
     down_run_ = 0;
   }
 
@@ -176,7 +187,7 @@ void EdgeController::tick() {
     }
   }
 
-  sched_.schedule_background_after(config_.period, [this] { tick(); });
+  sched_.schedule_background_after(kPeriod, [this] { tick(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -184,17 +195,15 @@ void EdgeController::tick() {
 // ---------------------------------------------------------------------------
 
 InstanceAutoscaler::InstanceAutoscaler(runtime::FunctionInstance& fn,
-                                       sim::Scheduler& sched,
-                                       InstanceAutoscalerConfig config)
-    : fn_(fn), sched_(sched), config_(config) {
-  PD_CHECK(config_.period > 0, "controller period must be positive");
+                                       sim::Scheduler& sched)
+    : fn_(fn), sched_(sched) {
   PD_CHECK(fn_.replica_capacity() >= 1, "instance has no cores");
 }
 
 void InstanceAutoscaler::start() {
   PD_CHECK(!started_, "InstanceAutoscaler started twice");
   started_ = true;
-  sched_.schedule_background_after(config_.period, [this] { tick(); });
+  sched_.schedule_background_after(kPeriod, [this] { tick(); });
 }
 
 void InstanceAutoscaler::tick() {
@@ -209,7 +218,7 @@ void InstanceAutoscaler::tick() {
   }
 
   const bool up_signal =
-      per_replica >= config_.jobs_up && active < fn_.replica_capacity();
+      per_replica >= kJobsUp && active < fn_.replica_capacity();
   const bool down_signal = jobs <= kJobsDown && active > 1;
   if (up_signal) {
     ++up_run_;
@@ -222,7 +231,7 @@ void InstanceAutoscaler::tick() {
   }
   if (cooldown_ > 0) --cooldown_;
 
-  if (cooldown_ == 0 && up_run_ >= config_.up_hysteresis) {
+  if (cooldown_ == 0 && up_run_ >= kUpHysteresis) {
     fn_.set_active_replicas(active + 1);
     events_.push_back(ScaleEvent{sched_.now(), "fn:" + fn_.spec().name,
                                  static_cast<int>(active),
@@ -232,9 +241,9 @@ void InstanceAutoscaler::tick() {
           .counter("control.replica_scale_up", "fn=" + fn_.spec().name)
           .inc();
     }
-    cooldown_ = config_.cooldown;
+    cooldown_ = kInstanceCooldown;
     up_run_ = 0;
-  } else if (cooldown_ == 0 && down_run_ >= config_.down_hysteresis &&
+  } else if (cooldown_ == 0 && down_run_ >= kDownHysteresis &&
              active > 1) {
     fn_.set_active_replicas(active - 1);
     events_.push_back(ScaleEvent{sched_.now(), "fn:" + fn_.spec().name,
@@ -245,22 +254,21 @@ void InstanceAutoscaler::tick() {
           .counter("control.replica_scale_down", "fn=" + fn_.spec().name)
           .inc();
     }
-    cooldown_ = config_.cooldown;
+    cooldown_ = kInstanceCooldown;
     down_run_ = 0;
   }
 
-  sched_.schedule_background_after(config_.period, [this] { tick(); });
+  sched_.schedule_background_after(kPeriod, [this] { tick(); });
 }
 
 std::vector<std::unique_ptr<InstanceAutoscaler>> attach_instance_autoscalers(
-    runtime::Cluster& cluster, InstanceAutoscalerConfig config) {
+    runtime::Cluster& cluster) {
   std::vector<std::unique_ptr<InstanceAutoscaler>> out;
   for (FunctionId fn : cluster.deployed_functions()) {
     runtime::FunctionInstance& inst = cluster.instance(fn);
     if (inst.replica_capacity() <= 1) continue;  // nothing to actuate
     auto& sched = cluster.scheduler_for(cluster.placement_of(fn));
-    out.push_back(
-        std::make_unique<InstanceAutoscaler>(inst, sched, config));
+    out.push_back(std::make_unique<InstanceAutoscaler>(inst, sched));
     out.back()->start();
   }
   return out;

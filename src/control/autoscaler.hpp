@@ -52,15 +52,9 @@ enum class ShedPolicy : std::uint8_t { kBurnRate, kBlame };
 
 [[nodiscard]] const char* to_string(ShedPolicy policy);
 
+/// The loop period, scale-up backlog threshold, hysteresis and cooldowns
+/// are constants in autoscaler.cpp; these are what the caller decides.
 struct EdgeControllerConfig {
-  sim::Duration period = 50'000'000;  // 50 ms control loop
-  /// Scale-up signal: SLO burn at/above 1.0, or pending requests per
-  /// active worker at/above pending_up. (Scale-down needs burn and backlog
-  /// per worker both low, and the worker cores quiet.)
-  std::size_t pending_up = 48;
-  int up_hysteresis = 2;    ///< consecutive up-signal periods before acting
-  int down_hysteresis = 8;  ///< consecutive down-signal periods before acting
-  int cooldown = 4;         ///< quiet periods after any scaling action
   /// Admission pressure: engage when the watched SLO's burn holds at/above
   /// 1.0 for two periods; release when it holds at/below pressure_off for
   /// pressure_off_hysteresis periods.
@@ -112,19 +106,9 @@ class EdgeController {
   bool started_ = false;
 };
 
-struct InstanceAutoscalerConfig {
-  sim::Duration period = 50'000'000;  // 50 ms control loop
-  /// Scale up when pending compute jobs per active replica reach this.
-  std::uint64_t jobs_up = 4;
-  int up_hysteresis = 2;
-  int down_hysteresis = 8;
-  int cooldown = 2;
-};
-
 class InstanceAutoscaler {
  public:
-  InstanceAutoscaler(runtime::FunctionInstance& fn, sim::Scheduler& sched,
-                     InstanceAutoscalerConfig config = {});
+  InstanceAutoscaler(runtime::FunctionInstance& fn, sim::Scheduler& sched);
 
   void start();
 
@@ -137,7 +121,6 @@ class InstanceAutoscaler {
 
   runtime::FunctionInstance& fn_;
   sim::Scheduler& sched_;
-  InstanceAutoscalerConfig config_;
   std::vector<ScaleEvent> events_;
   int up_run_ = 0;
   int down_run_ = 0;
@@ -150,6 +133,6 @@ class InstanceAutoscaler {
 /// order (deterministic construction). Call start() is done here; the
 /// returned vector just owns them.
 std::vector<std::unique_ptr<InstanceAutoscaler>> attach_instance_autoscalers(
-    runtime::Cluster& cluster, InstanceAutoscalerConfig config = {});
+    runtime::Cluster& cluster);
 
 }  // namespace pd::control

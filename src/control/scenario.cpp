@@ -171,7 +171,6 @@ OverloadResult run_overload(const OverloadOptions& opts) {
   std::vector<std::unique_ptr<InstanceAutoscaler>> fn_scalers;
   if (opts.control) {
     EdgeControllerConfig ecfg;
-    ecfg.pending_up = 24;
     // Shedding the aggressor burns the aggressor's own SLO forever; only
     // the protected tenant's burn may drive pressure on/off.
     ecfg.pressure_slo = "shop-all";

@@ -131,7 +131,7 @@ struct OverloadResult {
   bool zero_loss = false;
 
   /// Integer-only JSON (deterministic across thread counts); the artifact
-  /// tools/report_diff.py and the golden gate consume.
+  /// tools/report_diff and the golden gate consume.
   [[nodiscard]] std::string json() const;
   /// Human-readable per-tenant SLO table for the demo's before/after view.
   [[nodiscard]] std::string table() const;

@@ -8,6 +8,15 @@
 
 namespace pd::core {
 
+namespace {
+/// Total send attempts per message (first send + retries) before the
+/// engine gives up and emits an explicit error completion.
+constexpr int kMaxSendAttempts = 4;
+/// Floor on any tenant's credit cap, so low-weight tenants keep enough
+/// credits to make progress even on a crowded node.
+constexpr std::size_t kMinTenantCredits = 8;
+}  // namespace
+
 const char* to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::kDneOffPath: return "DNE (off-path)";
@@ -135,7 +144,7 @@ void NetworkEngine::recompute_credit_caps() {
         total_weight == 0 ? config_.max_unacked
                           : config_.max_unacked * weight / total_weight);
     tenant_credit_.find(tenant)->cap =
-        std::max(config_.min_tenant_credits, share);
+        std::max(kMinTenantCredits, share);
   }
 }
 
@@ -522,7 +531,7 @@ void NetworkEngine::on_retransmit_timeout(std::uint64_t seq) {
                                     [this, seq] { on_retransmit_timeout(seq); });
     return;
   }
-  if (m.attempts >= config_.max_send_attempts) {
+  if (m.attempts >= kMaxSendAttempts) {
     finish_failure(seq, m);
     return;
   }

@@ -71,9 +71,6 @@ struct EngineConfig {
   /// Retransmit timeout per message (every message is sequenced and held
   /// until its ACK); must be positive.
   sim::Duration retransmit_timeout = 100'000;  // 100 µs
-  /// Total send attempts per message (first send + retries) before the
-  /// engine gives up and emits an explicit error completion.
-  int max_send_attempts = 4;
   /// Admission cap: once this many sequenced messages await ACKs, new
   /// ingest is shed with an error completion instead of queued (explicit
   /// back-pressure rather than silent loss under pool exhaustion).
@@ -87,9 +84,6 @@ struct EngineConfig {
   /// Requires use_dwrr (per-tenant queue depths are meaningless under the
   /// FCFS baseline).
   bool tenant_admission = false;
-  /// Floor on any tenant's credit cap, so low-weight tenants keep enough
-  /// credits to make progress even on a crowded node.
-  std::size_t min_tenant_credits = 8;
 };
 
 struct EngineCounters {

@@ -48,8 +48,6 @@ struct FaultPlanConfig {
   /// Idle gap drawn between the end of one episode and the next start.
   sim::Duration min_gap = 1'000'000;
   sim::Duration max_gap = 6'000'000;
-  sim::Duration min_stall = 100'000;
-  sim::Duration max_stall = 1'000'000;
 };
 
 struct FaultPlan {

@@ -15,6 +15,10 @@ namespace {
 constexpr sim::Duration kSeriesBucket = 1'000'000'000;  // 1 s
 /// Deadline-driven re-sends before the gateway answers 504.
 constexpr int kMaxRetries = 2;
+/// Receive buffers posted per tenant on the gateway's RNIC.
+constexpr int kSrqFill = 256;
+/// RC connections per (first-hop worker, tenant) pool.
+constexpr int kRcConnections = 2;
 
 }  // namespace
 
@@ -65,7 +69,7 @@ void PalladiumIngress::finish_setup() {
         cluster_.config().pool_buffers, cluster_.config().buffer_bytes);
     tm.export_to_rdma();
     rnic_->register_memory(tm.pool_id());
-    post_receives(tenant, config_.srq_fill);
+    post_receives(tenant, kSrqFill);
   }
 
   // Make the gateway reachable from every worker's data plane and
@@ -75,7 +79,7 @@ void PalladiumIngress::finish_setup() {
     const auto& chain = cluster_.chains().by_id(chain_id);
     const NodeId first_node = cluster_.placement_of(chain.hops.front().fn);
     if (conn_mgr_->pool_size(first_node, chain.tenant) == 0) {
-      conn_mgr_->establish(first_node, chain.tenant, config_.rc_connections,
+      conn_mgr_->establish(first_node, chain.tenant, kRcConnections,
                            nullptr);
     }
   }

@@ -37,8 +37,6 @@ class PalladiumIngress : public IngressFrontend {
     /// Scale the worker pool on useful-CPU utilization (§3.6; see
     /// cost::kIngressScaleUpUtil).
     bool autoscale = false;
-    int srq_fill = 256;
-    int rc_connections = 2;
     /// Request-level recovery: if no response arrives within the deadline
     /// the gateway re-sends the request (at-least-once; the data plane
     /// suppresses duplicates where it can and the gateway tolerates

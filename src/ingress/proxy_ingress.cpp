@@ -10,6 +10,8 @@ namespace pd::ingress {
 namespace {
 
 constexpr sim::Duration kSeriesBucket = 1'000'000'000;  // 1 s
+/// F-stack autoscaling ceiling on the proxy's worker cores.
+constexpr int kMaxWorkers = 8;
 
 sim::Duration parse_cost(std::size_t bytes) {
   return cost::kHttpParseBaseNs +
@@ -35,17 +37,15 @@ std::uint64_t read_tag(const proto::HttpHeaders& headers) {
 // ---------------------------------------------------------------------------
 
 WorkerGateway::WorkerGateway(runtime::Cluster& cluster, NodeId node,
-                             proto::StackKind stack)
+                             TenantId tenant, proto::StackKind stack)
     : cluster_(cluster),
       node_(node),
       stack_(stack),
       core_(cluster.worker(node).assign_core()),
       entry_{0xFFFF2000u + node.value()} {
   // Register as a chain entry so chain tails route responses back here.
-  // Tenant is resolved per chain at injection; register under the first
-  // tenant the cluster knows (entry registration only needs a valid one).
-  cluster_.register_entry(entry_, cluster_.chains().all().begin()->second.tenant,
-                          node_, core_,
+  // Tenant is resolved per chain at injection.
+  cluster_.register_entry(entry_, tenant, node_, core_,
                           [this](const mem::BufferDescriptor& d) {
                             on_chain_response(d);
                           });
@@ -128,8 +128,8 @@ ProxyIngress::ProxyIngress(runtime::Cluster& cluster, Config config)
       sched_(cluster.scheduler()),
       cores_(sched_, "proxy-ingress/worker",
              static_cast<std::size_t>(
-                 std::max(config.cores, config.autoscale ? config.max_workers
-                                                         : config.cores))),
+                 std::max(config.cores,
+                          config.autoscale ? kMaxWorkers : config.cores))),
       active_workers_(config.cores),
       response_series_(kSeriesBucket, "proxy-rps"),
       worker_series_(kSeriesBucket, "proxy-workers"),
@@ -168,14 +168,16 @@ void ProxyIngress::finish_setup() {
 
   // One gateway per worker node hosting a chain's first hop; one TCP
   // uplink per gateway.
-  std::unordered_set<NodeId> gateway_nodes;
+  std::unordered_map<NodeId, TenantId> gateway_nodes;
   for (const auto& [target, chain_id] : targets_) {
     (void)target;
     const auto& chain = cluster_.chains().by_id(chain_id);
-    gateway_nodes.insert(cluster_.placement_of(chain.hops.front().fn));
+    gateway_nodes.emplace(cluster_.placement_of(chain.hops.front().fn),
+                          chain.tenant);
   }
-  for (NodeId node : gateway_nodes) {
-    auto gw = std::make_unique<WorkerGateway>(cluster_, node,
+  for (const auto& entry : gateway_nodes) {
+    const NodeId node = entry.first;
+    auto gw = std::make_unique<WorkerGateway>(cluster_, node, entry.second,
                                               config_.stack ==
                                                       proto::StackKind::kKernel
                                                   ? proto::StackKind::kKernel
@@ -348,7 +350,7 @@ void ProxyIngress::autoscale_tick() {
   }
   const double avg = util_sum / active_workers_;
   if (avg > cost::kIngressScaleUpUtil &&
-      active_workers_ < config_.max_workers) {
+      active_workers_ < kMaxWorkers) {
     ++active_workers_;
     for (int w = 0; w < active_workers_; ++w) {
       rx_core(w).submit(cost::kIngressWorkerRestartNs);

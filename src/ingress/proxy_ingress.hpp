@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ingress/ingress.hpp"
@@ -24,10 +23,11 @@ namespace pd::ingress {
 
 /// Gateway agent on a worker node: terminates the proxy's TCP leg,
 /// injects chain requests, and relays responses back. One per worker node
-/// that hosts chain entry functions.
+/// that hosts chain entry functions; `tenant` is the tenant of an exposed
+/// chain entered there (entry registration only needs a valid one).
 class WorkerGateway {
  public:
-  WorkerGateway(runtime::Cluster& cluster, NodeId node,
+  WorkerGateway(runtime::Cluster& cluster, NodeId node, TenantId tenant,
                 proto::StackKind stack);
 
   [[nodiscard]] NodeId node() const { return node_; }
@@ -64,7 +64,6 @@ class ProxyIngress : public IngressFrontend {
     /// F-stack only; same hysteresis as the PALLADIUM gateway
     /// (cost::kIngressScaleUpUtil).
     bool autoscale = false;
-    int max_workers = 8;
   };
 
   ProxyIngress(runtime::Cluster& cluster, Config config);

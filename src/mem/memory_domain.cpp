@@ -18,7 +18,7 @@ TenantMemory& MemoryDomain::create_tenant_pool(TenantId tenant,
                                                Bytes buf_size) {
   PD_CHECK(by_prefix_.find(file_prefix) == by_prefix_.end(),
            "file prefix '" << file_prefix << "' already in use");
-  PD_CHECK(by_tenant_.find(tenant) == by_tenant_.end(),
+  PD_CHECK(!by_tenant_.contains(tenant),
            "tenant " << tenant << " already has a pool on node " << node_);
   const PoolId pool_id{(node_.value() << 16) | next_pool_id_++};
   auto mem = std::make_unique<TenantMemory>(pool_id, tenant,
@@ -28,7 +28,7 @@ TenantMemory& MemoryDomain::create_tenant_pool(TenantId tenant,
   if (clock_) raw->pool().set_clock(clock_);
   pools_.push_back(std::move(mem));
   by_prefix_[raw->file_prefix()] = raw;
-  by_tenant_[tenant] = raw;
+  by_tenant_.insert(tenant, raw);
   return *raw;
 }
 
@@ -43,10 +43,10 @@ TenantMemory* MemoryDomain::attach(const std::string& file_prefix) {
 }
 
 TenantMemory& MemoryDomain::by_tenant(TenantId tenant) {
-  auto it = by_tenant_.find(tenant);
-  PD_CHECK(it != by_tenant_.end(), "no pool for tenant " << tenant
-                                                         << " on node " << node_);
-  return *it->second;
+  TenantMemory* const* mem = by_tenant_.find(tenant);
+  PD_CHECK(mem != nullptr,
+           "no pool for tenant " << tenant << " on node " << node_);
+  return **mem;
 }
 
 TenantMemory& MemoryDomain::by_pool(PoolId pool) {

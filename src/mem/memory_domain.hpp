@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "mem/buffer_pool.hpp"
 
 namespace pd::mem {
@@ -79,7 +80,7 @@ class MemoryDomain {
   std::function<sim::TimePoint()> clock_;  // applied to pools created later
   std::vector<std::unique_ptr<TenantMemory>> pools_;
   std::unordered_map<std::string, TenantMemory*> by_prefix_;
-  std::unordered_map<TenantId, TenantMemory*> by_tenant_;
+  IdTable<TenantId, TenantMemory*> by_tenant_;  // per-message lookup
   std::uint32_t next_pool_id_ = 1;
 };
 

@@ -105,7 +105,7 @@ Registry::Instrument& Registry::at_or_create(std::string_view name,
 
 Counter& Registry::counter(std::string_view name, std::string_view labels) {
   Instrument& i = at_or_create(name, labels);
-  PD_CHECK(!i.gauge && !i.histogram && !i.probe,
+  PD_CHECK(!i.gauge && !i.histogram,
            "metric " << metric_key(name, labels) << " is not a counter");
   if (!i.counter) i.counter = std::make_unique<Counter>();
   return *i.counter;
@@ -113,7 +113,7 @@ Counter& Registry::counter(std::string_view name, std::string_view labels) {
 
 Gauge& Registry::gauge(std::string_view name, std::string_view labels) {
   Instrument& i = at_or_create(name, labels);
-  PD_CHECK(!i.counter && !i.histogram && !i.probe,
+  PD_CHECK(!i.counter && !i.histogram,
            "metric " << metric_key(name, labels) << " is not a gauge");
   if (!i.gauge) i.gauge = std::make_unique<Gauge>();
   return *i.gauge;
@@ -121,19 +121,10 @@ Gauge& Registry::gauge(std::string_view name, std::string_view labels) {
 
 Histogram& Registry::histogram(std::string_view name, std::string_view labels) {
   Instrument& i = at_or_create(name, labels);
-  PD_CHECK(!i.counter && !i.gauge && !i.probe,
+  PD_CHECK(!i.counter && !i.gauge,
            "metric " << metric_key(name, labels) << " is not a histogram");
   if (!i.histogram) i.histogram = std::make_unique<Histogram>();
   return *i.histogram;
-}
-
-void Registry::probe(std::string_view name, std::string_view labels,
-                     std::function<double()> fn) {
-  PD_CHECK(fn != nullptr, "probe needs a callback");
-  Instrument& i = at_or_create(name, labels);
-  PD_CHECK(!i.counter && !i.gauge && !i.histogram && !i.probe,
-           "metric " << metric_key(name, labels) << " already registered");
-  i.probe = std::move(fn);
 }
 
 bool Registry::has(std::string_view name, std::string_view labels) const {
@@ -175,7 +166,6 @@ void Registry::merge_from(const Registry& other) {
     } else if (inst.histogram) {
       histogram(name, labels).merge(*inst.histogram);
     }
-    // Probes: skipped — they sample live objects owned elsewhere.
   }
 }
 
@@ -190,8 +180,6 @@ std::string Registry::to_json() const {
       out += std::to_string(inst.counter->value());
     } else if (inst.gauge) {
       out += fmt_double(inst.gauge->value());
-    } else if (inst.probe) {
-      out += fmt_double(inst.probe());
     } else if (inst.histogram) {
       append_histogram_json(out, inst.histogram->hist());
     } else {
@@ -212,8 +200,6 @@ std::string Registry::to_csv() const {
       out += ",counter,,,," + std::to_string(inst.counter->value()) + ",,,,";
     } else if (inst.gauge) {
       out += ",gauge,,,," + fmt_double(inst.gauge->value()) + ",,,,";
-    } else if (inst.probe) {
-      out += ",probe,,,," + fmt_double(inst.probe()) + ",,,,";
     } else if (inst.histogram) {
       const auto& h = inst.histogram->hist();
       out += ",histogram," + std::to_string(h.count()) + "," +

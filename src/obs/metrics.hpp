@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -90,11 +89,6 @@ class Registry {
   Gauge& gauge(std::string_view name, std::string_view labels = {});
   Histogram& histogram(std::string_view name, std::string_view labels = {});
 
-  /// Register a callback sampled at snapshot time (exported as a gauge).
-  /// The callback must outlive the registry or be removed via reset().
-  void probe(std::string_view name, std::string_view labels,
-             std::function<double()> fn);
-
   [[nodiscard]] bool has(std::string_view name,
                          std::string_view labels = {}) const;
   /// Lookup without creation; throws CheckFailure when absent.
@@ -107,14 +101,13 @@ class Registry {
   void reset();
 
   /// Fold `other` into this registry: counters add, gauges add, histograms
-  /// merge; probes are skipped (they are callbacks into the other
-  /// registry's objects). Snapshot ordering is by instrument key (the map's
+  /// merge. Snapshot ordering is by instrument key (the map's
   /// lexicographic order), NOT registration order, so merging shard
   /// registries in any order yields byte-identical exports.
   void merge_from(const Registry& other);
 
   /// Deterministic snapshot: one JSON object keyed by instrument name.
-  /// Counters/gauges/probes dump scalars; histograms dump
+  /// Counters/gauges dump scalars; histograms dump
   /// {count,min,max,mean,p50,p90,p99,p999}.
   [[nodiscard]] std::string to_json() const;
   /// Flat CSV: key,kind,count,min,max,mean,p50,p90,p99,p999 (scalar kinds
@@ -129,7 +122,6 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::function<double()> probe;
   };
 
   Instrument& at_or_create(std::string_view name, std::string_view labels);

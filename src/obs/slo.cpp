@@ -11,12 +11,14 @@ namespace pd::obs {
 namespace {
 /// Alert when a window's burn rate reaches this.
 constexpr double kBurnAlert = 1.0;
+/// Evaluation window of every spec.
+constexpr sim::Duration kWindowNs = 100'000'000;  // 100 ms
+static_assert(kWindowNs > 0);
 }  // namespace
 
 void SloWatchdog::add(SloSpec spec) {
   PD_CHECK(!spec.name.empty(), "SLO spec needs a name");
   PD_CHECK(spec.target_ns > 0, "SLO \"" << spec.name << "\" needs a target");
-  PD_CHECK(spec.window_ns > 0, "SLO \"" << spec.name << "\" needs a window");
   PD_CHECK(spec.budget > 0.0, "SLO \"" << spec.name << "\" needs a budget");
   for (const Tracked& t : tracked_) {
     PD_CHECK(t.spec.name != spec.name,
@@ -32,7 +34,7 @@ void SloWatchdog::record(TenantId tenant, std::uint32_t chain,
   for (Tracked& t : tracked_) {
     if (t.spec.tenant.valid() && t.spec.tenant != tenant) continue;
     if (t.spec.chain != 0 && t.spec.chain != chain) continue;
-    const auto idx = static_cast<std::int64_t>(now / t.spec.window_ns);
+    const auto idx = static_cast<std::int64_t>(now / kWindowNs);
     if (t.window >= 0 && idx > t.window) close_window(t);
     if (t.window < 0 || idx > t.window) t.window = idx;
     ++t.requests;
@@ -51,7 +53,7 @@ void SloWatchdog::record_error(TenantId tenant, std::uint32_t chain,
   for (Tracked& t : tracked_) {
     if (t.spec.tenant.valid() && t.spec.tenant != tenant) continue;
     if (t.spec.chain != 0 && t.spec.chain != chain) continue;
-    const auto idx = static_cast<std::int64_t>(now / t.spec.window_ns);
+    const auto idx = static_cast<std::int64_t>(now / kWindowNs);
     if (t.window >= 0 && idx > t.window) close_window(t);
     if (t.window < 0 || idx > t.window) t.window = idx;
     ++t.requests;
@@ -70,7 +72,7 @@ void SloWatchdog::finish(sim::TimePoint) {
 void SloWatchdog::roll(sim::TimePoint now) {
   for (Tracked& t : tracked_) {
     if (t.window < 0) continue;  // no sample yet: nothing to evaluate
-    const auto idx = static_cast<std::int64_t>(now / t.spec.window_ns);
+    const auto idx = static_cast<std::int64_t>(now / kWindowNs);
     if (idx <= t.window) continue;
     close_window(t);
     // One or more whole windows elapsed with zero samples after the one we
@@ -107,8 +109,8 @@ void SloWatchdog::close_window(Tracked& t) {
                       static_cast<double>(t.requests);
   const double burn = frac / t.spec.budget;
   t.last_burn = burn;
-  const sim::TimePoint w0 = t.window * t.spec.window_ns;
-  const sim::TimePoint w1 = w0 + t.spec.window_ns;
+  const sim::TimePoint w0 = t.window * kWindowNs;
+  const sim::TimePoint w1 = w0 + kWindowNs;
   if (registry_ != nullptr) {
     const std::string label = "slo=" + t.spec.name;
     registry_->gauge("slo.burn_rate", label).set(burn);

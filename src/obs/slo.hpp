@@ -2,7 +2,7 @@
 //
 // Declarative latency SLOs — "p99 of tenant T (optionally one chain) stays
 // under X ns, with an error budget of B violating requests per window" —
-// evaluated over fixed simulated-time windows. Evaluation is lazy: the
+// evaluated over fixed 100 ms simulated-time windows. Evaluation is lazy: the
 // watchdog never schedules events (recording a sample rolls any completed
 // windows forward), so attaching it cannot perturb simulation results and
 // alert sequences replay bit-identically across --threads 1/2/4.
@@ -32,7 +32,6 @@ struct SloSpec {
   std::uint32_t chain = 0;        ///< 0 = match any chain
   sim::Duration target_ns = 0;    ///< latency objective (the "p99 target")
   double budget = 0.01;           ///< allowed violating fraction per window
-  sim::Duration window_ns = 100'000'000;  ///< evaluation window (100 ms)
 };
 
 struct SloAlert {
@@ -103,7 +102,7 @@ class SloWatchdog {
  private:
   struct Tracked {
     SloSpec spec;
-    std::int64_t window = -1;  ///< current window index (now / window_ns)
+    std::int64_t window = -1;  ///< current window index (now / window)
     std::uint64_t requests = 0;
     std::uint64_t violations = 0;
     std::uint64_t total_requests = 0;

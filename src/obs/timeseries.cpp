@@ -10,6 +10,13 @@
 
 namespace pd::obs {
 
+namespace {
+/// Buckets per recorder series before pair-merge compaction kicks in.
+constexpr std::size_t kSeriesCapacity = 512;
+static_assert(FlightRecorder::kSamplePeriod > 0);
+static_assert(kSeriesCapacity >= 2);
+}  // namespace
+
 FlightSeries::FlightSeries(std::size_t capacity) : capacity_(capacity) {
   PD_CHECK(capacity_ >= 2, "flight series needs >= 2 buckets");
 }
@@ -92,14 +99,6 @@ double FlightSeries::last_mean() const {
   return buckets_.empty() ? 0.0 : buckets_.back().mean();
 }
 
-void FlightRecorder::configure(const FlightConfig& cfg) {
-  PD_CHECK(series_.empty() && probes_.empty(),
-           "configure() must precede series registration");
-  PD_CHECK(cfg.sample_period > 0, "sample period must be positive");
-  PD_CHECK(cfg.series_capacity >= 2, "series capacity must be >= 2");
-  cfg_ = cfg;
-}
-
 void FlightRecorder::probe(std::string_view name, std::string_view labels,
                            std::function<double()> fn) {
   PD_CHECK(fn != nullptr, "flight probe needs a callback");
@@ -107,7 +106,7 @@ void FlightRecorder::probe(std::string_view name, std::string_view labels,
   PD_CHECK(series_.find(key) == series_.end(),
            "flight series " << key << " already registered");
   auto [it, inserted] =
-      series_.emplace(key, FlightSeries(cfg_.series_capacity));
+      series_.emplace(key, FlightSeries(kSeriesCapacity));
   (void)inserted;
   probes_.push_back(Probe{&it->second, std::move(fn)});
 }
@@ -117,7 +116,7 @@ FlightSeries& FlightRecorder::series(std::string_view name,
   const std::string key = metric_key(name, labels);
   auto it = series_.find(key);
   if (it == series_.end()) {
-    it = series_.emplace(key, FlightSeries(cfg_.series_capacity)).first;
+    it = series_.emplace(key, FlightSeries(kSeriesCapacity)).first;
   }
   return it->second;
 }
@@ -135,7 +134,7 @@ void FlightRecorder::start(sim::Scheduler& sched) {
   // different points after setup, but each shard's clock is itself
   // deterministic, so the tick grid is too.
   const sim::TimePoint t0 =
-      (sched.now() / cfg_.sample_period + 1) * cfg_.sample_period;
+      (sched.now() / kSamplePeriod + 1) * kSamplePeriod;
   pending_ = sched_->schedule_background_at(t0, [this] { tick(); });
 }
 
@@ -150,7 +149,7 @@ void FlightRecorder::stop() {
 void FlightRecorder::tick() {
   sample(sched_->now());
   pending_ =
-      sched_->schedule_background_after(cfg_.sample_period, [this] { tick(); });
+      sched_->schedule_background_after(kSamplePeriod, [this] { tick(); });
 }
 
 void FlightRecorder::sample(sim::TimePoint t) {
@@ -161,11 +160,10 @@ void FlightRecorder::sample(sim::TimePoint t) {
 void FlightRecorder::merge_from(FlightRecorder& other) {
   other.stop();
   other.probes_.clear();
-  if (series_.empty() && probes_.empty()) cfg_ = other.cfg_;
   for (auto& [key, s] : other.series_) {
     auto it = series_.find(key);
     if (it == series_.end()) {
-      it = series_.emplace(key, FlightSeries(cfg_.series_capacity)).first;
+      it = series_.emplace(key, FlightSeries(kSeriesCapacity)).first;
     }
     it->second.absorb(s);
   }
@@ -194,7 +192,7 @@ std::size_t FlightRecorder::memory_bytes() const {
 
 std::string FlightRecorder::to_json() const {
   std::string out = "{\n";
-  out += "  \"sample_period_ns\": " + std::to_string(cfg_.sample_period);
+  out += "  \"sample_period_ns\": " + std::to_string(kSamplePeriod);
   out += ",\n  \"samples\": " + std::to_string(samples_);
   out += ",\n  \"series\": {";
   bool first = true;
@@ -251,7 +249,7 @@ std::string FlightRecorder::dashboard(std::string_view filter,
                 "flight recorder: %zu series, %llu samples @ %.3f ms, %.1f KiB\n",
                 series_.size(),
                 static_cast<unsigned long long>(samples_),
-                sim::to_ms(cfg_.sample_period),
+                sim::to_ms(kSamplePeriod),
                 static_cast<double>(memory_bytes()) / 1024.0);
   std::string out = head;
   for (const auto& [key, s] : series_) {

@@ -8,7 +8,7 @@
 // ring, so a run that transiently saturates no longer looks identical to
 // one that never did.
 //
-// Bounded memory: each series holds at most `series_capacity` buckets of
+// Bounded memory: each recorder series holds at most 512 buckets of
 // {t0, n, min, max, sum}. When the ring fills, adjacent bucket pairs are
 // merged (min of mins, max of maxes, sums add) and the per-bucket sample
 // budget doubles — a run 2x longer costs zero extra memory, only 2x
@@ -52,7 +52,7 @@ struct FlightPoint {
 /// scheduler shard, which only moves forward).
 class FlightSeries {
  public:
-  explicit FlightSeries(std::size_t capacity = 512);
+  explicit FlightSeries(std::size_t capacity);
 
   void record(sim::TimePoint t, double v);
 
@@ -83,25 +83,17 @@ class FlightSeries {
   std::uint64_t total_ = 0;
 };
 
-struct FlightConfig {
-  /// Simulated time between sampling ticks.
-  sim::Duration sample_period = 1'000'000;  // 1 ms
-  /// Buckets per series before pair-merge compaction kicks in.
-  std::size_t series_capacity = 512;
-};
-
 /// Registry of FlightSeries plus the periodic sampler that feeds them.
 /// One recorder per obs::Hub: shard-local under ParallelSim (merged
 /// deterministically by Cluster::merge_observability), global otherwise.
 class FlightRecorder {
  public:
+  /// Simulated time between sampling ticks.
+  static constexpr sim::Duration kSamplePeriod = 1'000'000;  // 1 ms
+
   FlightRecorder() = default;
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  /// Set sampling period / capacity. Must precede any series creation.
-  void configure(const FlightConfig& cfg);
-  [[nodiscard]] const FlightConfig& config() const { return cfg_; }
 
   /// Register a gauge probe sampled on every tick. `fn` must read only
   /// state owned by this recorder's shard (the determinism rule) and
@@ -126,9 +118,9 @@ class FlightRecorder {
   /// tests can drive it directly).
   void sample(sim::TimePoint t);
 
-  /// Fold `other`'s series into this recorder in key order, adopting its
-  /// config when this recorder is untouched. Stops `other`'s sampler and
-  /// drops its probes, so a second merge cannot double-count.
+  /// Fold `other`'s series into this recorder in key order. Stops
+  /// `other`'s sampler and drops its probes, so a second merge cannot
+  /// double-count.
   void merge_from(FlightRecorder& other);
 
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
@@ -163,7 +155,6 @@ class FlightRecorder {
 
   void tick();
 
-  FlightConfig cfg_;
   std::map<std::string, FlightSeries> series_;
   std::vector<Probe> probes_;
   sim::Scheduler* sched_ = nullptr;

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "sim/time.hpp"
 
@@ -56,33 +56,31 @@ struct Chain {
 
 /// Read-only chain registry, shared by all function runtimes (stored in
 /// the unified memory pool as shared state in the real system, §3.5.5).
+/// Every hop resolves its chain here, so the lookup indexes, never hashes.
 class ChainTable {
  public:
   void add(Chain chain) {
     PD_CHECK(!chain.hops.empty(), "chain needs at least one hop");
-    const auto id = chain.id;
-    PD_CHECK(chains_.emplace(id, std::move(chain)).second,
-             "duplicate chain id " << id);
+    const Key key{chain.id};
+    PD_CHECK(chains_.insert(key, std::move(chain)) != nullptr,
+             "duplicate chain id " << key);
   }
 
   [[nodiscard]] const Chain& by_id(std::uint32_t id) const {
-    auto it = chains_.find(id);
-    PD_CHECK(it != chains_.end(), "unknown chain " << id);
-    return it->second;
+    const Chain* chain = chains_.find(Key{id});
+    PD_CHECK(chain != nullptr, "unknown chain " << id);
+    return *chain;
   }
 
   [[nodiscard]] bool has(std::uint32_t id) const {
-    return chains_.find(id) != chains_.end();
+    return chains_.contains(Key{id});
   }
 
   [[nodiscard]] std::size_t size() const { return chains_.size(); }
 
-  [[nodiscard]] const std::unordered_map<std::uint32_t, Chain>& all() const {
-    return chains_;
-  }
-
  private:
-  std::unordered_map<std::uint32_t, Chain> chains_;
+  using Key = StrongId<struct ChainTag>;
+  IdTable<Key, Chain> chains_;
 };
 
 }  // namespace pd::runtime

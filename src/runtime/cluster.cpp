@@ -253,11 +253,10 @@ obs::FlightRecorder* Cluster::flight_recorder(NodeId node) {
   return &shard_hubs_[shard_of(node)]->timeseries;
 }
 
-void Cluster::start_flight_recorder(obs::FlightConfig cfg) {
+void Cluster::start_flight_recorder() {
   PD_CHECK(!flight_started_, "flight recorder already started");
-  for (auto& hub : shard_hubs_) hub->timeseries.configure(cfg);
   flight_started_ = true;
-  for (auto& node : nodes_) register_flight_probes(*node, cfg);
+  for (auto& node : nodes_) register_flight_probes(*node);
   // Sampling runs on every shard (the edge shard included: the ingress
   // registers its own probes there), each on its own clock — background
   // events, so the recorder never keeps a drain-to-idle run() alive.
@@ -266,8 +265,7 @@ void Cluster::start_flight_recorder(obs::FlightConfig cfg) {
   }
 }
 
-void Cluster::register_flight_probes(WorkerNode& node,
-                                     const obs::FlightConfig& cfg) {
+void Cluster::register_flight_probes(WorkerNode& node) {
   obs::FlightRecorder* rec = flight_recorder(node.id());
   if (rec == nullptr) return;
   const std::string nl = "node=" + std::to_string(node.id().value());
@@ -385,7 +383,8 @@ void Cluster::register_flight_probes(WorkerNode& node,
   // is not charged to the run's first bucket.
   rec->probe("core.util", nl + ",set=cpu",
              [cpu = &node.cpu(),
-              denom = static_cast<double>(cfg.sample_period) *
+              denom = static_cast<double>(
+                          obs::FlightRecorder::kSamplePeriod) *
                       static_cast<double>(node.cpu().size()),
               last = node.cpu().total_busy_ns()]() mutable {
                const sim::Duration busy = cpu->total_busy_ns();
@@ -395,7 +394,8 @@ void Cluster::register_flight_probes(WorkerNode& node,
              });
   rec->probe("core.util", nl + ",set=engine",
              [core = &node.engine_core(),
-              denom = static_cast<double>(cfg.sample_period),
+              denom = static_cast<double>(
+                  obs::FlightRecorder::kSamplePeriod),
               last = node.engine_core().busy_ns()]() mutable {
                const sim::Duration busy = core->busy_ns();
                const double u = static_cast<double>(busy - last) / denom;
@@ -750,28 +750,12 @@ void Cluster::io_send(FunctionId src, NodeId node_id, sim::Core& src_core,
       node.dataplane().submit(src, src_core, d, precharged);
     }
   };
-  const std::int64_t tenant = d.tenant.value();
   if (precharged) {
-    if (config_.sidecar == SidecarMode::kNodeShared) {
-      // Consolidated sidecar: policy check on the engine core instead.
-      sim::ProfileScope scope{"ipc", "sidecar", tenant};
-      node.engine_core().submit(cost::kSidecarNs, dispatch);
-    } else {
-      dispatch();
-    }
+    dispatch();
     return;
   }
-  const sim::Duration sidecar =
-      config_.sidecar == SidecarMode::kPerFunctionEbpf ? cost::kSidecarNs : 0;
-  sim::ProfileScope scope{"ipc", "io_send", tenant};
-  if (config_.sidecar == SidecarMode::kNodeShared) {
-    src_core.submit(cost::kIoLibraryNs, [this, &node, dispatch, tenant] {
-      sim::ProfileScope inner{"ipc", "sidecar", tenant};
-      node.engine_core().submit(cost::kSidecarNs, dispatch);
-    });
-  } else {
-    src_core.submit(cost::kIoLibraryNs + sidecar, dispatch);
-  }
+  sim::ProfileScope scope{"ipc", "io_send", d.tenant.value()};
+  src_core.submit(cost::kIoLibraryNs + cost::kSidecarNs, dispatch);
 }
 
 sim::Duration Cluster::send_cost(NodeId node_id, FunctionId dst) {
@@ -779,11 +763,7 @@ sim::Duration Cluster::send_cost(NodeId node_id, FunctionId dst) {
   const sim::Duration channel = node.intra_routes().is_local(dst)
                                     ? cost::kSkMsgSendNs
                                     : node.dataplane().ingest_cost();
-  // With the node-shared sidecar the policy check runs inside the engine,
-  // not on the function's core.
-  const sim::Duration sidecar =
-      config_.sidecar == SidecarMode::kPerFunctionEbpf ? cost::kSidecarNs : 0;
-  return cost::kIoLibraryNs + sidecar + channel;
+  return cost::kIoLibraryNs + cost::kSidecarNs + channel;
 }
 
 TenantId Cluster::tenant_of_function(FunctionId fn) const {

@@ -35,13 +35,6 @@ enum class SystemKind : std::uint8_t {
 
 const char* to_string(SystemKind kind);
 
-/// Service-mesh sidecar deployment (§3.1): Palladium replaces the
-/// heavyweight container sidecar with either a streamlined eBPF sidecar
-/// per function (policy work charged to the function's core) or one
-/// node-wide shared sidecar consolidated into the network engine (policy
-/// work charged to the engine core, no duplicate per-function processing).
-enum class SidecarMode : std::uint8_t { kPerFunctionEbpf, kNodeShared };
-
 /// Worker-to-shard assignment for multi-shard runs (see ClusterConfig).
 enum class ShardMapping : std::uint8_t { kNodePerShard, kLeafPerShard };
 
@@ -52,7 +45,6 @@ struct ClusterConfig {
   std::size_t pool_buffers = 1024;  ///< buffers per tenant pool per node
   Bytes buffer_bytes = 16 * 1024;
   std::uint64_t seed = 0x9E3779B9;
-  SidecarMode sidecar = SidecarMode::kPerFunctionEbpf;
   /// Fabric topology (ISSUE 9). Default (nodes_per_switch = 0) is the flat
   /// single-switch fabric of earlier trees, byte-identical replays
   /// included. With nodes_per_switch = N, workers land on leaf switches in
@@ -296,7 +288,7 @@ class Cluster {
   /// Call after finish_setup() so tenants and connections exist; the
   /// ingress and the chaos controller add their own series via
   /// flight_recorder().
-  void start_flight_recorder(obs::FlightConfig cfg = {});
+  void start_flight_recorder();
   /// Recorder holding `node`'s series (its owning shard's hub). nullptr
   /// until start_flight_recorder() runs, so callers can no-op cheaply.
   [[nodiscard]] obs::FlightRecorder* flight_recorder(NodeId node);
@@ -321,7 +313,7 @@ class Cluster {
 
   /// Register `node`'s gauge probes on its shard's flight recorder. Every
   /// probe reads only shard-local state (the determinism contract).
-  void register_flight_probes(WorkerNode& node, const obs::FlightConfig& cfg);
+  void register_flight_probes(WorkerNode& node);
 
   /// Rebuild the parallel simulator's per-shard-pair lookahead matrix from
   /// the current leaf assignment (after each add_worker): D[a][b] = flat

@@ -1,7 +1,6 @@
 #include "sim/random.hpp"
 
 #include <cmath>
-#include <numbers>
 
 namespace pd::sim {
 namespace {
@@ -57,23 +56,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return mean + stddev * cached_normal_;
-  }
-  double u1 = next_double();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double u2 = next_double();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
-}
-
 bool Rng::chance(double p) { return next_double() < p; }
-
-Rng Rng::fork() { return Rng(next_u64()); }
 
 }  // namespace pd::sim

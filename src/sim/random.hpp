@@ -29,19 +29,11 @@ class Rng {
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
 
-  /// Standard normal via Box–Muller (one value per call; cached pair).
-  double normal(double mean, double stddev);
-
   /// Bernoulli trial.
   bool chance(double p);
 
-  /// Fork an independent stream (for per-client generators).
-  Rng fork();
-
  private:
   std::array<std::uint64_t, 4> s_{};
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
 };
 
 }  // namespace pd::sim

@@ -47,10 +47,6 @@ void HttpLoadGen::set_active_clients(int n) {
   }
 }
 
-int HttpLoadGen::active_clients() const {
-  return static_cast<int>(std::min(active_, clients_.size()));
-}
-
 void HttpLoadGen::send_request(int idx) {
   if (!running_) return;
   Client& c = clients_[static_cast<std::size_t>(idx)];

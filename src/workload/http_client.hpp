@@ -44,7 +44,6 @@ class HttpLoadGen {
   /// the parked clients' loops immediately. Drives the flash-crowd and
   /// diurnal overload scenarios.
   void set_active_clients(int n);
-  [[nodiscard]] int active_clients() const;
 
   [[nodiscard]] sim::LatencyHistogram& latencies() { return latencies_; }
   [[nodiscard]] sim::TimeSeries& completions() { return completions_; }

@@ -43,19 +43,20 @@ std::unique_ptr<runtime::Cluster> make_cluster(sim::ParallelSim& psim) {
 TEST(SloBurnSignal, RollFreshensBurnAndDecaysOnSilence) {
   obs::SloWatchdog dog;
   dog.add({.name = "echo", .tenant = kTenant, .target_ns = 1'000,
-           .budget = 0.1, .window_ns = 1'000'000});
-  // Window 0: 10 requests, 5 violating -> burn (0.5 / 0.1) = 5.
-  for (int i = 0; i < 5; ++i) dog.record(kTenant, kChain, 100, 500'000);
-  for (int i = 0; i < 5; ++i) dog.record(kTenant, kChain, 5'000, 600'000);
+           .budget = 0.1});
+  // Window 0 of the 100 ms SLO windows: 10 requests, 5 violating -> burn
+  // (0.5 / 0.1) = 5.
+  for (int i = 0; i < 5; ++i) dog.record(kTenant, kChain, 100, 50'000'000);
+  for (int i = 0; i < 5; ++i) dog.record(kTenant, kChain, 5'000, 60'000'000);
   EXPECT_EQ(dog.burn_of("echo"), 0.0);  // window still open
-  dog.roll(1'500'000);                  // crossed into window 1
+  dog.roll(150'000'000);                // crossed into window 1
   EXPECT_DOUBLE_EQ(dog.burn_of("echo"), 5.0);
   EXPECT_DOUBLE_EQ(dog.max_burn(), 5.0);
   // Rolling within the same window changes nothing.
-  dog.roll(1'900'000);
+  dog.roll(190'000'000);
   EXPECT_DOUBLE_EQ(dog.burn_of("echo"), 5.0);
   // A fully idle window decays the signal: silence is not a violation.
-  dog.roll(3'500'000);
+  dog.roll(350'000'000);
   EXPECT_EQ(dog.burn_of("echo"), 0.0);
   EXPECT_EQ(dog.max_burn(), 0.0);
   EXPECT_EQ(dog.burn_of("no-such-spec"), 0.0);
@@ -75,13 +76,7 @@ TEST(InstanceAutoscalerTest, ActivatesProvisionedReplicasUnderBacklogThenIdles) 
   EXPECT_EQ(inst.replica_capacity(), 4u);
   EXPECT_EQ(inst.active_replicas(), 1u);
 
-  InstanceAutoscalerConfig cfg;
-  cfg.period = 1'000'000;  // 1 ms loop for a fast test
-  cfg.jobs_up = 2;
-  cfg.up_hysteresis = 2;
-  cfg.down_hysteresis = 4;
-  cfg.cooldown = 1;
-  InstanceAutoscaler scaler(inst, cluster->scheduler_for(kNode1), cfg);
+  InstanceAutoscaler scaler(inst, cluster->scheduler_for(kNode1));
   scaler.start();
 
   // 32 concurrent requests pile compute on A (40 µs per visit, twice per
@@ -91,10 +86,11 @@ TEST(InstanceAutoscalerTest, ActivatesProvisionedReplicasUnderBacklogThenIdles) 
   EXPECT_GT(inst.active_replicas(), 1u);
   const auto peak = inst.active_replicas();
 
-  // Load gone: the scaler retires replicas back down to one.
+  // Load gone: the scaler retires replicas back down to one, one step per
+  // eight quiet 50 ms periods.
   driver.stop();
   psim.run();
-  psim.run_until(sched.now() + 300'000'000);
+  psim.run_until(sched.now() + 1'500'000'000);
   EXPECT_EQ(inst.active_replicas(), 1u);
 
   bool saw_up = false;
@@ -135,12 +131,9 @@ TEST(EdgeControllerTest, ScalesWorkersOnBacklogAndEngagesPressureOnBurn) {
   // An absurd 1 µs target: every request violates, so burn saturates and
   // the controller must both scale out and engage admission pressure.
   cluster->add_slo({.name = "echo-strict", .tenant = kTenant,
-                    .target_ns = 1'000, .budget = 0.1,
-                    .window_ns = 10'000'000});
+                    .target_ns = 1'000, .budget = 0.1});
 
   EdgeControllerConfig ecfg;
-  ecfg.period = 10'000'000;  // 10 ms loop
-  ecfg.pending_up = 8;
   ecfg.pressure_slo = "echo-strict";
   ecfg.pressure_off_hysteresis = 4;
   EdgeController controller(gateway, &admission, sched, ecfg);
@@ -162,7 +155,7 @@ TEST(EdgeControllerTest, ScalesWorkersOnBacklogAndEngagesPressureOnBurn) {
   // the gate (and the sheds stop growing).
   wrk.stop();
   psim.run();
-  psim.run_until(sched.now() + 500'000'000);
+  psim.run_until(sched.now() + 2'000'000'000);
   EXPECT_FALSE(admission.pressure());
 
   bool scaled_up = false;

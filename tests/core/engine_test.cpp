@@ -242,8 +242,9 @@ TEST_F(EngineTest, EngineRejectsUnknownTenantTraffic) {
 TEST_F(EngineTest, TenantAdmissionGateShedsExplicitlyAndRecovers) {
   EngineConfig cfg;
   cfg.tenant_admission = true;
-  cfg.max_unacked = 4;  // single tenant -> credit cap of 4
-  cfg.min_tenant_credits = 2;
+  // Single tenant -> credit cap of 8 (the whole window, also the floor):
+  // the tenant gate sheds before the node-wide window fills.
+  cfg.max_unacked = 8;
   build(cfg);
   for (int i = 0; i < 16; ++i) send_one();
   sched.run();

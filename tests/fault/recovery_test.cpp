@@ -24,6 +24,8 @@ constexpr NodeId kNode2{2};
 constexpr TenantId kTenant{1};
 constexpr FunctionId kSrcFn{1};
 constexpr FunctionId kDstFn{2};
+/// Frame loss rate of the lossy-link cases, both directions.
+constexpr double kLinkLoss = 0.05;
 
 /// Two engines, one fabric — plain struct (not a gtest fixture) so replay
 /// tests can build several instances side by side.
@@ -116,11 +118,11 @@ struct Harness {
 
 TEST(Recovery, LossyLinkRetransmitsUntilAllDelivered) {
   Harness t;
-  EngineConfig cfg;
-  cfg.max_send_attempts = 12;  // loss is heavy; don't give up early
-  t.build(cfg);
+  t.build(EngineConfig{});  // 4 attempts per message
   t.net.fabric().set_fault_seed(0xC0FFEE);
-  t.net.fabric().set_node_loss(kNode2, 0.3);  // both directions: data + ACKs
+  // Both directions: data + ACKs. Light enough that 4 attempts deliver
+  // every message.
+  t.net.fabric().set_node_loss(kNode2, kLinkLoss);
 
   for (int i = 0; i < 20; ++i) t.send_one();
   t.sched.run();
@@ -137,11 +139,9 @@ TEST(Recovery, LossyLinkRetransmitsUntilAllDelivered) {
 TEST(Recovery, LossyLinkReplayIsBitIdenticalPerSeed) {
   auto run = [](std::uint64_t seed) {
     Harness t;
-    EngineConfig cfg;
-    cfg.max_send_attempts = 12;
-    t.build(cfg);
+    t.build(EngineConfig{});
     t.net.fabric().set_fault_seed(seed);
-    t.net.fabric().set_node_loss(kNode2, 0.3);
+    t.net.fabric().set_node_loss(kNode2, kLinkLoss);
     for (int i = 0; i < 20; ++i) t.send_one();
     t.sched.run();
     return std::tuple(t.sched.now(), t.eng1->counters().retransmits,

@@ -54,14 +54,6 @@ TEST(Registry, KindMismatchThrows) {
   EXPECT_THROW(static_cast<void>(reg.histogram_at("x")), CheckFailure);
 }
 
-TEST(Registry, ProbeSampledAtSnapshotTime) {
-  obs::Registry reg;
-  double depth = 1.0;
-  reg.probe("queue_depth", "", [&depth] { return depth; });
-  depth = 42.0;
-  EXPECT_NE(reg.to_json().find("\"queue_depth\": 42"), std::string::npos);
-}
-
 TEST(Registry, SnapshotsAreDeterministicAndSorted) {
   auto fill = [](obs::Registry& reg) {
     reg.counter("z_last").inc(7);

@@ -96,39 +96,37 @@ TEST(FlightSeries, AbsorbMergesTimeOrderedAndEmptiesDonor) {
 // ---------------------------------------------------------------------------
 
 TEST(FlightRecorder, SamplesProbesOnTheSchedulerGrid) {
+  constexpr sim::Duration kP = obs::FlightRecorder::kSamplePeriod;
   sim::Scheduler sched;
   obs::FlightRecorder rec;
-  rec.configure({.sample_period = 10, .series_capacity = 64});
   double depth = 0.0;
   rec.probe("q", "", [&depth] { return depth; });
   rec.start(sched);
   // Background ticks never keep run() alive on their own; a foreground
-  // event at t=47 lets ticks 10/20/30/40 fire and strands the one at 50.
-  sched.schedule_at(47, [&depth] { depth = 9.0; });
-  sched.schedule_at(5, [&depth] { depth = 2.0; });
+  // event at 4.7 periods lets ticks 1..4 fire and strands the one at 5.
+  sched.schedule_at(4 * kP + 7 * kP / 10, [&depth] { depth = 9.0; });
+  sched.schedule_at(kP / 2, [&depth] { depth = 2.0; });
   sched.run();
 
   const obs::FlightSeries* s = rec.find("q");
   ASSERT_NE(s, nullptr);
   ASSERT_EQ(s->buckets().size(), 4u);
-  EXPECT_EQ(s->buckets()[0].t0, 10);
-  EXPECT_EQ(s->buckets()[3].t0, 40);
-  EXPECT_DOUBLE_EQ(s->buckets()[0].max, 2.0);  // set at t=5, sampled at 10
+  EXPECT_EQ(s->buckets()[0].t0, kP);
+  EXPECT_EQ(s->buckets()[3].t0, 4 * kP);
+  // Set at half a period, sampled at the first tick.
+  EXPECT_DOUBLE_EQ(s->buckets()[0].max, 2.0);
   EXPECT_EQ(rec.samples_taken(), 4u);
   EXPECT_DOUBLE_EQ(rec.peak_over("q"), 2.0);
 }
 
-TEST(FlightRecorder, DuplicateProbeAndLateConfigureThrow) {
+TEST(FlightRecorder, DuplicateProbeThrows) {
   obs::FlightRecorder rec;
   rec.probe("q", "node=1", [] { return 0.0; });
   EXPECT_THROW(rec.probe("q", "node=1", [] { return 0.0; }), CheckFailure);
-  EXPECT_THROW(rec.configure({}), CheckFailure);
 }
 
-TEST(FlightRecorder, MergeFromFoldsSeriesOnceAndAdoptsConfig) {
+TEST(FlightRecorder, MergeFromFoldsSeriesOnce) {
   obs::FlightRecorder shard1, shard2, merged;
-  shard1.configure({.sample_period = 5, .series_capacity = 32});
-  shard2.configure({.sample_period = 5, .series_capacity = 32});
   shard1.series("q", "node=1").record(10, 4.0);
   shard2.series("q", "node=1").record(5, 2.0);
   shard2.series("q", "node=2").record(5, 7.0);
@@ -137,7 +135,6 @@ TEST(FlightRecorder, MergeFromFoldsSeriesOnceAndAdoptsConfig) {
 
   merged.merge_from(shard1);
   merged.merge_from(shard2);
-  EXPECT_EQ(merged.config().sample_period, 5);
   EXPECT_EQ(merged.series_count(), 2u);
   const obs::FlightSeries* q1 = merged.find("q", "node=1");
   ASSERT_NE(q1, nullptr);
@@ -187,8 +184,7 @@ struct TimelineRun {
 
 /// Online Boutique on a 3-shard parallel cluster with the flight recorder
 /// on; returns the merged timeseries artifacts.
-TimelineRun run_boutique(std::size_t os_threads, std::uint64_t chaos_seed,
-                         obs::FlightConfig fcfg = {}) {
+TimelineRun run_boutique(std::size_t os_threads, std::uint64_t chaos_seed) {
   sim::ParallelSim psim(/*shards=*/3, os_threads);
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 8;
@@ -206,7 +202,7 @@ TimelineRun run_boutique(std::size_t os_threads, std::uint64_t chaos_seed,
   ing.expose_chain("/run", runtime::OnlineBoutique::kHomeQuery);
   ing.finish_setup();
   cluster.finish_setup();
-  cluster.start_flight_recorder(fcfg);
+  cluster.start_flight_recorder();
   ing.start_flight_probes();
 
   sim::TimePoint stop = psim.shard(0).now() + 40'000'000;
@@ -263,7 +259,7 @@ TimelineRun run_boutique(std::size_t os_threads, std::uint64_t chaos_seed,
 // alone for set=engine. A busy-poll engine core (DNE) reports the share of
 // the window it spent on work, not its pinned 100% occupancy.
 TEST(FlightRecorder, CoreUtilMeasuresBusyFractionPerWindow) {
-  constexpr sim::Duration kPeriod = 1'000'000;
+  constexpr sim::Duration kPeriod = obs::FlightRecorder::kSamplePeriod;
   sim::ParallelSim psim(1);
   sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;
@@ -272,7 +268,7 @@ TEST(FlightRecorder, CoreUtilMeasuresBusyFractionPerWindow) {
   runtime::Cluster cluster(psim, cfg);
   runtime::WorkerNode& node = cluster.add_worker(kNode1);
   cluster.finish_setup();
-  cluster.start_flight_recorder({.sample_period = kPeriod});
+  cluster.start_flight_recorder();
   ASSERT_TRUE(node.engine_core().busy_poll());
 
   // Load exactly one window, starting on a sampling tick.
@@ -324,11 +320,7 @@ TEST(TimeseriesPdes, ExportByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(TimeseriesPdes, ChaosReplayRecordsFaultStateAndQpRebuildDip) {
-  // Fine sampling (50 us) so sub-millisecond QP outages land in buckets.
-  obs::FlightConfig fcfg;
-  fcfg.sample_period = 50'000;
-  fcfg.series_capacity = 512;
-  const TimelineRun ref = run_boutique(1, /*chaos_seed=*/42, fcfg);
+  const TimelineRun ref = run_boutique(1, /*chaos_seed=*/42);
 
   // The chaos state series saw at least one episode...
   EXPECT_DOUBLE_EQ(ref.peak_active_faults, 1.0);
@@ -339,7 +331,7 @@ TEST(TimeseriesPdes, ChaosReplayRecordsFaultStateAndQpRebuildDip) {
   EXPECT_GT(ref.peak_rebuilds, 0.0);
 
   // The replay — recorder included — is deterministic across threads.
-  const TimelineRun got = run_boutique(4, 42, fcfg);
+  const TimelineRun got = run_boutique(4, 42);
   EXPECT_EQ(got.json, ref.json);
 }
 

@@ -283,43 +283,6 @@ TEST(ClusterTest, CrossDomainSendCopiesIntoDestinationPool) {
   EXPECT_GT(cluster.instance(FunctionId{2}).invocations(), 0u);
 }
 
-TEST(ClusterTest, NodeSharedSidecarShiftsPolicyWorkToEngine) {
-  // §3.1 optimization (1): the consolidated per-node sidecar runs policy
-  // checks in the engine instead of per function.
-  auto engine_busy = [](SidecarMode mode) {
-    sim::ParallelSim psim(1);
-    sim::Scheduler& sched = psim.shard(0);
-    ClusterConfig cfg;
-    cfg.system = SystemKind::kPalladiumCne;  // engine on a host core
-    cfg.cpu_cores_per_node = 8;
-    cfg.pool_buffers = 256;
-    cfg.sidecar = mode;
-    auto cluster = std::make_unique<Cluster>(psim, cfg);
-    cluster->add_worker(kNode1);
-    cluster->add_worker(kNode2);
-    cluster->add_tenant(kTenant, 1);
-    cluster->deploy(FunctionSpec{kFnA, "a", kTenant}, kNode1);
-    cluster->deploy(FunctionSpec{kFnB, "b", kTenant}, kNode2);
-    cluster->add_chain(Chain{kChain, "ab", kTenant, 64,
-                             {{kFnA, 1'000, 64}, {kFnB, 1'000, 64}}});
-    workload::ChainDriver driver(*cluster, kDriver, kNode1, kChain);
-    cluster->finish_setup();
-    driver.start(2);
-    psim.run_until(sched.now() + 200'000'000);
-    driver.stop();
-    psim.run();
-    EXPECT_GT(driver.completed(), 100u);
-    return std::make_pair(cluster->worker(kNode1).engine_core().busy_ns(),
-                          driver.completed());
-  };
-  const auto [ebpf_engine, ebpf_done] = engine_busy(SidecarMode::kPerFunctionEbpf);
-  const auto [shared_engine, shared_done] = engine_busy(SidecarMode::kNodeShared);
-  // Normalize per completed request: the shared-sidecar engine does
-  // strictly more work per request.
-  EXPECT_GT(static_cast<double>(shared_engine) / shared_done,
-            static_cast<double>(ebpf_engine) / ebpf_done);
-}
-
 TEST(ClusterTest, CrossTenantDescriptorForgeryBlocked) {
   sim::ParallelSim psim(1);
   ClusterConfig cfg;

@@ -7,7 +7,8 @@
 #   tools/run_all.sh         build + tier-1 tests + all benches
 #   tools/run_all.sh asan    build with -DPD_SANITIZE=address,undefined into
 #                            build-asan/ and run the tier-1 tests under
-#                            ASan/UBSan (no benches; sanitized runs are slow)
+#                            ASan/UBSan, one ctest job per CPU (no benches;
+#                            sanitized runs are slow)
 #   tools/run_all.sh chaos   build, run the chaos-labeled ctest suite, then
 #                            sweep 10 fault-plan seeds through the boutique
 #                            demo; fails if any seed loses a request, if
@@ -64,6 +65,11 @@
 set -e
 cd "$(dirname "$0")/.."
 
+# Every build and the sanitized test run use one job per CPU. The count is
+# explicit: a bare --parallel under Unix Makefiles (the generator the tier-1
+# command configures build/ with) means `make -j` with no limit.
+jobs=$(nproc)
+
 # gate LOG CMD...: run CMD, show its output and append it to LOG; a
 # non-zero exit fails the mode. /bin/sh is dash, which has no pipefail, so
 # a plain `CMD | tee LOG` would report tee's status and hide CMD's failure:
@@ -97,7 +103,7 @@ configure() {
 
 if [ "$1" = "chaos" ]; then
   configure build
-  cmake --build build
+  cmake --build build --parallel "$jobs"
   : > chaos_output.txt
   gate chaos_output.txt ctest --test-dir build -L chaos --output-on-failure
   rm -rf chaos_report && mkdir -p chaos_report
@@ -134,7 +140,7 @@ fi
 
 if [ "$1" = "tsan" ]; then
   configure build-tsan -DPD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan --target pdes_test fig16_boutique
+  cmake --build build-tsan --parallel "$jobs" --target pdes_test fig16_boutique
   : > tsan_output.txt
   gate tsan_output.txt env TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan -L pdes --output-on-failure
@@ -151,7 +157,7 @@ fi
 
 if [ "$1" = "overload" ]; then
   configure build
-  cmake --build build
+  cmake --build build --parallel "$jobs"
   : > overload_output.txt
   gate overload_output.txt \
     ctest --test-dir build -L overload --output-on-failure
@@ -192,7 +198,7 @@ fi
 
 if [ "$1" = "ledger" ]; then
   configure build
-  cmake --build build
+  cmake --build build --parallel "$jobs"
   : > ledger_output.txt
   gate ledger_output.txt ctest --test-dir build -L ledger --output-on-failure
   rm -rf ledger_report && mkdir -p ledger_report
@@ -245,7 +251,7 @@ fi
 
 if [ "$1" = "cartstore" ]; then
   configure build
-  cmake --build build
+  cmake --build build --parallel "$jobs"
   : > cartstore_output.txt
   gate cartstore_output.txt \
     ctest --test-dir build -L onesided --output-on-failure
@@ -284,7 +290,7 @@ fi
 
 if [ "$1" = "scale" ]; then
   configure build
-  cmake --build build
+  cmake --build build --parallel "$jobs"
   : > scale_output.txt
   gate scale_output.txt ctest --test-dir build -L pdes --output-on-failure
   rm -rf scale_report && mkdir -p scale_report
@@ -345,7 +351,7 @@ fi
 
 if [ "$1" = "obs" ]; then
   configure build
-  cmake --build build
+  cmake --build build --parallel "$jobs"
   : > obs_output.txt
   gate obs_output.txt \
     ctest --test-dir build -L "obs-report|obs-ts" --output-on-failure
@@ -408,16 +414,16 @@ fi
 if [ "$1" = "asan" ]; then
   configure build-asan -DPD_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan
+  cmake --build build-asan --parallel "$jobs"
   : > test_output.txt
   gate test_output.txt env ASAN_OPTIONS=detect_leaks=1 \
     UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-asan --output-on-failure
+    ctest --test-dir build-asan -j"$jobs" --output-on-failure
   exit 0
 fi
 
 configure build
-cmake --build build
+cmake --build build --parallel "$jobs"
 : > test_output.txt
 gate test_output.txt ctest --test-dir build
 : > bench_output.txt
