@@ -39,7 +39,6 @@ class TcpRelayEngine : public core::DataPlane {
                  std::shared_ptr<TcpRelayDirectory> directory,
                  proto::StackKind stack = proto::StackKind::kKernel,
                  bool broker_local = false);
-  [[nodiscard]] bool brokers_local() const { return broker_local_; }
   ~TcpRelayEngine() override;
 
   void submit(FunctionId src, sim::Core& src_core,

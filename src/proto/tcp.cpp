@@ -87,9 +87,9 @@ void TcpConnection::send(TcpEndpoint& from, TcpEndpoint& to,
       rx.per_req + static_cast<sim::Duration>(static_cast<double>(len) * rx.per_byte);
 
   auto payload = std::make_shared<std::string>(std::move(bytes));
-  pick_core(from).submit(tx_work, [this, &from, &to, len, rx, rx_work, tx,
-                                   payload] {
-    sched_.schedule_after(tx.latency, [this, &from, &to, len, rx, rx_work,
+  pick_core(from).submit(tx_work, [this, &from, &to, len, rx, rx_work,
+                                   tx_latency = tx.latency, payload] {
+    sched_.schedule_after(tx_latency, [this, &from, &to, len, rx, rx_work,
                                        payload] {
       eth_.send(from.node, to.node, len, [this, &to, rx, rx_work, payload] {
         sched_.schedule_after(rx.latency, [this, &to, rx, rx_work, payload] {

@@ -200,7 +200,7 @@ void QueuePair::fail() {
 Rnic::Rnic(RdmaNetwork& net, NodeId node, mem::MemoryDomain& host_mem)
     : sched_(net.scheduler_for(node)), net_(net), node_(node),
       host_mem_(host_mem),
-      ledger_name_("node" + std::to_string(node.value()) + "/rnic") {
+      name_("node" + std::to_string(node.value()) + "/rnic") {
   net_.register_rnic(node, this);
 }
 
@@ -209,9 +209,9 @@ void Rnic::ledger_nic(std::int64_t tenant, sim::Duration ns,
   auto* h = obs::hub();
   if (h == nullptr || !h->ledger.enabled()) return;
   const sim::TimePoint now = sched_.now();
-  h->ledger.occupy(obs::LedgerKind::kNic, ledger_name_, tenant, now, now + ns);
+  h->ledger.occupy(obs::LedgerKind::kNic, name_, tenant, now, now + ns);
   if (bytes > 0) {
-    h->ledger.add_bytes(obs::LedgerKind::kNic, ledger_name_, tenant, bytes);
+    h->ledger.add_bytes(obs::LedgerKind::kNic, name_, tenant, bytes);
   }
 }
 
@@ -429,9 +429,7 @@ void Rnic::execute(QueuePair& qp, const WorkRequest& wr) {
     // RNIC peeks at the message framing only for tracing; the data path
     // stays payload-opaque.
     core::MessageHeader h = core::read_header(span);
-    if (core::trace_hop(h, "fabric",
-                        "node" + std::to_string(node_.value()) + "/rnic",
-                        sched_.now())) {
+    if (core::trace_hop(h, "fabric", name_, sched_.now())) {
       core::write_header(span, h);
     }
   }

@@ -264,8 +264,8 @@ class Rnic {
   NodeId node_;
   mem::MemoryDomain& host_mem_;
   CompletionQueue cq_;
-  /// Ledger resource name, e.g. "node1/rnic".
-  std::string ledger_name_;
+  /// Ledger resource and trace track name, e.g. "node1/rnic".
+  std::string name_;
 
   /// A QpId is (node << 20) | creation counter, counting from 1; the QP
   /// with counter c sits at qps_[c - 1].

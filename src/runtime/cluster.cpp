@@ -85,10 +85,10 @@ WorkerNode::WorkerNode(Cluster& cluster, NodeId id)
     case SystemKind::kSpright:
     case SystemKind::kNightcore: {
       engine_core_ = &cpu_.core(cpu_.size() - 1);
+      brokers_local_ = sys == SystemKind::kNightcore;
       dataplane_ = std::make_unique<baselines::TcpRelayEngine>(
           sched_, id, *engine_core_, mem_, cluster.eth_,
-          cluster.tcp_directory_, proto::StackKind::kKernel,
-          /*broker_local=*/sys == SystemKind::kNightcore);
+          cluster.tcp_directory_, proto::StackKind::kKernel, brokers_local_);
       break;
     }
     case SystemKind::kFuyao: {
@@ -554,7 +554,7 @@ FunctionInstance& Cluster::deploy(const FunctionSpec& spec, NodeId node_id) {
   sim::Core& core = node.assign_core();
   auto inst = std::make_unique<FunctionInstance>(node, spec, core);
   FunctionInstance* raw = inst.get();
-  instances_.emplace(spec.id, std::move(inst));
+  instances_.insert(spec.id, std::move(inst));
   placement_[spec.id] = node_id;
 
   // Inbound from the fabric.
@@ -655,9 +655,9 @@ NodeId Cluster::placement_of(FunctionId fn) const {
 }
 
 FunctionInstance& Cluster::instance(FunctionId fn) {
-  auto it = instances_.find(fn);
-  PD_CHECK(it != instances_.end(), "no instance for function " << fn);
-  return *it->second;
+  auto* inst = instances_.find(fn);
+  PD_CHECK(inst != nullptr, "no instance for function " << fn);
+  return **inst;
 }
 
 void Cluster::provision_replicas(FunctionId fn, int extra) {
@@ -670,7 +670,7 @@ void Cluster::provision_replicas(FunctionId fn, int extra) {
 std::vector<FunctionId> Cluster::deployed_functions() const {
   std::vector<FunctionId> out;
   out.reserve(instances_.size());
-  for (const auto& [fn, inst] : instances_) out.push_back(fn);
+  instances_.for_each([&out](FunctionId fn, const auto&) { out.push_back(fn); });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -734,12 +734,7 @@ void Cluster::io_send(FunctionId src, NodeId node_id, sim::Core& src_core,
 
   // Unified I/O library: routing query + descriptor packing, plus the
   // lightweight sidecar's policy check (§3.1).
-  // NightCore's engine brokers every invocation, including co-located
-  // ones (no direct function-to-function path, §2.2).
-  const bool broker_all = [&] {
-    auto* relay = dynamic_cast<baselines::TcpRelayEngine*>(&node.dataplane());
-    return relay != nullptr && relay->brokers_local();
-  }();
+  const bool broker_all = node.brokers_local();
 
   auto dispatch = [this, src, dst, node_id, d, &node, &src_core, &pool,
                    precharged, broker_all] {
@@ -767,9 +762,8 @@ sim::Duration Cluster::send_cost(NodeId node_id, FunctionId dst) {
 }
 
 TenantId Cluster::tenant_of_function(FunctionId fn) const {
-  auto it = instances_.find(fn);
-  return it == instances_.end() ? TenantId::invalid()
-                                : it->second->spec().tenant;
+  const auto* inst = instances_.find(fn);
+  return inst == nullptr ? TenantId::invalid() : (*inst)->spec().tenant;
 }
 
 void Cluster::cross_domain_send(FunctionId src, NodeId node_id,

@@ -94,6 +94,9 @@ class WorkerNode {
   [[nodiscard]] core::NetworkEngine* palladium_engine();
   /// The core running the node's network engine.
   [[nodiscard]] sim::Core& engine_core() { return *engine_core_; }
+  /// Whether the data plane brokers co-located invocations too (NightCore:
+  /// no direct function-to-function path, §2.2).
+  [[nodiscard]] bool brokers_local() const { return brokers_local_; }
 
   /// Round-robin host-core assignment for deployed functions.
   sim::Core& assign_core();
@@ -115,6 +118,7 @@ class WorkerNode {
   std::unique_ptr<rdma::Rnic> rnic_;
   std::unique_ptr<core::DataPlane> dataplane_;
   sim::Core* engine_core_ = nullptr;
+  bool brokers_local_ = false;
   ipc::SockMap local_ipc_;
   core::IntraNodeRoutingTable intra_;
   std::size_t next_core_ = 0;
@@ -347,7 +351,7 @@ class Cluster {
   /// the PDES lookahead matrix treats as directly communicating.
   std::unordered_map<TenantId, std::vector<NodeId>> tenant_hosts_;
   std::unordered_map<FunctionId, NodeId> placement_;
-  std::unordered_map<FunctionId, std::unique_ptr<FunctionInstance>> instances_;
+  IdTable<FunctionId, std::unique_ptr<FunctionInstance>> instances_;
   ChainTable chains_;
   std::unique_ptr<CartStateStore> cart_store_;
   std::vector<std::pair<NodeId, std::unique_ptr<CartStoreClient>>>

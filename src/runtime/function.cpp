@@ -12,7 +12,11 @@ namespace pd::runtime {
 
 FunctionInstance::FunctionInstance(WorkerNode& node, FunctionSpec spec,
                                    sim::Core& core)
-    : node_(node), spec_(std::move(spec)), core_(core) {
+    : node_(node),
+      spec_(std::move(spec)),
+      core_(core),
+      span_name_("fn:" + spec_.name),
+      track_("node" + std::to_string(node_.id().value()) + "/fn") {
   replicas_.push_back(&core_);
 }
 
@@ -32,9 +36,7 @@ void FunctionInstance::on_message(const mem::BufferDescriptor& d) {
   auto& pool = node_.memory().by_pool(d.pool).pool();
   auto bytes = pool.access(d, actor());
   core::MessageHeader h = core::read_header(bytes);
-  if (core::trace_hop(h, "fn:" + spec_.name,
-                      "node" + std::to_string(node_.id().value()) + "/fn",
-                      node_.scheduler().now())) {
+  if (core::trace_hop(h, span_name_, track_, node_.scheduler().now())) {
     core::write_header(bytes, h);
   }
   PD_CHECK(h.dst() == spec_.id,
@@ -130,9 +132,7 @@ void FunctionInstance::store_advance(const mem::BufferDescriptor& d) {
 
   const char* span =
       store_hop.store_op == StoreOp::kRead ? "rdma_read" : "rdma_cas";
-  if (core::trace_hop(h, span,
-                      "node" + std::to_string(node_.id().value()) + "/fn",
-                      node_.scheduler().now())) {
+  if (core::trace_hop(h, span, track_, node_.scheduler().now())) {
     core::write_header(bytes, h);
   }
 
@@ -159,9 +159,7 @@ void FunctionInstance::store_finish(const mem::BufferDescriptor& d, bool ok) {
     // the two-sided RPC the store op replaced, so the request completes
     // either way. The send cost skipped in on_message is charged now.
     ++store_fallbacks_;
-    if (core::trace_hop(h, "rdma_denied",
-                        "node" + std::to_string(node_.id().value()) + "/fn",
-                        node_.scheduler().now())) {
+    if (core::trace_hop(h, "rdma_denied", track_, node_.scheduler().now())) {
       core::write_header(bytes, h);
     }
     sim::ProfileScope scope{"fn", spec_.name, spec_.tenant.value()};

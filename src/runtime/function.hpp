@@ -8,6 +8,7 @@
 // instance autoscaler actuates on its node's SLO/backlog signals.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "mem/descriptor.hpp"
@@ -68,6 +69,9 @@ class FunctionInstance {
   WorkerNode& node_;
   FunctionSpec spec_;
   sim::Core& core_;
+  /// Trace span name ("fn:<name>") and track ("node<N>/fn"), built once.
+  std::string span_name_;
+  std::string track_;
   /// Dispatchable cores; replicas_[0] is the primary (== &core_).
   std::vector<sim::Core*> replicas_;
   std::size_t active_ = 1;

@@ -40,7 +40,7 @@ Duration Core::backlog() const {
   return std::max<Duration>(0, free_at_ - sched_.now());
 }
 
-EventFn& Core::push_job(Duration ref_work) {
+Duration Core::begin_job(Duration ref_work) {
   const Duration scaled = consume_scaled(ref_work);
   const TimePoint now = sched_.now();
   const TimePoint begin = std::max(free_at_, now);
@@ -48,24 +48,8 @@ EventFn& Core::push_job(Duration ref_work) {
     o->on_busy(name_, current_profile_frame(), now, begin, scaled, 0);
   }
   free_at_ = begin + scaled;
-  // Jobs complete FIFO (completion times are monotone and the scheduler
-  // tie-breaks FIFO), so the event only needs `this`: the completion data
-  // waits in jobs_ instead of bloating the scheduled callback.
-  sched_.schedule_at(free_at_, [this] { complete_front(); });
-  Job& job = jobs_.emplace_back();
-  job.scaled = scaled;
-  return job.done;
-}
-
-void Core::complete_front() {
-  PD_CHECK(!jobs_.empty(), "core completion with no queued job");
-  Job& job = jobs_.front();
-  busy_ns_ += job.scaled;
-  // Moved out before it runs: the callback may submit to this core and
-  // grow the ring under it.
-  EventFn done = std::move(job.done);
-  jobs_.pop_front();
-  if (done) done();
+  ++queued_;
+  return scaled;
 }
 
 CoreSet::CoreSet(Scheduler& sched, std::string prefix, std::size_t n,

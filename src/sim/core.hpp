@@ -5,17 +5,20 @@
 // §4.3.1 of the paper). Work is specified in *reference nanoseconds*: the
 // time the job would take on a speed-1.0 host core.
 //
-// A job's completion callback is built once, in place, in its slot of the
-// core's FIFO ring, and moved out exactly once when the job completes (the
-// callback may submit more jobs and grow the ring while it runs).
+// A job is one scheduler event at the time the core finishes it: its
+// completion callable [core, scaled work, done] is built once, in place, in
+// the event's slab slot, and runs there. Completion times are monotone and
+// the scheduler breaks ties FIFO, so jobs complete in submission order
+// with no queue of their own.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/fifo_ring.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -33,9 +36,29 @@ class Core {
   /// (after all previously submitted work).
   template <typename F>
   void submit(Duration ref_work, F&& done) {
-    push_job(ref_work).emplace(std::forward<F>(done));
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, EventFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "EventFn is move-only: pass it with std::move");
+      // An EventFn does not fit inside another's inline buffer: box it.
+      submit(ref_work, [fn = std::make_unique<EventFn>(std::move(done))] {
+        if (*fn) (*fn)();
+      });
+    } else {
+      const Duration scaled = begin_job(ref_work);
+      auto job = [this, scaled, done = std::forward<F>(done)]() mutable {
+        finish_job(scaled);
+        done();
+      };
+      static_assert(EventFn::kFitsInline<decltype(job)>,
+                    "core job callable spills EventFn's inline buffer");
+      sched_.schedule_at(free_at_, std::move(job));
+    }
   }
-  void submit(Duration ref_work) { push_job(ref_work); }
+  void submit(Duration ref_work) {
+    const Duration scaled = begin_job(ref_work);
+    sched_.schedule_at(free_at_, [this, scaled] { finish_job(scaled); });
+  }
 
   /// Total busy time accumulated so far (scaled ns, credited at completion).
   [[nodiscard]] Duration busy_ns() const { return busy_ns_; }
@@ -44,9 +67,9 @@ class Core {
   [[nodiscard]] bool idle() const { return free_at_ <= sched_.now(); }
   /// Queue backlog in scaled nanoseconds (0 when idle).
   [[nodiscard]] Duration backlog() const;
-  /// Jobs in the core's FIFO ring (running + queued) — the ring occupancy
-  /// the flight recorder samples.
-  [[nodiscard]] std::size_t queue_len() const { return jobs_.size(); }
+  /// Jobs submitted and not yet completed (running + queued) — the queue
+  /// depth the flight recorder samples.
+  [[nodiscard]] std::size_t queue_len() const { return queued_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] double speed() const { return speed_; }
 
@@ -62,20 +85,16 @@ class Core {
   [[nodiscard]] Duration scale(Duration ref_work) const;
 
  private:
-  struct Job {
-    // User-provided, or each `Job{}` FifoRing resets a slot to would
-    // zero `done`'s inline buffer (sim/event_fn.hpp).
-    Job() noexcept {}
-    Duration scaled = 0;
-    EventFn done;
-  };
-
   /// scale() plus the per-core fractional-ns carry (mutates carry state).
   Duration consume_scaled(Duration ref_work);
-  /// Queue a job of `ref_work` and schedule its completion; returns the
-  /// job's (empty) callback slot for submit() to build `done` in.
-  EventFn& push_job(Duration ref_work);
-  void complete_front();
+  /// Queue a job of `ref_work`: moves free_at_ to its completion time and
+  /// returns its scaled duration.
+  Duration begin_job(Duration ref_work);
+  /// Completion bookkeeping, run just before the job's callback.
+  void finish_job(Duration scaled) {
+    busy_ns_ += scaled;
+    --queued_;
+  }
 
   Scheduler& sched_;
   std::string name_;
@@ -85,8 +104,8 @@ class Core {
   /// Fractional nanoseconds not yet charged (always in [0, 1)).
   double scale_carry_ = 0.0;
   bool busy_poll_ = false;
-  /// In-flight work in completion (FIFO) order.
-  FifoRing<Job> jobs_;
+  /// Jobs submitted and not yet completed.
+  std::size_t queued_ = 0;
 };
 
 /// A pool of identical cores (e.g. the host CPU's cores available to the

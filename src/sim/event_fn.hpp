@@ -6,8 +6,8 @@
 // sized so the data plane's payload-carrying lambdas (descriptor + vector +
 // a few scalars) stay inline — and falls back to the heap only beyond that.
 //
-// The scheduler and Core build a callable straight into the EventFn that
-// will run it (emplace), so the hot path never relocates a capture. The
+// The scheduler builds a callable straight into the EventFn that will run
+// it (emplace), so the hot path never relocates a capture. The
 // default constructor is user-provided on purpose: with `= default`,
 // value-initialisation (`EventFn{}`, `fn = {}`, a value-initialised
 // array or vector) would zero the whole inline buffer before anything is
@@ -28,6 +28,11 @@ class EventFn {
   /// Inline capture capacity. The scheduler's slab embeds EventFn directly,
   /// so raising this trades slab footprint for fewer spills.
   static constexpr std::size_t kInlineBytes = 128;
+  /// Whether a callable of type D is stored in place (else on the heap).
+  template <typename D>
+  static constexpr bool kFitsInline =
+      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<D>;
 
   EventFn() noexcept {}  // user-provided, not `= default`: see above
   EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
@@ -108,9 +113,7 @@ class EventFn {
 
   template <typename D, typename F>
   void construct(F&& f) {
-    if constexpr (sizeof(D) <= kInlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (kFitsInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
     } else {

@@ -1,8 +1,7 @@
 // Growable power-of-two ring buffer with FIFO semantics.
 //
 // Replaces std::deque on hot paths: a deque that oscillates around empty —
-// exactly how per-core job queues, CQs and fabric relay queues behave —
-// crosses chunk boundaries every few operations and allocates/frees a
+// exactly how completion queues behave — crosses chunk boundaries every few operations and allocates/frees a
 // 512-byte node each time. The ring reuses one flat allocation that only
 // grows (geometrically) to the high-water mark.
 //
@@ -41,18 +40,11 @@ class FifoRing {
 
   void push_back(T v) { emplace_back() = std::move(v); }
 
-  /// Popped slots are reset to T{} so captured state is released eagerly
-  /// (the element types here hold callables and buffer descriptors).
+  /// Popped slots are reset to T{} so held state is released eagerly.
   void pop_front() {
     PD_CHECK(size_ > 0, "pop_front() on empty ring");
     buf_[head_] = T{};
     head_ = (head_ + 1) & (buf_.size() - 1);
-    --size_;
-  }
-
-  void pop_back() {
-    PD_CHECK(size_ > 0, "pop_back() on empty ring");
-    buf_[(head_ + size_ - 1) & (buf_.size() - 1)] = T{};
     --size_;
   }
 

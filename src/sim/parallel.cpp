@@ -116,9 +116,9 @@ class EpochBarrier {
 ParallelSim::ParallelSim(std::size_t shards, unsigned os_threads) {
   PD_CHECK(shards > 0, "parallel sim needs at least one shard");
   shards_.resize(shards);
-  for (Shard& s : shards_) {
-    s.sched = std::make_unique<Scheduler>();
-    s.outbox.resize(shards);
+  for (std::size_t k = 0; k < shards; ++k) {
+    shards_[k].sched = std::make_unique<Scheduler>(k, shards);
+    shards_[k].outbox.resize(shards);
   }
   d_in_.assign(shards, std::vector<Duration>(shards, lookahead_));
   for (std::size_t k = 0; k < shards; ++k) d_in_[k][k] = 0;
@@ -203,13 +203,22 @@ void ParallelSim::post(std::size_t dst, TimePoint t, EventFn&& fn,
                                     << src << "][" << dst
                                     << "]=" << d_in_[dst][src] << ")");
   ++sender.posted_msgs;
-  // Reflection cap: this event, once drained into dst, can bounce an
+  // Reflection cap: this event, once it reaches dst, can bounce an
   // influence back here no earlier than t + D[dst][src]. Shrink our own
-  // window so we never run past that point within this epoch. The cap is
-  // > now (t >= now + D[src][dst] and D[dst][src] >= 1), so the event
-  // currently executing is never invalidated.
+  // window so we never run past that point. The cap is > now
+  // (t >= now + D[src][dst] and D[dst][src] >= 1), so the event currently
+  // executing is never invalidated.
   sender.window_cap = std::min(sender.window_cap, sat_add(t, d_in_[src][dst]));
-  sender.outbox[dst].emplace_back(t, foreground, std::move(fn));
+  // The event's place among same-time events is fixed here, by a seq from
+  // the sender's lane, so it does not depend on when it reaches dst.
+  const std::uint64_t seq = sender.sched->reserve_seq();
+  if (threads_ == 1) {
+    // Nothing runs concurrently: insert at once. dst never runs past the
+    // lookahead bound t respects, so this lands after everything it ran.
+    shards_[dst].sched->schedule_reserved(t, seq, std::move(fn), !foreground);
+  } else {
+    sender.outbox[dst].emplace_back(t, seq, foreground, std::move(fn));
+  }
 }
 
 void ParallelSim::drain(std::size_t k) {
@@ -217,11 +226,7 @@ void ParallelSim::drain(std::size_t k) {
   for (Shard& src : shards_) {
     Mailbox& mb = src.outbox[k];
     for (CrossEvent& e : mb) {
-      if (e.foreground) {
-        sched.schedule_at(e.t, std::move(e.fn));
-      } else {
-        sched.schedule_background_at(e.t, std::move(e.fn));
-      }
+      sched.schedule_reserved(e.t, e.seq, std::move(e.fn), !e.foreground);
     }
     mb.clear();
   }
@@ -280,7 +285,6 @@ bool ParallelSim::plan(TimePoint deadline, bool until_mode) {
       fg_bounded = h == Scheduler::kNoEvent;
     }
     if (h > uniform_h) skipped = true;
-    s.horizon = h;
     s.window_cap = h;
     s.fg_bounded = fg_bounded;
   }
@@ -291,8 +295,8 @@ bool ParallelSim::plan(TimePoint deadline, bool until_mode) {
 void ParallelSim::execute(std::size_t k) {
   Shard& s = shards_[k];
   // Nothing can run this epoch: s.next is the earliest event after the
-  // drain, and cross-shard posts made during the epoch land only at the
-  // next drain. Skip the shard without entering it.
+  // drain, and cross-shard posts made during the epoch land at or past
+  // the window end. Skip the shard without entering it.
   if (s.next >= s.window_cap) return;
   tl_shard = k;
   if (enter_shard_) enter_shard_(k);
@@ -308,9 +312,35 @@ bool ParallelSim::drain_and_plan(TimePoint deadline, bool until_mode) {
   return plan(deadline, until_mode);
 }
 
-void ParallelSim::drive_serial(TimePoint deadline, bool until_mode) {
-  while (!drain_and_plan(deadline, until_mode)) {
+void ParallelSim::drive_serial() {
+  while (!drain_and_plan(0, /*until_mode=*/false)) {
     for (std::size_t k = 0; k < shards_.size(); ++k) execute(k);
+  }
+}
+
+void ParallelSim::drive_inline(TimePoint deadline) {
+  const std::size_t n = shards_.size();
+  for (;;) {
+    // Posts land in their destination at once, so each scheduler's next
+    // event is live: no drain, no all-shard plan.
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      shards_[j].next = shards_[j].sched->next_event_time();
+      if (shards_[j].next < shards_[k].next) k = j;
+    }
+    if (shards_[k].next > deadline) return;
+    // The earliest shard runs up to the first time another shard's next
+    // event could reach it. That bound exceeds its own next event, so
+    // every window fires at least one.
+    TimePoint h = deadline + 1;
+    const std::vector<Duration>& din = d_in_[k];
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != k) h = std::min(h, sat_add(shards_[j].next, din[j]));
+    }
+    ++epochs_;
+    shards_[k].window_cap = h;
+    shards_[k].fg_bounded = false;
+    execute(k);
   }
 }
 
@@ -341,10 +371,12 @@ std::size_t ParallelSim::drive(TimePoint deadline, bool until_mode) {
   PD_CHECK(!running_, "re-entrant parallel run");
   const std::uint64_t before = events_processed();
   running_ = true;
-  if (threads_ == 1) {
-    drive_serial(deadline, until_mode);
-  } else {
+  if (threads_ > 1) {
     drive_threaded(deadline, until_mode);
+  } else if (until_mode) {
+    drive_inline(deadline);
+  } else {
+    drive_serial();
   }
   running_ = false;
   if (until_mode) {

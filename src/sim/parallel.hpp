@@ -5,9 +5,12 @@
 // per simulated node (plus shard 0 for the "edge": client, ingress, and
 // everything else control-plane) — and advances them in lockstep epochs.
 // Shards never touch each other's state directly: every cross-shard
-// effect is an absolute-time event posted through a per-(src,dst)
-// mailbox and drained into the destination's scheduler at the next epoch
-// boundary, in deterministic (src shard, post order) order.
+// effect is an absolute-time event posted to the destination's scheduler.
+// Its place among same-time events is fixed at post time by a seq from
+// the sender's lane (Scheduler::reserve_seq), so event order is a function
+// of the model alone, not of where epochs end. Threaded, the event waits
+// in a per-(src,dst) mailbox until the next epoch boundary; on one thread
+// it is inserted at once.
 //
 // Safety (no causality violation) comes from per-pair lookahead: an
 // event executing on shard j at time t can influence shard k no earlier
@@ -25,9 +28,10 @@
 // Reflection (k -> j -> k) is bounded dynamically: the moment shard k
 // posts cross-shard to j with arrival time t_a, its own window end
 // shrinks to min(H_k, t_a + D[j][k]) — before that first send there is
-// nothing in flight to reflect, because mailboxes only drain at
-// barriers. The shard owning the global minimum always has H_k > next_k,
-// so every epoch fires at least one event and virtual time advances.
+// nothing in flight to reflect, because j runs nothing k posts before
+// k's window ends. The shard owning the global minimum always has
+// H_k > next_k, so every epoch fires at least one event and virtual time
+// advances.
 // (The original uniform-L formula h_k = min(min_{j!=k} next_j, next_k + L)
 // + L, with L the smallest pair entry, survives only as the reference that
 // skip_ahead_epochs() counts against.)
@@ -36,14 +40,24 @@
 // other shard to bound the horizon, so run_until() executes in a single
 // window and run() drains in one, with no mailbox traffic.
 //
-// Determinism across worker-thread counts is structural. An epoch is
-// execute | barrier, and the barrier's completion step — run by the last
-// thread to arrive, before any thread is released — drains every mailbox
-// in fixed shard order and then plans the next epoch's horizons (the
-// first drain + plan runs once on the calling thread before the workers
-// start). Each shard's execution touches only its own state, so the
-// merged event order is a pure function of the model, not of the OS
-// schedule. One OS thread or four produce bit-identical simulations.
+// On one OS thread run_until() needs no epochs: it repeatedly runs the
+// shard with the earliest event up to min_{j != k}(next_j + D[j][k]),
+// the same horizon an epoch would grant it, under the same reflection
+// cap. run() keeps the epoch loop on every driver: where it stops — which
+// background events fire before the last foreground event drains —
+// depends on epoch boundaries, so it must draw them the same way for any
+// thread count.
+//
+// Determinism across worker-thread counts is structural. A shard only
+// ever runs events below a bound no other shard's post can undercut, and
+// same-time ties break by post-time seqs, so each shard fires the same
+// events in the same order under any grouping into windows. Threaded, an
+// epoch is execute | barrier, and the barrier's completion step — run by
+// the last thread to arrive, before any thread is released — drains every
+// mailbox and plans the next epoch's horizons (the first drain + plan
+// runs once on the calling thread before the workers start). One OS
+// thread or four produce bit-identical simulations; only the protocol
+// counters (epochs, skip-ahead) depend on the driver.
 #pragma once
 
 #include <atomic>
@@ -126,20 +140,23 @@ class ParallelSim {
   /// Sum of events processed across shards.
   [[nodiscard]] std::uint64_t events_processed() const;
 
-  // --- protocol self-metrics (pdes.*, ISSUE 9) -----------------------------
-  // Epoch/mailbox/skip counters are pure functions of the model (exported
-  // through the metrics registry and the BENCH json, so protocol-cost
-  // claims are machine-checkable); barrier_wait_ns is wall clock.
+  // --- protocol self-metrics (pdes.*) ---------------------------------------
+  // mailbox_msgs is a pure function of the model. epochs and skip-ahead
+  // are deterministic for a given driver but differ between the one-thread
+  // and the threaded driver, so compare them only between threaded runs.
+  // barrier_wait_ns is wall clock.
 
-  /// Epoch barriers executed so far (epochs per simulated second bound the
-  /// win real cores can deliver).
+  /// Epoch barriers executed so far, plus the one-thread run_until()'s
+  /// serial windows (epochs per simulated second bound the win real cores
+  /// can deliver).
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
   /// Epochs in which at least one shard's adaptive horizon exceeded what
-  /// the uniform-L formula would have granted it.
+  /// the uniform-L formula would have granted it (serial windows never
+  /// count).
   [[nodiscard]] std::uint64_t skip_ahead_epochs() const {
     return skip_ahead_epochs_;
   }
-  /// Cross-shard events posted through the mailboxes.
+  /// Cross-shard events posted.
   [[nodiscard]] std::uint64_t mailbox_msgs() const;
   /// Wall-clock ns worker threads spent inside epoch barriers, summed over
   /// threads (0 for single-threaded drives). It includes the serial drain
@@ -153,6 +170,7 @@ class ParallelSim {
  private:
   struct CrossEvent {
     TimePoint t = 0;
+    std::uint64_t seq = 0;  ///< reserved on the sender's lane
     bool foreground = true;
     EventFn fn;
   };
@@ -167,10 +185,9 @@ class ParallelSim {
     /// Outbound mailboxes, indexed by destination shard.
     std::vector<Mailbox> outbox;
     TimePoint next = Scheduler::kNoEvent;  ///< after drain, for planning
-    TimePoint horizon = 0;                 ///< H_k for the current epoch
-    /// Dynamic window end during execute: starts at `horizon`, shrinks on
-    /// this shard's own cross-shard posts (the reflection cap). Only ever
-    /// touched by the thread executing the shard.
+    /// Dynamic window end during execute: starts at the window's horizon,
+    /// shrinks on this shard's own cross-shard posts (the reflection cap).
+    /// Only ever touched by the thread executing the shard.
     TimePoint window_cap = 0;
     /// Unbounded grant (every other shard idle): stop once local
     /// foreground work drains instead of spinning on background events.
@@ -188,7 +205,10 @@ class ParallelSim {
   /// stop.
   bool drain_and_plan(TimePoint deadline, bool until_mode);
   std::size_t drive(TimePoint deadline, bool until_mode);
-  void drive_serial(TimePoint deadline, bool until_mode);
+  /// One-thread run(): the epoch loop without threads.
+  void drive_serial();
+  /// One-thread run_until(): earliest-shard windows, no epochs.
+  void drive_inline(TimePoint deadline);
   void drive_threaded(TimePoint deadline, bool until_mode);
 
   std::vector<Shard> shards_;

@@ -22,11 +22,11 @@ std::uint32_t Scheduler::acquire_slot(TimePoint t) {
   return slot;
 }
 
-EventId Scheduler::enqueue(TimePoint t, std::uint32_t slot, bool background) {
-  PD_CHECK(next_seq_ < kMaxSeq, "event sequence numbers exhausted");
+EventId Scheduler::enqueue(TimePoint t, std::uint32_t slot, bool background,
+                           std::uint64_t seq) {
   Slot& s = slots_[slot];
   s.background = background;
-  const HeapEntry e{t, next_seq_++ << kSlotBits | slot};
+  const HeapEntry e{t, seq << kSlotBits | slot};
   heap_.push_back(e);
   sift_up(heap_.size() - 1, e);
   if (!background) ++foreground_live_;

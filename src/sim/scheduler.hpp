@@ -13,7 +13,13 @@
 // - A 4-ary min-heap of 16-byte entries {t, seq << 24 | slot} orders the
 //   pending events. The key sits inline, so sifting never dereferences the
 //   slab, and seq fills the high bits, so ties still break FIFO. Bounds:
-//   2^24 live events per scheduler and 2^40 events over its lifetime.
+//   2^24 live events per scheduler and 2^40 seqs over its lifetime.
+// - Seqs are lane-strided for the parallel driver: shard k of S draws
+//   counter·S + k, so seqs of different shards never collide, and a
+//   cross-shard event carries a seq reserved on its sender (reserve_seq)
+//   into the destination's heap. Same-time order is then fixed when an
+//   event is posted, by model data only. A lone scheduler (S = 1) draws
+//   1, 2, 3, ...
 // - Handles carry a per-slot generation, so cancel() is an O(log n)
 //   intrusive heap removal instead of a tombstone in a side map — there is
 //   no per-event unordered_map and cancelled entries never linger in the
@@ -42,6 +48,12 @@ inline constexpr EventId kInvalidEvent = 0;
 class Scheduler {
  public:
   Scheduler() = default;
+  /// Lane `lane` of `lanes` schedulers whose seqs must never collide
+  /// (shard `lane` of a ParallelSim).
+  Scheduler(std::uint64_t lane, std::uint64_t lanes)
+      : next_seq_(lanes + lane), seq_stride_(lanes) {
+    PD_CHECK(lane < lanes, "seq lane " << lane << " of " << lanes);
+  }
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -52,14 +64,16 @@ class Scheduler {
   /// EventFn (passed with std::move) is relocated there once.
   template <typename F>
   EventId schedule_at(TimePoint t, F&& fn) {
-    return schedule(t, std::forward<F>(fn), /*background=*/false);
+    return schedule(t, std::forward<F>(fn), /*background=*/false,
+                    reserve_seq());
   }
 
   /// Schedule `fn` after `d` nanoseconds of virtual time.
   template <typename F>
   EventId schedule_after(Duration d, F&& fn) {
     PD_CHECK(d >= 0, "negative delay " << d);
-    return schedule(now_ + d, std::forward<F>(fn), /*background=*/false);
+    return schedule(now_ + d, std::forward<F>(fn), /*background=*/false,
+                    reserve_seq());
   }
 
   /// Background events (periodic housekeeping: SRQ replenishers, samplers,
@@ -68,12 +82,30 @@ class Scheduler {
   /// flight, and always fire under run_until().
   template <typename F>
   EventId schedule_background_at(TimePoint t, F&& fn) {
-    return schedule(t, std::forward<F>(fn), /*background=*/true);
+    return schedule(t, std::forward<F>(fn), /*background=*/true,
+                    reserve_seq());
   }
   template <typename F>
   EventId schedule_background_after(Duration d, F&& fn) {
     PD_CHECK(d >= 0, "negative delay " << d);
-    return schedule(now_ + d, std::forward<F>(fn), /*background=*/true);
+    return schedule(now_ + d, std::forward<F>(fn), /*background=*/true,
+                    reserve_seq());
+  }
+
+  /// Take this scheduler's next seq for an event that will be enqueued on
+  /// another scheduler with schedule_reserved (a cross-shard post).
+  std::uint64_t reserve_seq() {
+    PD_CHECK(next_seq_ < kMaxSeq, "event sequence numbers exhausted");
+    const std::uint64_t seq = next_seq_;
+    next_seq_ += seq_stride_;
+    return seq;
+  }
+
+  /// Schedule `fn` at `t` under a seq from another lane's reserve_seq():
+  /// it fires among same-time events by that seq, not by arrival here.
+  EventId schedule_reserved(TimePoint t, std::uint64_t seq, EventFn&& fn,
+                            bool background) {
+    return schedule(t, std::move(fn), background, seq);
   }
 
   /// Cancel a pending event. Returns false if it already fired / was
@@ -161,13 +193,13 @@ class Scheduler {
   };
 
   template <typename F>
-  EventId schedule(TimePoint t, F&& fn, bool background) {
+  EventId schedule(TimePoint t, F&& fn, bool background, std::uint64_t seq) {
     if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
       PD_CHECK(static_cast<bool>(fn), "null event callback");
     }
     const std::uint32_t slot = acquire_slot(t);
     fn_at(slot).emplace(std::forward<F>(fn));
-    return enqueue(t, slot, background);
+    return enqueue(t, slot, background, seq);
   }
 
   EventFn& fn_at(std::uint32_t slot) {
@@ -176,8 +208,9 @@ class Scheduler {
 
   /// A free slot for an event at `t` (checks t >= now()).
   std::uint32_t acquire_slot(TimePoint t);
-  /// Push the event already built in `slot` onto the heap.
-  EventId enqueue(TimePoint t, std::uint32_t slot, bool background);
+  /// Push the event already built in `slot` onto the heap under `seq`.
+  EventId enqueue(TimePoint t, std::uint32_t slot, bool background,
+                  std::uint64_t seq);
   bool pop_one();  // fire the earliest live event; false if queue empty
 
   /// Move `e` up / down from hole `pos` until the heap property holds.
@@ -196,6 +229,7 @@ class Scheduler {
   std::size_t foreground_live_ = 0;
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 1;
+  std::uint64_t seq_stride_ = 1;
   std::uint64_t processed_ = 0;
 };
 

@@ -152,17 +152,16 @@ TEST(Core, AcceptsMoveOnlyCallback) {
   EXPECT_EQ(got, 7);
 }
 
-// The first job's callback submits 40 jobs to its own core, growing the
-// job ring (capacity 8) while the callback runs. Its N-word capture must
-// stay intact (the callback may not run from a ring slot the growth
-// frees), and every job must complete in FIFO order at the serial times.
-template <std::size_t N>
-void expect_ring_growth_under_live_callback() {
+// The first job's callback submits 40 jobs to its own core while it runs
+// in its scheduler slot. Its capture (an array near the inline limit) must
+// stay intact, and every job must complete in FIFO order at the serial
+// times.
+TEST(Core, CallbackSubmittingToItsOwnCoreKeepsFifoOrder) {
   Scheduler s;
   Core core(s, "cpu0");
   std::vector<std::pair<int, TimePoint>> done;
-  std::array<std::uint64_t, N> payload{};
-  for (std::size_t i = 0; i < N; ++i) payload[i] = i + 1;
+  std::array<std::uint64_t, 10> payload{};
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i + 1;
   std::uint64_t after = 0;
   core.submit(100, [&done, &s, &core, &after, payload] {
     done.emplace_back(0, s.now());
@@ -183,18 +182,98 @@ void expect_ring_growth_under_live_callback() {
   for (int b = 1; b <= 5; ++b) expect.emplace_back(b, t += 50);
   for (int i = 0; i < 40; ++i) expect.emplace_back(100 + i, t += 10 * (i + 1));
   EXPECT_EQ(done, expect);
-  EXPECT_EQ(after, N * (N + 1) / 2);
+  EXPECT_EQ(after, 55u);
   EXPECT_EQ(core.busy_ns(), 100 + 5 * 50 + 10 * (40 * 41 / 2));
   EXPECT_EQ(core.queue_len(), 0u);
 }
 
-TEST(Core, InlineCallbackSubmittingToItsOwnCoreGrowsTheRingSafely) {
-  expect_ring_growth_under_live_callback<10>();
+// Jobs that finish at the same ns complete in submission order, and an
+// ordinary event scheduled between two submits fires between them.
+TEST(Core, SameNsCompletionsKeepSubmissionOrder) {
+  Scheduler s;
+  Core core(s, "cpu0");
+  std::vector<int> order;
+  core.submit(100, [&] { order.push_back(1); });
+  core.submit(0, [&] { order.push_back(2); });
+  s.schedule_at(100, [&] { order.push_back(3); });
+  core.submit(0, [&] { order.push_back(4); });
+  core.submit(0);
+  core.submit(0, [&] { order.push_back(5); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(s.now(), 100);
+  EXPECT_EQ(core.busy_ns(), 100);
 }
 
-TEST(Core, HeapCallbackSubmittingToItsOwnCoreGrowsTheRingSafely) {
-  static_assert(sizeof(std::array<std::uint64_t, 24>) > EventFn::kInlineBytes);
-  expect_ring_growth_under_live_callback<24>();
+// Zero-work jobs still queue behind earlier work, count in queue_len()
+// until they complete, and add nothing to busy_ns().
+TEST(Core, ZeroWorkJobsQueueBehindEarlierWork) {
+  Scheduler s;
+  Core core(s, "cpu0");
+  TimePoint zero_done = -1;
+  core.submit(0);
+  core.submit(300);
+  core.submit(0, [&] { zero_done = s.now(); });
+  EXPECT_EQ(core.queue_len(), 3u);
+  EXPECT_EQ(s.run_until(0), 1u);  // the first zero-work job completes at 0
+  EXPECT_EQ(core.queue_len(), 2u);
+  EXPECT_EQ(core.busy_ns(), 0);
+  s.run();
+  EXPECT_EQ(zero_done, 300);
+  EXPECT_EQ(core.busy_ns(), 300);
+  EXPECT_EQ(core.queue_len(), 0u);
+}
+
+// queue_len(), busy_ns() and backlog() while jobs are queued: busy time is
+// credited at each completion, backlog counts down to the last one.
+TEST(Core, AccountingWhileJobsAreQueued) {
+  Scheduler s;
+  Core core(s, "cpu0");
+  core.submit(100);
+  core.submit(200, [] {});
+  core.submit(300);
+  EXPECT_EQ(core.queue_len(), 3u);
+  EXPECT_EQ(core.busy_ns(), 0);
+  EXPECT_EQ(core.backlog(), 600);
+  EXPECT_EQ(core.free_at(), 600);
+
+  s.run_until(150);
+  EXPECT_EQ(core.queue_len(), 2u);
+  EXPECT_EQ(core.busy_ns(), 100);
+  EXPECT_EQ(core.backlog(), 450);
+  EXPECT_FALSE(core.idle());
+
+  s.run_until(300);  // the second job completes exactly at the deadline
+  EXPECT_EQ(core.queue_len(), 1u);
+  EXPECT_EQ(core.busy_ns(), 300);
+  EXPECT_EQ(core.backlog(), 300);
+
+  s.run();
+  EXPECT_EQ(core.queue_len(), 0u);
+  EXPECT_EQ(core.busy_ns(), 600);
+  EXPECT_EQ(core.backlog(), 0);
+  EXPECT_TRUE(core.idle());
+}
+
+// An EventFn passed with std::move is accepted (boxed, since it does not
+// fit inside another EventFn's inline buffer) and runs at completion, in
+// order with lambda callbacks; an empty EventFn is a job without callback.
+TEST(Core, AcceptsEventFnCallback) {
+  Scheduler s;
+  Core core(s, "cpu0");
+  std::vector<int> order;
+  EventFn first = [&order] { order.push_back(1); };
+  core.submit(100, std::move(first));
+  EXPECT_FALSE(static_cast<bool>(first));
+  core.submit(50, [&order] { order.push_back(2); });
+  core.submit(10, EventFn{});
+  EventFn last = [&order, &s] { order.push_back(static_cast<int>(s.now())); };
+  core.submit(0, std::move(last));
+  EXPECT_EQ(core.queue_len(), 4u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 160}));
+  EXPECT_EQ(core.busy_ns(), 160);
+  EXPECT_EQ(core.queue_len(), 0u);
 }
 
 }  // namespace

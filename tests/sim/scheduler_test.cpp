@@ -339,5 +339,27 @@ TEST(Scheduler, AcceptsMoveOnlyCaptures) {
   EXPECT_EQ(got, 10);
 }
 
+// Lane-strided seqs: lane k of S draws counter·S + k, and an event
+// enqueued under a seq reserved on another lane fires among same-time
+// events by that seq, however late it is enqueued.
+TEST(Scheduler, ReservedSeqFixesSameTimeOrderAtReservation) {
+  Scheduler a(/*lane=*/0, /*lanes=*/2);
+  Scheduler b(/*lane=*/1, /*lanes=*/2);
+  std::vector<int> order;
+  const std::uint64_t early = a.reserve_seq();  // 2
+  b.schedule_at(10, [&] { order.push_back(1); });  // 3
+  b.schedule_background_at(10, [&] { order.push_back(2); });  // 5
+  const std::uint64_t late = a.reserve_seq();  // 4
+  EXPECT_EQ(early, 2u);
+  EXPECT_EQ(late, 4u);
+  b.schedule_reserved(10, late, [&] { order.push_back(9); },
+                      /*background=*/false);
+  b.schedule_reserved(10, early, [&] { order.push_back(0); },
+                      /*background=*/true);
+  EXPECT_EQ(b.run_until(10), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 9, 2}));
+  EXPECT_EQ(b.reserve_seq(), 7u);  // b's own lane never consumed a's seqs
+}
+
 }  // namespace
 }  // namespace pd::sim

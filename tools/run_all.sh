@@ -47,10 +47,11 @@
 #                            includes the 32-node leaf-sharded determinism
 #                            tests), then the fig16_boutique --scale point
 #                            (128 clients) at --threads 1/2/4 into
-#                            scale_report/; fails if the deterministic
-#                            leaves (sim latencies, events, requests, pdes_*
-#                            protocol counters) differ across thread counts,
-#                            drift from the committed golden, or if
+#                            scale_report/; fails if the model leaves (sim
+#                            latencies, events, requests, cross-shard posts)
+#                            differ across thread counts, the epoch counters
+#                            differ between --threads 2 and 4, the --threads
+#                            2 run drifts from the committed golden, or if
 #                            report_diff passes a perturbed artifact; then a
 #                            64-worker point (256 clients) at --threads 1/4
 #                            whose deterministic leaves must match
@@ -302,33 +303,42 @@ if [ "$1" = "scale" ]; then
     gate scale_output.txt ./build/bench/fig16_boutique --scale \
       --clients "128" --threads "$t" --json "scale_report/t$t.json"
   done
-  # Diff the simulated-time leaves (latencies, event counts, pdes_*
-  # protocol counters; no wall clock) of $2 against $1. The exit status is
-  # checked directly: piped into tee, a mismatch would be masked.
+  # Model leaves: simulated latencies, event counts, requests, cross-shard
+  # posts. Protocol leaves: epoch and skip-ahead counts, which depend on
+  # the driver (one-thread serial windows vs threaded epochs), so they are
+  # compared between threaded runs only. No leaf is wall clock.
+  model="--only sim_ --only .events --only .requests --only pdes_mailbox"
+  protocol="--only pdes_epochs --only pdes_skip_ahead"
+  # scale_diff A B ONLY...: diff the ONLY leaves of B against A. The exit
+  # status is checked directly: piped into tee, a mismatch would be masked.
   scale_diff() {
-    if ./build/tools/report_diff --only sim_ --only .events --only .requests \
-        --only pdes_epochs --only pdes_skip_ahead --only pdes_mailbox \
-        "$1" "$2" >> scale_output.txt 2>&1; then
-      echo "$2: deterministic leaves match $1" | tee -a scale_output.txt
+    a=$1
+    b=$2
+    shift 2
+    if ./build/tools/report_diff "$@" "$a" "$b" >> scale_output.txt 2>&1; then
+      echo "$b: deterministic leaves ($*) match $a" | tee -a scale_output.txt
     else
       tail -20 scale_output.txt
-      echo "scale sweep FAILED: $2 differs from $1" >&2
+      echo "scale sweep FAILED: $b differs from $a" >&2
       exit 1
     fi
   }
-  # Determinism gate: identical across thread counts.
+  # Determinism gate: model leaves identical across thread counts, protocol
+  # leaves identical between the threaded runs.
   for t in 2 4; do
-    scale_diff scale_report/t1.json "scale_report/t$t.json"
+    scale_diff scale_report/t1.json "scale_report/t$t.json" $model
   done
-  # Golden gate: drift from the committed scale-point artifact means the
-  # model or the epoch protocol changed and the golden must be re-recorded
-  # deliberately (tools/README.md, "Re-recording a golden").
-  scale_diff tools/golden/pdes_scale.json scale_report/t1.json
+  scale_diff scale_report/t2.json scale_report/t4.json $model $protocol
+  # Golden gate: drift from the committed scale-point artifact (a --threads
+  # 2 run) means the model or the epoch protocol changed and the golden
+  # must be re-recorded deliberately (tools/README.md, "Re-recording a
+  # golden").
+  scale_diff tools/golden/pdes_scale.json scale_report/t2.json $model $protocol
   # ...and report_diff itself must fail loudly on a perturbed artifact.
-  sed 's/"pdes_epochs": /"pdes_epochs": 9/' scale_report/t1.json \
+  sed 's/"pdes_epochs": /"pdes_epochs": 9/' scale_report/t2.json \
     > scale_report/perturbed.json
   if ./build/tools/report_diff --quiet --only pdes_epochs \
-      scale_report/t1.json scale_report/perturbed.json; then
+      scale_report/t2.json scale_report/perturbed.json; then
     echo "scale sweep FAILED: report_diff passed a perturbed artifact" >&2
     exit 1
   fi
@@ -344,7 +354,7 @@ if [ "$1" = "scale" ]; then
       --cells 32 --clients "256" --threads "$t" \
       --json "scale_report/n64_t$t.json"
   done
-  scale_diff scale_report/n64_t1.json scale_report/n64_t4.json
+  scale_diff scale_report/n64_t1.json scale_report/n64_t4.json $model
   echo "scale sweep passed: 32- and 64-node epoch protocol deterministic across threads"
   exit 0
 fi
